@@ -1,23 +1,21 @@
 //! Service throughput: acquire/release operations per second through the
-//! `NameService` front-end, across backends, session pools, TAS
+//! `NameService` front-end, across backends, acquire modes, TAS
 //! substrates and thread counts.
 //!
 //! Not a paper claim — this experiment tracks the service layer the API
 //! redesign introduced: real OS threads hammer one `NameService` with
 //! acquire/drop cycles (guard drop releases the name), for every
 //! algorithm selectable through `NameServiceBuilder` on the atomic TAS
-//! backend, once per session-pool implementation (the sharded lock-free
-//! pool vs the original `Mutex<Vec<_>>` checkout). The thread axis is
-//! driven by the harness's `--threads` flag (powers of two up to it)
-//! rather than a pinned 1/2/4.
+//! backend. The thread axis is driven by the harness's `--threads` flag
+//! (powers of two up to it) rather than a pinned 1/2/4.
 //!
-//! The run also sweeps the **acquire-mode axis** — the direct per-thread
-//! checkout path, the flat-combining front-end
-//! (`AcquireMode::Combining`), and the async facade
-//! (`AsyncNameService::acquire().await`, each hammer thread a one-task
-//! `block_on` executor over a combining-mode service) — back-to-back
-//! per (backend, threads) cell, recording all three curves and their
-//! ratios over direct in the artifact's `mode_comparison` section.
+//! Each (backend, threads) cell runs the three **acquire paths**
+//! back-to-back — the direct per-thread checkout path, the
+//! flat-combining front-end (`AcquireMode::Combining`), and the async
+//! facade (`AsyncNameService::acquire().await`, each hammer thread a
+//! one-task `block_on` executor over a combining-mode service) —
+//! recording all three curves and their ratios over direct in the
+//! artifact's `mode_comparison` section.
 //!
 //! Since the register substrate became long-lived, the run also sweeps
 //! the **tournament backend under acquire/release churn** for the
@@ -33,8 +31,8 @@
 //!
 //! Results land in the harness records and in `BENCH_service.json` — the
 //! CI artifact tracking the service's perf trajectory across PRs,
-//! including the pooled-vs-sharded scaling curves side by side and the
-//! tournament churn curves.
+//! including the acquire-mode curves side by side and the tournament
+//! churn curves.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -43,7 +41,7 @@ use serde_json::{json, Value};
 
 use renaming_analysis::Table;
 use renaming_service::{
-    exec, AcquireMode, Algorithm, AsyncNameService, NameService, PoolKind, SeedPolicy, TasBackend,
+    exec, AcquireMode, Algorithm, AsyncNameService, NameService, SeedPolicy, TasBackend,
 };
 use renaming_tas::rwtas::TournamentTas;
 use renaming_tas::{ResettableTas, Tas, TicketTas};
@@ -63,21 +61,17 @@ const CAPACITY: usize = 64;
 /// `Θ(log capacity)` register operations.
 const TOURNAMENT_CAPACITY: usize = 16;
 
-/// Timed repetitions per (backend, pool, threads) point; the best
+/// Timed repetitions per (backend, mode, threads) point; the best
 /// ops/sec is reported, as in the engine throughput experiment, so a
-/// descheduled rep does not masquerade as a slow pool. The two pools
+/// descheduled rep does not masquerade as a slow path. The three modes
 /// are measured back-to-back within each (backend, threads) cell so
-/// slow machine-wide drift cancels out of their ratio.
-const REPS: usize = 5;
+/// slow machine-wide drift cancels out of their ratios, and the
+/// direct/combining contrast is fine (single-digit percent at 1 thread),
+/// so it gets enough best-of reps for the scheduler noise to wash out.
+const REPS: usize = 9;
 
 /// Repetitions for the (much slower) tournament churn cells.
 const TOURNAMENT_REPS: usize = 3;
-
-/// Repetitions for the acquire-mode axis. The direct/combining contrast
-/// is the finest one measured here (single-digit percent at 1 thread),
-/// so it gets more best-of reps than the pool axis for the scheduler
-/// noise to wash out.
-const MODE_REPS: usize = 9;
 
 struct Measurement {
     ops: u64,
@@ -111,9 +105,8 @@ fn thread_sweep(max: usize) -> Vec<usize> {
 
 /// `threads` OS threads each run `ops_per_thread` acquire/drop cycles
 /// against one shared service. The timed region includes thread
-/// spawn/join — a fixed cost identical for both pools, so it dilutes
-/// the sharded/mutex ratio slightly toward 1.0 (the reported advantage
-/// is a floor, not a ceiling).
+/// spawn/join — a fixed cost identical for every acquire mode, so it
+/// dilutes the ratios over direct slightly toward 1.0.
 fn hammer(service: &NameService, threads: usize, ops_per_thread: usize) -> Measurement {
     let start = Instant::now();
     std::thread::scope(|scope| {
@@ -186,125 +179,38 @@ fn best_of_async(
     best
 }
 
-fn pool_label(pool: PoolKind) -> &'static str {
-    match pool {
-        PoolKind::Sharded => "sharded",
-        PoolKind::Mutex => "mutex",
-    }
-}
-
 /// The `service_throughput` experiment: acquire/release ops/sec through
-/// `NameService` for every atomic-backend algorithm (both session pools)
+/// `NameService` for every atomic-backend algorithm in each acquire mode
 /// and for the paper algorithms on the long-lived tournament substrate,
 /// across a `--threads`-driven sweep, plus a post-run drain check, a
-/// sharded-vs-mutex comparison per backend and an O(1)-reset proof for
-/// the register trees. Writes `BENCH_service.json`.
+/// per-backend mode comparison and an O(1)-reset proof for the register
+/// trees. Writes `BENCH_service.json`.
 pub fn service_throughput(h: &mut Harness) -> String {
     let mut out = header(
         "service_throughput",
-        "Service: NameService acquire/release ops/sec per backend, pool, TAS substrate (tooling)",
+        "Service: NameService acquire/release ops/sec per backend, acquire mode, TAS substrate (tooling)",
     );
     let ops_per_thread = if h.quick() { 10_000 } else { 60_000 };
     let thread_counts = thread_sweep(h.threads().min(CAPACITY));
     let max_threads = *thread_counts.last().expect("non-empty");
-    let pools = [PoolKind::Mutex, PoolKind::Sharded];
-
-    let mut table = Table::new(["backend", "tas", "pool", "threads", "ops", "Kops/s", "drained"]);
-    let mut rows: Vec<Value> = Vec::new();
-    let mut comparison: Vec<Value> = Vec::new();
     let mut all_drained = true;
-    let mut sharded_wins_at_max = 0usize;
-    let mut backends = 0usize;
-
-    for algorithm in Algorithm::all() {
-        backends += 1;
-        // ops/sec by (pool, threads) for this backend's comparison row.
-        let mut curve = vec![vec![0.0f64; thread_counts.len()]; pools.len()];
-        let mut backend_label = "";
-        for (thread_idx, &threads) in thread_counts.iter().enumerate() {
-            for (pool_idx, &pool) in pools.iter().enumerate() {
-                let service = NameService::builder(algorithm, CAPACITY)
-                    .pool_kind(pool)
-                    .seed_policy(SeedPolicy::Fixed(h.seed()))
-                    .build()
-                    .expect("service builds for every algorithm");
-                let best = best_of(&service, threads, ops_per_thread, REPS);
-                let drained = service.held() == 0;
-                all_drained &= drained;
-                backend_label = service.algorithm();
-                curve[pool_idx][thread_idx] = best.ops_per_sec();
-                table.row([
-                    service.algorithm().to_string(),
-                    "atomic".to_string(),
-                    pool_label(pool).to_string(),
-                    threads.to_string(),
-                    best.ops.to_string(),
-                    format!("{:.0}", best.ops_per_sec() / 1e3),
-                    if drained { "yes".into() } else { "NO".to_string() },
-                ]);
-                rows.push(json!({
-                    "backend": service.algorithm(),
-                    "tas": "atomic",
-                    "pool": pool_label(pool),
-                    "pool_shards": service.pool_shard_count(),
-                    "threads": threads,
-                    "ops": best.ops,
-                    "ops_per_sec": best.ops_per_sec(),
-                    "drained": drained
-                }));
-                h.record(
-                    "service_throughput",
-                    json!({
-                        "backend": service.algorithm(),
-                        "tas": "atomic",
-                        "pool": pool_label(pool),
-                        "threads": threads,
-                        "capacity": CAPACITY
-                    }),
-                    json!({"ops": best.ops, "ops_per_sec": best.ops_per_sec(), "drained": drained}),
-                );
-            }
-        }
-        let (mutex, sharded) = (&curve[0], &curve[1]);
-        let at_1 = sharded[0] / mutex[0].max(f64::MIN_POSITIVE);
-        let at_max = sharded[thread_counts.len() - 1]
-            / mutex[thread_counts.len() - 1].max(f64::MIN_POSITIVE);
-        if at_max > 1.0 {
-            sharded_wins_at_max += 1;
-        }
-        comparison.push(json!({
-            "backend": backend_label,
-            "threads": thread_counts.clone(),
-            "mutex_ops_per_sec": mutex,
-            "sharded_ops_per_sec": sharded,
-            "sharded_over_mutex_at_1_thread": at_1,
-            "sharded_over_mutex_at_max_threads": at_max
-        }));
-        let _ = writeln!(
-            out,
-            "{algorithm:?}: sharded/mutex = {at_1:.2}x at 1 thread, {at_max:.2}x at {max_threads} threads",
-        );
-    }
 
     // ---- Acquire-mode axis: direct vs combining vs the async facade. ----
     //
-    // Same backends, sharded pool, all three acquire paths measured
-    // back-to-back within each (backend, threads) cell so machine-wide
-    // drift cancels out of the ratios over direct. At one thread the
-    // combiner forms batches of one (the direct path with a slot
-    // round-trip); under contention one combiner drains many requests
-    // through a single checked-out session, amortizing checkout and —
-    // for the rebatching machines — resuming the winning batch instead
-    // of rescanning from batch zero (`BatchAcquire::rearm_after_win`).
+    // All three acquire paths measured back-to-back within each
+    // (backend, threads) cell so machine-wide drift cancels out of the
+    // ratios over direct. At one thread the combiner forms batches of
+    // one (the direct path with a slot round-trip); under contention
+    // one combiner drains many requests through a single checked-out
+    // session, amortizing checkout and — for the rebatching machines —
+    // resuming the winning batch instead of rescanning from batch zero
+    // (`BatchAcquire::rearm_after_win`).
     let mut mode_table = Table::new(["backend", "mode", "threads", "ops", "Kops/s", "drained"]);
     let mut mode_rows: Vec<Value> = Vec::new();
     let mut mode_comparison: Vec<Value> = Vec::new();
     // The third cell drives a combining-mode service through the async
     // facade: each hammer thread is a one-task executor running
     // `exec::block_on(service.acquire())` per cycle (`hammer_async`).
-    // The direct and combining cells are measured exactly as before, so
-    // their rows — and the CI stability diff over the direct rows —
-    // are unaffected by the new axis point.
     let mode_labels = ["direct", "combining", "async"];
     for algorithm in Algorithm::all() {
         let mut curve = vec![vec![0.0f64; thread_counts.len()]; mode_labels.len()];
@@ -324,11 +230,11 @@ pub fn service_throughput(h: &mut Harness) -> String {
                 backend_label = service.algorithm();
                 let (best, drained) = if mode_label == "async" {
                     let service = AsyncNameService::new(service);
-                    let best = best_of_async(&service, threads, ops_per_thread, MODE_REPS);
+                    let best = best_of_async(&service, threads, ops_per_thread, REPS);
                     let drained = service.held() == 0;
                     (best, drained)
                 } else {
-                    let best = best_of(&service, threads, ops_per_thread, MODE_REPS);
+                    let best = best_of(&service, threads, ops_per_thread, REPS);
                     let drained = service.held() == 0;
                     (best, drained)
                 };
@@ -345,7 +251,6 @@ pub fn service_throughput(h: &mut Harness) -> String {
                 mode_rows.push(json!({
                     "backend": backend_label,
                     "tas": "atomic",
-                    "pool": pool_label(PoolKind::Sharded),
                     "mode": mode_label,
                     "threads": threads,
                     "ops": best.ops,
@@ -357,7 +262,6 @@ pub fn service_throughput(h: &mut Harness) -> String {
                     json!({
                         "backend": backend_label,
                         "tas": "atomic",
-                        "pool": pool_label(PoolKind::Sharded),
                         "mode": mode_label,
                         "threads": threads,
                         "capacity": CAPACITY
@@ -405,6 +309,7 @@ pub fn service_throughput(h: &mut Harness) -> String {
         .copied()
         .filter(|&t| t <= TOURNAMENT_CAPACITY)
         .collect();
+    let mut table = Table::new(["backend", "tas", "threads", "ops", "Kops/s", "drained"]);
     let mut tournament_rows: Vec<Value> = Vec::new();
     for algorithm in [Algorithm::Rebatching, Algorithm::Adaptive, Algorithm::FastAdaptive] {
         let mut curve = Vec::new();
@@ -422,7 +327,6 @@ pub fn service_throughput(h: &mut Harness) -> String {
             table.row([
                 service.algorithm().to_string(),
                 "tournament".to_string(),
-                pool_label(PoolKind::Sharded).to_string(),
                 threads.to_string(),
                 best.ops.to_string(),
                 format!("{:.0}", best.ops_per_sec() / 1e3),
@@ -431,7 +335,6 @@ pub fn service_throughput(h: &mut Harness) -> String {
             tournament_rows.push(json!({
                 "backend": service.algorithm(),
                 "tas": "tournament",
-                "pool": pool_label(PoolKind::Sharded),
                 "threads": threads,
                 "capacity": TOURNAMENT_CAPACITY,
                 "ops": best.ops,
@@ -443,7 +346,6 @@ pub fn service_throughput(h: &mut Harness) -> String {
                 json!({
                     "backend": service.algorithm(),
                     "tas": "tournament",
-                    "pool": pool_label(PoolKind::Sharded),
                     "threads": threads,
                     "capacity": TOURNAMENT_CAPACITY
                 }),
@@ -492,8 +394,6 @@ pub fn service_throughput(h: &mut Harness) -> String {
             h.seed(),
             h.threads()
         ),
-        "rows": rows,
-        "pool_comparison": comparison,
         "mode_rows": mode_rows,
         "mode_comparison": mode_comparison,
         "tournament_churn": tournament_rows,
@@ -518,12 +418,8 @@ pub fn service_throughput(h: &mut Harness) -> String {
         }
     }
 
-    let _ = writeln!(out, "{table}");
     let _ = writeln!(out, "{mode_table}");
-    let _ = writeln!(
-        out,
-        "sharded pool faster than mutex pool at {max_threads} threads on {sharded_wins_at_max}/{backends} backends"
-    );
+    let _ = writeln!(out, "{table}");
     out.push_str(&verdict(
         all_drained && reset_is_epoch_bump && reacquired,
         "every backend (incl. tournament churn) completed all acquire/release cycles, drained to 0 held names, and reset cost 0 register ops",
@@ -558,8 +454,6 @@ mod tests {
             "linear-scan",
             "single-batch",
             "doubling-uniform",
-            " sharded ",
-            " mutex ",
             " tournament ",
             " direct ",
             " combining ",

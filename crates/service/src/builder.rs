@@ -14,7 +14,6 @@ use renaming_tas::rwtas::TournamentTas;
 use renaming_tas::{TasArray, TicketTas};
 
 use crate::namespace::{ServiceBackend, TournamentSlot};
-use crate::pool::PoolKind;
 use crate::{NameService, SeedPolicy};
 
 /// The renaming algorithm backing a [`NameService`].
@@ -182,8 +181,6 @@ pub struct NameServiceBuilder {
     beta: usize,
     backend: TasBackend,
     seed_policy: SeedPolicy,
-    pool_kind: PoolKind,
-    pool_shards: Option<usize>,
     acquire_mode: AcquireMode,
     metrics: bool,
     oracle: bool,
@@ -201,8 +198,6 @@ impl NameServiceBuilder {
             beta: DEFAULT_BETA,
             backend: TasBackend::Atomic,
             seed_policy: SeedPolicy::Entropy,
-            pool_kind: PoolKind::Sharded,
-            pool_shards: None,
             acquire_mode: AcquireMode::Direct,
             metrics: false,
             oracle: false,
@@ -236,28 +231,6 @@ impl NameServiceBuilder {
     #[must_use]
     pub fn seed_policy(mut self, policy: SeedPolicy) -> Self {
         self.seed_policy = policy;
-        self
-    }
-
-    /// The session-pool implementation (default [`PoolKind::Sharded`],
-    /// the lock-free pool). [`PoolKind::Mutex`] selects the serialized
-    /// baseline the `service_throughput` experiment compares against.
-    #[must_use]
-    pub fn pool_kind(mut self, kind: PoolKind) -> Self {
-        self.pool_kind = kind;
-        self
-    }
-
-    /// Shard count for the sharded pool (default: one shard per
-    /// hardware thread; rounded up to a power of two, clamped to
-    /// `1..=1024`). Ignored by [`PoolKind::Mutex`].
-    ///
-    /// More shards spread check-ins across more cache lines; fewer
-    /// shards keep the empty-pool probe walk shorter. The default is
-    /// right unless threads far outnumber cores.
-    #[must_use]
-    pub fn pool_shards(mut self, shards: usize) -> Self {
-        self.pool_shards = Some(shards);
         self
     }
 
@@ -309,13 +282,8 @@ impl NameServiceBuilder {
             TasBackend::Atomic => self.build_atomic()?,
             TasBackend::Tournament => self.build_tournament()?,
         };
-        let mut service = NameService::with_backend_pool(
-            backend,
-            self.seed_policy,
-            self.pool_kind,
-            self.pool_shards,
-            self.acquire_mode,
-        );
+        let mut service =
+            NameService::with_backend_mode(backend, self.seed_policy, self.acquire_mode);
         if self.metrics {
             service.enable_metrics();
         }

@@ -87,7 +87,6 @@ pub use metrics::{
 };
 pub use namespace::{CountingSlot, Namespace, PooledSession, ServiceBackend, TournamentSlot};
 pub use oracle::OracleVerdict;
-pub use pool::PoolKind;
 pub use service::{NameService, SeedPolicy};
 
 // Re-export the vocabulary types a service caller needs, so depending on

@@ -1,7 +1,5 @@
-//! The session pools behind [`NameService`](crate::NameService): a
-//! sharded, lock-free checkout path (the default) and the original
-//! mutex-guarded pool (kept as a selectable baseline — see
-//! [`PoolKind`]).
+//! The session pool behind [`NameService`](crate::NameService): a
+//! sharded, lock-free checkout path.
 //!
 //! # Why sharded
 //!
@@ -37,58 +35,15 @@ use std::cell::RefCell;
 use std::ptr;
 
 use crate::sync_shim::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use crate::sync_shim::sync::Mutex;
-
-/// The session-pool implementation a
-/// [`NameService`](crate::NameService) checks workers out of.
-///
-/// Selected via
-/// [`NameServiceBuilder::pool_kind`](crate::NameServiceBuilder::pool_kind);
-/// both pools hand out the same per-worker sessions, so the choice never
-/// affects *which* names a service produces — only how fast checkouts
-/// scale across threads (the `service_throughput` experiment records
-/// both curves into `BENCH_service.json`).
-///
-/// # Example
-///
-/// ```
-/// use renaming_service::{Algorithm, NameService, PoolKind, SeedPolicy};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let seq = |kind: PoolKind| -> Vec<usize> {
-///     let service = NameService::builder(Algorithm::Rebatching, 8)
-///         .pool_kind(kind)
-///         .seed_policy(SeedPolicy::Fixed(7))
-///         .build()
-///         .expect("build");
-///     (0..10).map(|_| service.acquire().expect("name").value()).collect()
-/// };
-/// // Same backend, same seed policy: the pool choice is invisible to
-/// // single-threaded callers.
-/// assert_eq!(seq(PoolKind::Sharded), seq(PoolKind::Mutex));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PoolKind {
-    /// The sharded, lock-free pool (the default): per-shard
-    /// cache-line-padded `AtomicPtr` slots, thread-local shard hints,
-    /// work-stealing checkout.
-    #[default]
-    Sharded,
-    /// The original `Mutex<Vec<_>>` checkout — one global lock on the
-    /// acquire path. Kept as the measured baseline.
-    Mutex,
-}
 
 /// Idle slots per shard. Four pointers cover the common burst of
 /// same-shard check-ins (several threads hashing to one shard) while
 /// keeping the padded shard a single 128-byte unit.
 const SLOTS_PER_SHARD: usize = 4;
 
-/// Upper bound on the shard count a caller can configure; beyond this
-/// the empty-pool probe walk costs more than it saves.
-pub(crate) const MAX_SHARDS: usize = 1024;
+/// Upper bound on the shard count; beyond this the empty-pool probe walk
+/// costs more than it saves.
+const MAX_SHARDS: usize = 1024;
 
 /// One bank of idle-session slots, aligned and sized to own its cache
 /// lines outright (128 bytes covers the adjacent-line prefetcher on
@@ -211,11 +166,6 @@ impl<T> ShardedPool<T> {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     }
 
-    /// The configured shard count.
-    pub(crate) fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Takes an idle item, preferring the calling thread's home shard
     /// and stealing from neighbors before reporting the pool empty.
     pub(crate) fn checkout(&self) -> Option<Box<T>> {
@@ -319,46 +269,20 @@ impl<T> Drop for ShardedPool<T> {
     }
 }
 
-/// The original pool: one mutex around a vector of idle items. Correct
-/// and simple; serializes every checkout and check-in.
-pub(crate) struct MutexPool<T> {
-    items: Mutex<Vec<Box<T>>>,
-}
-
-impl<T> MutexPool<T> {
-    pub(crate) fn new() -> Self {
-        Self {
-            items: Mutex::new(Vec::new()),
-        }
-    }
-
-    pub(crate) fn checkout(&self) -> Option<Box<T>> {
-        self.items.lock().expect("service pool poisoned").pop()
-    }
-
-    pub(crate) fn checkin(&self, item: Box<T>) {
-        self.items.lock().expect("service pool poisoned").push(item);
-    }
-
-    pub(crate) fn pooled(&self) -> usize {
-        self.items.lock().expect("service pool poisoned").len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn shard_counts_round_up_and_clamp() {
-        assert_eq!(ShardedPool::<u32>::new(0).shards(), 1);
-        assert_eq!(ShardedPool::<u32>::new(1).shards(), 1);
-        assert_eq!(ShardedPool::<u32>::new(3).shards(), 4);
-        assert_eq!(ShardedPool::<u32>::new(8).shards(), 8);
-        assert_eq!(ShardedPool::<u32>::new(usize::MAX).shards(), MAX_SHARDS);
+        assert_eq!(ShardedPool::<u32>::new(0).shards.len(), 1);
+        assert_eq!(ShardedPool::<u32>::new(1).shards.len(), 1);
+        assert_eq!(ShardedPool::<u32>::new(3).shards.len(), 4);
+        assert_eq!(ShardedPool::<u32>::new(8).shards.len(), 8);
+        assert_eq!(ShardedPool::<u32>::new(usize::MAX).shards.len(), MAX_SHARDS);
     }
 
     #[test]
@@ -378,8 +302,8 @@ mod tests {
     fn same_thread_gets_its_own_item_back() {
         // The single-thread fast path: the hint shard's first slot is
         // both the check-in and the checkout target, so the same box
-        // cycles — this is what keeps `SeedPolicy::Fixed` sequences
-        // stable when the service swaps pools.
+        // cycles — this is what keeps single-thread `SeedPolicy::Fixed`
+        // sequences on one worker stream, matching the pinned goldens.
         let pool = ShardedPool::new(8);
         let first = Box::new(41u32);
         let addr = &*first as *const u32 as usize;
@@ -562,15 +486,5 @@ mod tests {
         // spread over 4 shards in *both* pools simultaneously.
         assert_eq!(a_hints, vec![0, 1, 2, 3]);
         assert_eq!(b_hints, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn mutex_pool_round_trips() {
-        let pool = MutexPool::new();
-        assert!(pool.checkout().is_none());
-        pool.checkin(Box::new(5u32));
-        assert_eq!(pool.pooled(), 1);
-        assert_eq!(*pool.checkout().expect("item"), 5);
-        assert_eq!(pool.pooled(), 0);
     }
 }

@@ -17,7 +17,7 @@ use crate::guard::NameGuard;
 use crate::metrics::ServiceMetrics;
 use crate::oracle::OracleVerdict;
 use crate::namespace::{PooledSession, ServiceBackend};
-use crate::pool::{MutexPool, PoolKind, ShardedPool};
+use crate::pool::ShardedPool;
 use crate::Algorithm;
 
 /// How [`NameService`] seeds the per-worker coin-flip streams.
@@ -88,61 +88,6 @@ pub(crate) struct Worker {
     pub(crate) rng: FastRng,
 }
 
-/// The checkout pool: either the sharded lock-free pool (default) or the
-/// original mutex-guarded vector (see [`PoolKind`]).
-// Under the model cfg the variants' sizes diverge (the model Mutex
-// carries instrumentation state); boxing would penalize the normal
-// build for a test-only configuration.
-#[cfg_attr(renaming_model, allow(clippy::large_enum_variant))]
-enum SessionPool {
-    Sharded(ShardedPool<Worker>),
-    Mutex(MutexPool<Worker>),
-}
-
-impl SessionPool {
-    fn checkout(&self) -> Option<Box<Worker>> {
-        match self {
-            SessionPool::Sharded(pool) => pool.checkout(),
-            SessionPool::Mutex(pool) => pool.checkout(),
-        }
-    }
-
-    fn checkin(&self, worker: Box<Worker>) {
-        match self {
-            SessionPool::Sharded(pool) => pool.checkin(worker),
-            SessionPool::Mutex(pool) => pool.checkin(worker),
-        }
-    }
-
-    fn pooled(&self) -> usize {
-        match self {
-            SessionPool::Sharded(pool) => pool.pooled(),
-            SessionPool::Mutex(pool) => pool.pooled(),
-        }
-    }
-
-    fn retired(&self) -> u64 {
-        match self {
-            SessionPool::Sharded(pool) => pool.retired(),
-            SessionPool::Mutex(_) => 0,
-        }
-    }
-
-    fn kind(&self) -> PoolKind {
-        match self {
-            SessionPool::Sharded(_) => PoolKind::Sharded,
-            SessionPool::Mutex(_) => PoolKind::Mutex,
-        }
-    }
-
-    fn shards(&self) -> Option<usize> {
-        match self {
-            SessionPool::Sharded(pool) => Some(pool.shards()),
-            SessionPool::Mutex(_) => None,
-        }
-    }
-}
-
 /// A thread-safe, long-lived renaming service: `acquire` from any
 /// thread, get an RAII [`NameGuard`], drop it to recycle the name.
 ///
@@ -157,10 +102,10 @@ impl SessionPool {
 /// and no allocation per operation — callers just write
 /// `let guard = service.acquire()?`.
 ///
-/// By default the pool is the sharded lock-free one
-/// ([`PoolKind::Sharded`]): checkout is an atomic `swap` on a
+/// The pool is sharded and lock-free: checkout is an atomic `swap` on a
 /// cache-line-padded, thread-hinted shard slot, with work-stealing from
 /// neighboring shards, so the acquire path has no global lock at all.
+/// It has one shard per hardware thread, rounded up to a power of two.
 ///
 /// # Example
 ///
@@ -178,7 +123,7 @@ impl SessionPool {
 /// ```
 pub struct NameService {
     backend: Arc<dyn ServiceBackend>,
-    pool: SessionPool,
+    pool: ShardedPool<Worker>,
     seed_policy: SeedPolicy,
     /// Next worker stream id; also the number of workers ever created.
     streams: AtomicU64,
@@ -207,38 +152,21 @@ impl NameService {
     /// Wraps an explicit backend — the escape hatch for backends the
     /// [`NameServiceBuilder`] enums do not cover (custom probe
     /// schedules, counting instrumentation, hand-built objects). Uses
-    /// the default sharded pool; see
-    /// [`with_backend_pool`](Self::with_backend_pool) to choose.
+    /// the direct acquire front-end.
     pub fn with_backend(backend: Arc<dyn ServiceBackend>, seed_policy: SeedPolicy) -> Self {
-        Self::with_backend_pool(
-            backend,
-            seed_policy,
-            PoolKind::Sharded,
-            None,
-            AcquireMode::Direct,
-        )
+        Self::with_backend_mode(backend, seed_policy, AcquireMode::Direct)
     }
 
     /// As [`with_backend`](Self::with_backend), additionally choosing
-    /// the session-pool implementation, (for the sharded pool) the
-    /// shard count, and the acquire front-end. `shards: None` uses one
-    /// shard per hardware thread.
-    pub fn with_backend_pool(
+    /// the acquire front-end — the builder's `build` hook.
+    pub(crate) fn with_backend_mode(
         backend: Arc<dyn ServiceBackend>,
         seed_policy: SeedPolicy,
-        pool: PoolKind,
-        shards: Option<usize>,
         acquire_mode: AcquireMode,
     ) -> Self {
-        let pool = match pool {
-            PoolKind::Sharded => SessionPool::Sharded(ShardedPool::new(
-                shards.unwrap_or_else(ShardedPool::<Worker>::default_shards),
-            )),
-            PoolKind::Mutex => SessionPool::Mutex(MutexPool::new()),
-        };
         Self {
             backend,
-            pool,
+            pool: ShardedPool::new(ShardedPool::<Worker>::default_shards()),
             seed_policy,
             streams: AtomicU64::new(0),
             combiner: (acquire_mode == AcquireMode::Combining).then(Combiner::new),
@@ -542,9 +470,8 @@ impl NameService {
         self.pool.pooled()
     }
 
-    /// Workers the sharded pool has dropped because every slot was
-    /// already occupied at check-in (always `0` for the mutex pool,
-    /// which grows without bound instead). When the service is idle,
+    /// Workers the pool has dropped because every slot was already
+    /// occupied at check-in. When the service is idle,
     /// `worker_count() == pooled_workers() + retired_workers() +
     /// resident_workers()` — the no-leak conservation law the torture
     /// tests assert.
@@ -559,17 +486,6 @@ impl NameService {
     /// [`retired_workers`](Self::retired_workers).
     pub fn resident_workers(&self) -> usize {
         self.combiner.as_ref().map_or(0, Combiner::resident_workers)
-    }
-
-    /// Which session-pool implementation this service checks workers
-    /// out of.
-    pub fn pool_kind(&self) -> PoolKind {
-        self.pool.kind()
-    }
-
-    /// The sharded pool's shard count, or `None` for the mutex pool.
-    pub fn pool_shard_count(&self) -> Option<usize> {
-        self.pool.shards()
     }
 
     /// The shared backend.
@@ -638,10 +554,10 @@ impl NameService {
         if let Some(worker) = self.pool.checkout() {
             return worker;
         }
-        // Bounded slow path: only reached when every shard slot (or the
-        // mutex vector) is empty. Stream ids — and with them the RNG
-        // seeds — are fixed here, at construction, so pool placement
-        // never changes a worker's coin flips. AcqRel pairs with the
+        // Bounded slow path: only reached when every shard slot is
+        // empty. Stream ids — and with them the RNG seeds — are fixed
+        // here, at construction, so pool placement never changes a
+        // worker's coin flips. AcqRel pairs with the
         // Acquire read in `worker_count`, keeping the post-quiescence
         // conservation law exact.
         let stream = self.streams.fetch_add(1, Ordering::AcqRel);
@@ -660,7 +576,6 @@ impl fmt::Debug for NameService {
             .field("namespace_size", &self.namespace_size())
             .field("held", &self.held())
             .field("workers", &self.worker_count())
-            .field("pool", &self.pool_kind())
             .field("seed_policy", &self.seed_policy)
             .field("acquire_mode", &self.acquire_mode())
             .field("oracle", &self.oracle.is_some())
@@ -725,26 +640,6 @@ mod tests {
     }
 
     #[test]
-    fn both_pools_produce_identical_single_thread_sequences() {
-        let sequence = |pool: PoolKind| -> Vec<usize> {
-            let service = NameService::builder(Algorithm::Rebatching, 32)
-                .pool_kind(pool)
-                .seed_policy(SeedPolicy::Fixed(11))
-                .build()
-                .expect("build");
-            assert_eq!(service.pool_kind(), pool);
-            (0..30)
-                .map(|_| service.acquire().expect("name").value())
-                .collect()
-        };
-        assert_eq!(
-            sequence(PoolKind::Sharded),
-            sequence(PoolKind::Mutex),
-            "pool choice must be invisible to single-threaded callers"
-        );
-    }
-
-    #[test]
     fn guard_accessors_and_detach() {
         let service = NameService::builder(Algorithm::LinearScan, 4)
             .build()
@@ -781,10 +676,10 @@ mod tests {
 
     #[test]
     fn sharded_service_survives_thread_churn() {
-        // More threads than shards, churn far beyond capacity: the
-        // service must neither duplicate names nor lose workers.
+        // More threads than shards (the default count is the core
+        // count), churn far beyond capacity: the service must neither
+        // duplicate names nor lose workers.
         let service = NameService::builder(Algorithm::Rebatching, 16)
-            .pool_shards(1)
             .seed_policy(SeedPolicy::Fixed(3))
             .build()
             .expect("build");

@@ -83,7 +83,7 @@ pub mod prelude {
     pub use renaming_core::{Epsilon, Name, RenamingError};
     pub use renaming_service::{
         AcquireFuture, AcquireMode, Algorithm, AsyncNameGuard, AsyncNameService, HistoryReport,
-        NameGuard, NameService, NameServiceBuilder, Namespace, Oracle, OracleVerdict, PoolKind,
-        SeedPolicy, TasBackend, Violation, WorkerCounts,
+        NameGuard, NameService, NameServiceBuilder, Namespace, Oracle, OracleVerdict, SeedPolicy,
+        TasBackend, Violation, WorkerCounts,
     };
 }

@@ -13,8 +13,8 @@
 //!    exhausts it, and the service drains to zero held names.
 //! 3. **Reproducibility** — under a fixed seed policy, a single-threaded
 //!    acquisition sequence is a pure function of the builder
-//!    configuration, and byte-identical across session-pool
-//!    implementations (pinned against the PR 3 mutex-pool sequences).
+//!    configuration, and byte-identical to the golden sequences pinned
+//!    from the original mutex-pool service, in both acquire modes.
 //! 4. **Pool integrity** — the sharded lock-free pool never hands one
 //!    session to two threads at once and never leaks workers, even with
 //!    far more threads than shards and churn far beyond capacity.
@@ -30,24 +30,11 @@ use loose_renaming::prelude::*;
 /// threads, each cycling `iterations` times, with the concurrency
 /// oracle proving cross-thread uniqueness over the recorded history.
 fn stress(algorithm: Algorithm, threads: usize, iterations: usize) {
-    stress_with_pool(algorithm, threads, iterations, PoolKind::Sharded, None);
-}
-
-fn stress_with_pool(
-    algorithm: Algorithm,
-    threads: usize,
-    iterations: usize,
-    pool: PoolKind,
-    shards: Option<usize>,
-) {
-    let mut builder = NameService::builder(algorithm, threads)
-        .pool_kind(pool)
+    let service = NameService::builder(algorithm, threads)
         .oracle(true)
-        .seed_policy(SeedPolicy::Fixed(0xA11CE));
-    if let Some(shards) = shards {
-        builder = builder.pool_shards(shards);
-    }
-    let service = builder.build().expect("build");
+        .seed_policy(SeedPolicy::Fixed(0xA11CE))
+        .build()
+        .expect("build");
     churn(&service, threads, iterations);
 }
 
@@ -198,26 +185,24 @@ fn fixed_seed_sequences_are_reproducible_per_backend() {
         Algorithm::FastAdaptive,
         Algorithm::Uniform,
     ] {
-        let run = || fixed_seed_sequence(algorithm, PoolKind::Sharded, 99, 40);
+        let run = || fixed_seed_sequence(algorithm, 99, 40);
         assert_eq!(run(), run(), "{algorithm:?}: fixed seed must reproduce");
     }
 }
 
 /// The mixed hold/release single-thread workload used for the golden
 /// sequences below (and by `fixed_seed_sequences_are_reproducible_per_backend`).
-fn fixed_seed_sequence(algorithm: Algorithm, pool: PoolKind, seed: u64, n: usize) -> Vec<usize> {
-    fixed_seed_sequence_mode(algorithm, pool, seed, n, AcquireMode::Direct)
+fn fixed_seed_sequence(algorithm: Algorithm, seed: u64, n: usize) -> Vec<usize> {
+    fixed_seed_sequence_mode(algorithm, seed, n, AcquireMode::Direct)
 }
 
 fn fixed_seed_sequence_mode(
     algorithm: Algorithm,
-    pool: PoolKind,
     seed: u64,
     n: usize,
     mode: AcquireMode,
 ) -> Vec<usize> {
     let service = NameService::builder(algorithm, 32)
-        .pool_kind(pool)
         .acquire_mode(mode)
         .seed_policy(SeedPolicy::Fixed(seed))
         .build()
@@ -241,8 +226,8 @@ fn fixed_seed_sequence_mode(
 
 /// Golden sequences captured from the PR 3 `Mutex<Vec<_>>`-pool service
 /// (seed `0xD0C5`, capacity 32, the mixed workload above). The sharded
-/// pool — and any future pool — must reproduce them byte-for-byte:
-/// stream ids are assigned at session construction, so single-threaded
+/// pool must reproduce them byte-for-byte in both acquire modes: stream
+/// ids are assigned at session construction, so single-threaded
 /// fixed-seed output is part of the service's compatibility contract.
 #[test]
 fn fixed_seed_sequences_match_pr3_golden_values() {
@@ -265,28 +250,20 @@ fn fixed_seed_sequences_match_pr3_golden_values() {
         ),
     ];
     for (algorithm, expected) in golden {
-        for pool in [PoolKind::Sharded, PoolKind::Mutex] {
-            assert_eq!(
-                fixed_seed_sequence(algorithm, pool, 0xD0C5, expected.len()),
-                expected,
-                "{algorithm:?} over the {pool:?} pool diverged from the PR 3 sequence"
-            );
-            // The combining front-end sees the same golden values: a
-            // single-threaded caller forms batches of one, which reset
-            // and drive the very same pooled session — the flat-combining
-            // layer must be invisible to uncontended fixed-seed runs.
-            assert_eq!(
-                fixed_seed_sequence_mode(
-                    algorithm,
-                    pool,
-                    0xD0C5,
-                    expected.len(),
-                    AcquireMode::Combining
-                ),
-                expected,
-                "{algorithm:?} combining mode diverged from the direct golden sequence"
-            );
-        }
+        assert_eq!(
+            fixed_seed_sequence(algorithm, 0xD0C5, expected.len()),
+            expected,
+            "{algorithm:?} diverged from its golden sequence"
+        );
+        // The combining front-end sees the same golden values: a
+        // single-threaded caller forms batches of one, which reset and
+        // drive the very same pooled session — the flat-combining layer
+        // must be invisible to uncontended fixed-seed runs.
+        assert_eq!(
+            fixed_seed_sequence_mode(algorithm, 0xD0C5, expected.len(), AcquireMode::Combining),
+            expected,
+            "{algorithm:?} combining mode diverged from the direct golden sequence"
+        );
     }
 }
 
@@ -400,22 +377,16 @@ fn combining_guard_release_routes_to_backend() {
     assert_eq!(service.held(), 0);
 }
 
-/// Torture the sharded pool itself: threads ≫ shards (16 threads on a
-/// single shard) and churn ≫ capacity. The live occupancy table proves
-/// no name — and therefore no session result — is duplicated, and the
-/// conservation check inside `stress_with_pool` proves no session is
-/// lost to the overflow path.
+/// Torture the sharded pool through the service: threads ≫ shards (the
+/// default is one shard per core) and churn ≫ capacity. The oracle
+/// verdict inside `churn` proves no name is duplicated and, through the
+/// worker conservation law, that no session is lost to the overflow
+/// path. The pool's own unit test `torture_no_double_checkout_and_no_leaks`
+/// pins threads ≫ shards directly (16 threads on 2 shards).
 #[test]
 fn sharded_pool_torture_threads_far_exceed_shards() {
-    stress_with_pool(Algorithm::Rebatching, 16, 300, PoolKind::Sharded, Some(1));
-    stress_with_pool(Algorithm::FastAdaptive, 12, 150, PoolKind::Sharded, Some(2));
-}
-
-/// The mutex pool remains selectable and correct — it is the measured
-/// baseline in `service_throughput`.
-#[test]
-fn mutex_pool_still_serves_concurrent_churn() {
-    stress_with_pool(Algorithm::Rebatching, 8, 150, PoolKind::Mutex, None);
+    stress(Algorithm::Rebatching, 16, 300);
+    stress(Algorithm::FastAdaptive, 12, 150);
 }
 
 #[test]
