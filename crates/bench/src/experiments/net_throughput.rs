@@ -86,8 +86,8 @@ fn wait_for_occupancy(client: &mut Client, target: u64) -> bool {
     }
 }
 
-/// Spawns a server for `algorithm`: combining mode (so pipelined wire
-/// batches reach the flat combiner together), metrics on (so `Stats`
+/// Spawns a server for `algorithm`: combining mode (so connections
+/// served at once can share combiner batches), metrics on (so `Stats`
 /// exports the histograms), handler pool sized for the sweep.
 fn spawn_backend(algorithm: Algorithm, seed: u64, handlers: usize) -> ServerHandle {
     let service = NameService::builder(algorithm, CAPACITY)

@@ -141,8 +141,8 @@ impl Client {
     }
 
     /// Pipelines `count` acquires: writes every request, flushes once,
-    /// then reads every response. The server drives the whole batch
-    /// through the combiner together.
+    /// then reads every response. The server answers the whole batch
+    /// with one `exec::drive_all`.
     ///
     /// # Errors
     ///

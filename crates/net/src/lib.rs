@@ -27,10 +27,10 @@
 //!   [`Summary::quantile`](renaming_analysis::Summary::quantile) path.
 //!
 //! Everything is std-only — no async runtime, no network crates; the
-//! vendored dependency set stays exactly as it is. Blocking sockets
-//! plus the service's own flat-combining batching turn out to be all a
-//! renaming server needs: one handler thread drains a connection's
-//! pipelined requests and feeds them to the combiner *together*.
+//! vendored dependency set stays exactly as it is. A handler thread
+//! drives a connection's pipelined Acquires through one `drive_all`,
+//! which polls them in turn; they share a combiner batch only while
+//! another handler holds the combiner role.
 //!
 //! # Quickstart
 //!

@@ -10,9 +10,10 @@
 //!                      ┌─ read a batch of ≤ max_pipeline frames
 //!                      │  (first blocks with a timeout so shutdown is
 //!                      │   noticed; the rest only if already buffered)
-//!                      ├─ consecutive Acquires drive TOGETHER through
-//!                      │  exec::drive_all — the combiner sees them as
-//!                      │  one batch, which is the whole point
+//!                      ├─ consecutive Acquires go through one
+//!                      │  exec::drive_all, which polls them in turn:
+//!                      │  they share a combiner batch only while
+//!                      │  another handler holds the combiner role
 //!                      ├─ write all responses, in request order; flush
 //!                      └─ repeat until EOF / Shutdown / framing error
 //!                               │
@@ -49,7 +50,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use renaming_service::{exec, AsyncNameService, Name, NameService};
 use serde_json::{json, Value};
@@ -69,7 +70,7 @@ pub struct ServerConfig {
     pub handlers: usize,
     /// Per-connection in-flight request cap: the most frames a handler
     /// decodes before answering them. Consecutive `Acquire`s within a
-    /// batch are driven through the combiner together.
+    /// batch are driven through one `exec::drive_all`.
     pub max_pipeline: usize,
     /// Bound of the accepted-but-unserved connection queue.
     pub pending_connections: usize,
@@ -404,8 +405,8 @@ fn serve(shared: &Shared, stream: TcpStream, session: &mut Vec<Name>) -> Result<
 }
 
 /// Decodes and answers one batch of request payloads, in order.
-/// Consecutive `Acquire`s are driven through the async facade together
-/// so the combiner sees them as one batch.
+/// Consecutive `Acquire`s are driven through the async facade by one
+/// `exec::drive_all`.
 fn answer_batch(
     shared: &Shared,
     session: &mut Vec<Name>,
@@ -431,20 +432,7 @@ fn answer_batch(
                 while j < requests.len() && matches!(requests[j], Ok(Request::Acquire)) {
                     j += 1;
                 }
-                let count = j - i;
-                let start = Instant::now();
-                let outcomes = exec::drive_all((0..count).map(|_| shared.service.acquire()));
-                let elapsed = start.elapsed();
-                // The async facade publishes straight into combiner
-                // slots, bypassing `acquire_name` and its metrics hook
-                // — so the server records the acquire latency itself:
-                // each request in the batch waited the batch's wall
-                // time from dequeue to completion.
-                if let Some(metrics) = shared.service.service().metrics() {
-                    for _ in 0..count {
-                        metrics.acquire.record(elapsed);
-                    }
-                }
+                let outcomes = exec::drive_all((i..j).map(|_| shared.service.acquire()));
                 for outcome in outcomes {
                     match outcome {
                         Ok(guard) => {
@@ -519,6 +507,10 @@ fn histogram_json(snapshot: &renaming_service::HistogramSnapshot) -> Value {
 /// event-counter summary.
 fn stats_json(shared: &Shared, session_held: usize) -> Value {
     let service = shared.service.service();
+    // Occupancy before the oracle summary: a release records in the
+    // oracle before the backend frees the slot, so a zero read here
+    // means the summary below already counts every release.
+    let occupancy = service.held();
     let latency = match service.metrics() {
         Some(metrics) => {
             let snap = metrics.snapshot();
@@ -560,7 +552,7 @@ fn stats_json(shared: &Shared, session_held: usize) -> Value {
         "session": { "held": session_held },
         "service": {
             "algorithm": service.algorithm(),
-            "occupancy": service.held(),
+            "occupancy": occupancy,
             "capacity": service.capacity(),
             "namespace_size": service.namespace_size(),
             "workers": {

@@ -183,13 +183,20 @@ fn malformed_requests_and_foreign_releases_are_rejected_gracefully() {
 
 /// The `Stats` answer carries the documented shape: server counters,
 /// service occupancy/capacity/workers, and — with metrics on — both
-/// latency histograms with counts and interpolated quantiles.
+/// latency histograms with counts and interpolated quantiles. Each
+/// acquire and release counts exactly once, whether it arrived alone or
+/// in a pipelined batch.
 #[test]
 fn stats_shape_is_complete() {
     let handle = spawn_server(Algorithm::FastAdaptive, 8);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let name = client.acquire().expect("acquire");
     client.release(name).expect("release");
+    for name in client.acquire_many(2).expect("pipeline") {
+        client
+            .release(name.expect("within capacity"))
+            .expect("release");
+    }
     let stats = client.stats().expect("stats");
 
     let server = stats.get("server").expect("server section");
@@ -203,10 +210,10 @@ fn stats_shape_is_complete() {
     }
     let latency = stats.get("latency").expect("latency section");
     let acquire = latency.get("acquire").expect("acquire histogram");
-    assert!(acquire.get("count").and_then(Value::as_u64) >= Some(1));
+    assert_eq!(acquire.get("count").and_then(Value::as_u64), Some(3));
     assert!(acquire.get("p99_nanos").and_then(Value::as_f64).is_some());
     let release = latency.get("release").expect("release histogram");
-    assert!(release.get("count").and_then(Value::as_u64) >= Some(1));
+    assert_eq!(release.get("count").and_then(Value::as_u64), Some(3));
     let oracle = stats.get("oracle").expect("oracle section");
     for key in [
         "participants",
@@ -222,7 +229,9 @@ fn stats_shape_is_complete() {
     ] {
         assert!(oracle.get(key).and_then(Value::as_u64).is_some(), "{key}");
     }
-    assert!(oracle.get("wins").and_then(Value::as_u64) >= Some(1));
+    for key in ["starts", "wins", "released"] {
+        assert_eq!(oracle.get(key).and_then(Value::as_u64), Some(3), "{key}");
+    }
     handle.stop().expect("stop");
 }
 
@@ -244,7 +253,7 @@ fn wire_churn_yields_a_clean_oracle_verdict() {
                 for round in 0..rounds {
                     if round % 4 == 3 {
                         // Every fourth round pipelines a pair, so the
-                        // combiner sees real batches over the wire.
+                        // server's `drive_all` path is in the history.
                         let names = client.acquire_many(2).expect("pipeline");
                         for name in names {
                             client.release(name.expect("within capacity")).expect("release");

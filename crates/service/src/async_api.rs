@@ -40,6 +40,11 @@
 //! there are no combiner slots; the future completes on first poll
 //! through the direct path (never `Pending`), keeping
 //! [`AsyncNameGuard`]'s release path mode-independent.
+//!
+//! Metrics and oracle see an async acquire through the sync path's
+//! instrumentation seam: the start on first poll, the outcome at `poll`'s
+//! one `Ready` exit or, for a request adopted and then cancelled, in
+//! `drop`.
 
 use std::fmt;
 use std::future::Future;
@@ -47,26 +52,13 @@ use std::ops::Deref;
 use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll};
+use std::time::Instant;
 
 use renaming_core::{Name, RenamingError};
 
+use crate::metrics::ReleaseKind;
 use crate::service::NameService;
 use crate::slots::SlotPoll;
-
-/// Records an acquire outcome with the service's oracle (no-op when
-/// disabled) and passes the result through. A future cancelled before
-/// any outcome — withdraw won the race — records a start with no
-/// outcome, which the checker tolerates: starts create no holds.
-fn note_outcome(
-    service: &NameService,
-    result: Result<Name, RenamingError>,
-) -> Result<Name, RenamingError> {
-    match &result {
-        Ok(name) => service.oracle_note_win(*name),
-        Err(_) => service.oracle_note_fail(),
-    }
-    result
-}
 
 /// A [`NameService`] driven through `async` acquires.
 ///
@@ -134,6 +126,7 @@ impl AsyncNameService {
         AcquireFuture {
             service: self,
             state: FutureState::Start,
+            started: None,
         }
     }
 
@@ -176,6 +169,8 @@ enum FutureState {
 pub struct AcquireFuture<'s> {
     service: &'s AsyncNameService,
     state: FutureState,
+    /// The instrumentation seam's start token, taken on first poll.
+    started: Option<Instant>,
 }
 
 impl Future for AcquireFuture<'_> {
@@ -183,33 +178,46 @@ impl Future for AcquireFuture<'_> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let service = this.service.service();
+        let handle = this.service;
+        let service = handle.service();
         if let FutureState::Start = this.state {
-            // The oracle's AcquireStart is recorded here, on first
-            // poll: the request logically enters the service now.
-            service.oracle_note_start();
+            // The request logically enters the service on first poll.
+            this.started = service.instruments.acquire_start();
+        }
+        let Poll::Ready(result) = this.advance(cx) else {
+            return Poll::Pending;
+        };
+        this.state = FutureState::Done;
+        // The requester — not the combiner that filled its slot —
+        // records the outcome, before the name reaches the caller, as on
+        // the sync path.
+        service.instruments.acquire_end(this.started, &result);
+        Poll::Ready(result.map(|name| handle.guard(name)))
+    }
+}
+
+impl AcquireFuture<'_> {
+    /// Drives the slot protocol one poll further; a `Ready` leaves no
+    /// slot claim behind.
+    fn advance(&mut self, cx: &mut Context<'_>) -> Poll<Result<Name, RenamingError>> {
+        let service = self.service.service();
+        if let FutureState::Start = self.state {
             let Some(combiner) = service.combiner() else {
                 // Direct mode: no slots to publish into; the direct
                 // path is synchronous and fast, complete immediately.
-                this.state = FutureState::Done;
-                return Poll::Ready(note_outcome(service, service.acquire_direct())
-                    .map(|name| this.service.guard(name)));
+                return Poll::Ready(service.acquire_direct());
             };
             if combiner.try_lock() {
                 // Uncontended: serve ourselves as a batch of one —
                 // byte-identical to the sync combining (and direct)
                 // fast path, which is what pins the async goldens.
-                this.state = FutureState::Done;
-                return Poll::Ready(note_outcome(service, combiner.serve_locked(service))
-                    .map(|name| this.service.guard(name)));
+                return Poll::Ready(combiner.serve_locked(service));
             }
             combiner.note_contention();
             let Some(index) = combiner.table().claim() else {
                 // Every slot taken: fall back to the direct path, as
                 // the sync waiter does.
-                this.state = FutureState::Done;
-                return Poll::Ready(note_outcome(service, service.acquire_direct())
-                    .map(|name| this.service.guard(name)));
+                return Poll::Ready(service.acquire_direct());
             };
             // Register the waker *before* publishing so there is no
             // window in which a combiner could fill the slot and find
@@ -218,34 +226,18 @@ impl Future for AcquireFuture<'_> {
             slot.wait.install_waker(cx.waker());
             combiner.announce();
             slot.publish();
-            this.state = FutureState::Published { index };
+            self.state = FutureState::Published { index };
         }
-        let FutureState::Published { index } = this.state else {
+        let FutureState::Published { index } = self.state else {
             panic!("AcquireFuture polled after completion");
         };
         let combiner = service.combiner().expect("published implies combining mode");
         let slot = combiner.table().slot(index);
+        let namespace = service.namespace_size();
         loop {
-            match slot.poll() {
-                SlotPoll::Done(value) => {
-                    slot.finish();
-                    combiner.table().release(index);
-                    this.state = FutureState::Done;
-                    // The requester — not the combiner that filled the
-                    // slot — records the win, as on the sync path.
-                    service.oracle_note_win(Name::new(value));
-                    return Poll::Ready(Ok(this.service.guard(Name::new(value))));
-                }
-                SlotPoll::Failed => {
-                    slot.finish();
-                    combiner.table().release(index);
-                    this.state = FutureState::Done;
-                    service.oracle_note_fail();
-                    return Poll::Ready(Err(RenamingError::NamespaceExhausted {
-                        namespace: service.namespace_size(),
-                    }));
-                }
-                SlotPoll::Waiting => {}
+            if let Some(result) = slot.take_verdict(namespace) {
+                combiner.table().release(index);
+                return Poll::Ready(result);
             }
             if combiner.try_lock() {
                 // The role is free: serve the queue ourselves — our own
@@ -281,7 +273,8 @@ impl Drop for AcquireFuture<'_> {
         if slot.withdraw() {
             // No combiner adopted the request: the PENDING → EMPTY CAS
             // unpublished it atomically. Consume the hint credit we
-            // announced at publish.
+            // announced at publish. The start stays without an outcome,
+            // which the oracle tolerates: starts create no holds.
             combiner.retract();
         } else {
             // A combiner adopted the request (the adoption CAS won, so
@@ -289,25 +282,20 @@ impl Drop for AcquireFuture<'_> {
             // the combiner lock right now. Wait it out and recycle an
             // abandoned win through the normal release path, exactly
             // like a dropped sync guard.
-            loop {
-                match slot.poll() {
-                    SlotPoll::Done(value) => {
-                        slot.finish();
-                        // Record the adopted win before releasing it so
-                        // the oracle history pairs the two events; the
-                        // cancelled requester is the participant for
-                        // both, mirroring a dropped sync guard.
-                        service.oracle_note_win(Name::new(value));
-                        let _ = service.release_name(Name::new(value));
-                        break;
-                    }
-                    SlotPoll::Failed => {
-                        slot.finish();
-                        service.oracle_note_fail();
-                        break;
-                    }
-                    SlotPoll::Waiting => std::thread::yield_now(),
+            let namespace = service.namespace_size();
+            let result = loop {
+                if let Some(result) = slot.take_verdict(namespace) {
+                    break result;
                 }
+                std::thread::yield_now();
+            };
+            // Record the adopted outcome before releasing a won name, so
+            // the oracle history pairs the two events; the cancelled
+            // requester is the participant for both, mirroring a dropped
+            // sync guard.
+            service.instruments.acquire_end(self.started, &result);
+            if let Ok(name) = result {
+                let _ = service.release_name(name);
             }
         }
         combiner.table().release(index);
@@ -413,9 +401,8 @@ impl Drop for AsyncNameGuard {
         if self.armed {
             // A custom one-shot backend would reject the release; leaking
             // the slot is the documented drop behaviour there. Built-in
-            // backends always accept. The guard-drop entry point lets
-            // the oracle record this as a `GuardDrop` event.
-            let _ = self.service.release_name_from_guard(self.name);
+            // backends always accept.
+            let _ = self.service.release_as(self.name, ReleaseKind::GuardDrop);
         }
     }
 }

@@ -61,7 +61,7 @@ use crate::sync_shim::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Orderin
 use renaming_core::{Name, RenamingError};
 
 use crate::service::{NameService, Worker};
-use crate::slots::{SlotPoll, SlotTable};
+use crate::slots::SlotTable;
 use crate::wait::WaiterKind;
 
 /// Spins before a waiter starts yielding. Long enough to cover a small
@@ -314,20 +314,11 @@ impl Combiner {
         self.announce();
         slot.publish();
 
+        let namespace = service.namespace_size();
         let mut spins = 0u32;
         loop {
-            match slot.poll() {
-                SlotPoll::Done(value) => {
-                    slot.finish();
-                    return Ok(Name::new(value));
-                }
-                SlotPoll::Failed => {
-                    slot.finish();
-                    return Err(RenamingError::NamespaceExhausted {
-                        namespace: service.namespace_size(),
-                    });
-                }
-                SlotPoll::Waiting => {}
+            if let Some(result) = slot.take_verdict(namespace) {
+                return result;
             }
             if self.try_lock() {
                 let worker = self.take_resident(service);
@@ -570,6 +561,7 @@ impl Combiner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slots::SlotPoll;
 
     #[test]
     fn slot_counts_clamp_and_round() {

@@ -12,9 +12,8 @@
 //!   the "one request at a time" connection-handler loop;
 //! * [`drive_all`] — round-robin a batch of futures on the calling
 //!   thread until all resolve, interleaving their polls: the pipelined
-//!   batch shape (a handler draining several in-flight acquires feeds
-//!   them to the combiner *together*, which is exactly what the
-//!   flat-combining front-end wants).
+//!   connection-handler shape. Polls run in turn, so acquires share a
+//!   combiner batch only while another thread holds the combiner role.
 //!
 //! Both are correct general-purpose executors for any `Future`, but
 //! deliberately minimal: no spawning, no timers, no IO. Callers with a

@@ -5,6 +5,7 @@ use std::ops::Deref;
 
 use renaming_core::{Name, RenamingError};
 
+use crate::metrics::ReleaseKind;
 use crate::NameService;
 
 /// Owned access to one acquired name; the name is released back to the
@@ -139,10 +140,8 @@ impl Drop for NameGuard<'_> {
         if self.armed {
             // A custom one-shot backend would reject the release; leaking
             // the slot is the documented drop behaviour there. Built-in
-            // backends always accept. The guard-drop entry point lets the
-            // oracle record this as a `GuardDrop` rather than an explicit
-            // release.
-            let _ = self.service.release_name_from_guard(self.name);
+            // backends always accept.
+            let _ = self.service.release_as(self.name, ReleaseKind::GuardDrop);
         }
     }
 }

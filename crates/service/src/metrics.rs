@@ -1,13 +1,16 @@
 //! Opt-in latency metrics: fixed-bucket log₂ histograms over the
-//! service's acquire/release paths.
+//! service's acquire/release paths, fed — like the concurrency oracle —
+//! by one instrumentation seam that every path (sync direct, sync
+//! combining, async, and so the wire server) calls once per outcome, so
+//! a sample means the same thing whichever path served the request.
 //!
 //! The observability discipline is the monomorphic-tier one: **zero
 //! cost when disabled**. A service built without
 //! [`NameServiceBuilder::metrics`](crate::NameServiceBuilder::metrics)
-//! carries `None` and its hot paths pay exactly one never-taken branch;
-//! with metrics on, each operation adds two `Instant` reads and one
-//! `Relaxed` `fetch_add` into a fixed-size bucket array — no locks, no
-//! allocation, no contention beyond the cache line the bucket lives on.
+//! carries `None` and its hot paths pay never-taken branches and no
+//! clock reads; with metrics on, each operation adds two `Instant` reads
+//! and one `Relaxed` `fetch_add` into a fixed-size bucket array — no
+//! locks, no allocation, no contention beyond the bucket's cache line.
 //!
 //! The histogram is the live-metrics shape network servers export (the
 //! `Stats` endpoint of `renaming-net` serializes
@@ -23,7 +26,11 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use renaming_core::{Name, RenamingError};
+use renaming_oracle::Oracle;
 
 /// Number of log₂ buckets: `u64` nanosecond latencies have at most 64
 /// significant-bit positions, so the histogram can never overflow into
@@ -193,9 +200,10 @@ impl HistogramSnapshot {
 /// — `None` (the default) is the zero-cost disabled state.
 #[derive(Debug)]
 pub struct ServiceMetrics {
-    /// Latency of `acquire_name` (slot publish + combining/direct walk).
+    /// Latency of an acquire on any path: from the call (or an async
+    /// future's first poll) to its outcome.
     pub acquire: LatencyHistogram,
-    /// Latency of `release_name`.
+    /// Latency of a release (the backend's reset), explicit or by drop.
     pub release: LatencyHistogram,
 }
 
@@ -225,6 +233,77 @@ pub struct MetricsSnapshot {
     pub acquire: HistogramSnapshot,
     /// Release-latency histogram snapshot.
     pub release: HistogramSnapshot,
+}
+
+/// How a name came back, for the oracle's event log.
+#[derive(Clone, Copy)]
+pub(crate) enum ReleaseKind {
+    Explicit,
+    GuardDrop,
+}
+
+/// The instrumentation seam: the optional histograms and oracle, fed
+/// only through these three calls. An acquire makes one `acquire_start`
+/// and at most one `acquire_end`; a release makes one `release`. With
+/// both consumers off, no call reads the clock.
+#[derive(Default)]
+pub(crate) struct Instruments {
+    pub(crate) metrics: Option<Arc<ServiceMetrics>>,
+    pub(crate) oracle: Option<Arc<Oracle>>,
+}
+
+impl Instruments {
+    /// An acquire enters the service; returns the start time for
+    /// `acquire_end` (`None` when metrics are off).
+    pub(crate) fn acquire_start(&self) -> Option<Instant> {
+        if let Some(oracle) = &self.oracle {
+            oracle.acquire_start();
+        }
+        self.metrics.as_ref().map(|_| Instant::now())
+    }
+
+    /// The acquire begun at `started` has its outcome. Call on the
+    /// requester's thread before a won name reaches the caller: the
+    /// oracle attributes the hold to the recording thread.
+    pub(crate) fn acquire_end(
+        &self,
+        started: Option<Instant>,
+        result: &Result<Name, RenamingError>,
+    ) {
+        if let (Some(metrics), Some(started)) = (&self.metrics, started) {
+            metrics.acquire.record(started.elapsed());
+        }
+        if let Some(oracle) = &self.oracle {
+            match result {
+                Ok(name) => oracle.acquire_win(name.value()),
+                Err(_) => oracle.acquire_fail(),
+            }
+        }
+    }
+
+    /// Releases `name` through `backend_release`. The oracle records
+    /// *before* the backend frees the slot: the published clock has to
+    /// be visible to the name's next winner (see `renaming_oracle`).
+    pub(crate) fn release(
+        &self,
+        name: Name,
+        kind: ReleaseKind,
+        backend_release: impl FnOnce() -> Result<(), RenamingError>,
+    ) -> Result<(), RenamingError> {
+        if let Some(oracle) = &self.oracle {
+            match kind {
+                ReleaseKind::Explicit => oracle.release(name.value()),
+                ReleaseKind::GuardDrop => oracle.guard_drop(name.value()),
+            }
+        }
+        let Some(metrics) = &self.metrics else {
+            return backend_release();
+        };
+        let started = Instant::now();
+        let result = backend_release();
+        metrics.release.record(started.elapsed());
+        result
+    }
 }
 
 #[cfg(test)]

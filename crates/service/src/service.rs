@@ -14,7 +14,7 @@ use renaming_oracle::Oracle;
 use crate::builder::{AcquireMode, NameServiceBuilder};
 use crate::combiner::Combiner;
 use crate::guard::NameGuard;
-use crate::metrics::ServiceMetrics;
+use crate::metrics::{Instruments, ReleaseKind, ServiceMetrics};
 use crate::oracle::OracleVerdict;
 use crate::namespace::{PooledSession, ServiceBackend};
 use crate::pool::ShardedPool;
@@ -131,15 +131,12 @@ pub struct NameService {
     /// flat-combining front-end acquires route through. `None` is the
     /// direct path, byte-identical to pre-combining releases.
     combiner: Option<Combiner>,
-    /// `Some` iff the builder enabled latency metrics
-    /// ([`NameServiceBuilder::metrics`]). `None` — the default — is the
-    /// zero-cost disabled state: the hot paths pay one never-taken
-    /// branch and no clock reads.
-    metrics: Option<Arc<ServiceMetrics>>,
-    /// `Some` iff the builder enabled the concurrency oracle
-    /// ([`NameServiceBuilder::oracle`]). Same zero-cost-when-off
-    /// discipline as `metrics`: disabled is one never-taken branch.
-    oracle: Option<Arc<Oracle>>,
+    /// Latency metrics ([`NameServiceBuilder::metrics`]) and the
+    /// concurrency oracle ([`NameServiceBuilder::oracle`]) behind the one
+    /// instrumentation seam every acquire and release path reports
+    /// through (the async facade reaches it directly). Both off — the
+    /// default — is the zero-cost state: no clock reads.
+    pub(crate) instruments: Instruments,
 }
 
 impl NameService {
@@ -170,8 +167,7 @@ impl NameService {
             seed_policy,
             streams: AtomicU64::new(0),
             combiner: (acquire_mode == AcquireMode::Combining).then(Combiner::new),
-            metrics: None,
-            oracle: None,
+            instruments: Instruments::default(),
         }
     }
 
@@ -180,7 +176,7 @@ impl NameService {
     /// shared, keeping the enabled/disabled decision fixed for the
     /// service's lifetime (the hot path reads it branch-predictably).
     pub(crate) fn enable_metrics(&mut self) {
-        self.metrics = Some(Arc::new(ServiceMetrics::new()));
+        self.instruments.metrics = Some(Arc::new(ServiceMetrics::new()));
     }
 
     /// The latency metrics, if the service was built with
@@ -204,7 +200,7 @@ impl NameService {
     /// # }
     /// ```
     pub fn metrics(&self) -> Option<&Arc<ServiceMetrics>> {
-        self.metrics.as_ref()
+        self.instruments.metrics.as_ref()
     }
 
     /// Attaches the concurrency oracle — the builder's `oracle(true)`
@@ -214,7 +210,7 @@ impl NameService {
     /// `enable_metrics`: the enabled/disabled decision is fixed before
     /// the service is shared.
     pub fn enable_oracle(&mut self) {
-        self.oracle = Some(Arc::new(Oracle::new(
+        self.instruments.oracle = Some(Arc::new(Oracle::new(
             self.backend.namespace_size(),
             self.backend.capacity(),
         )));
@@ -240,7 +236,7 @@ impl NameService {
     /// # }
     /// ```
     pub fn oracle(&self) -> Option<&Arc<Oracle>> {
-        self.oracle.as_ref()
+        self.instruments.oracle.as_ref()
     }
 
     /// Checks the recorded history *and* the service's own quiescent
@@ -250,7 +246,7 @@ impl NameService {
     /// oracle is disabled. Meaningful at quiescence (all acquiring
     /// threads joined); see [`OracleVerdict`].
     pub fn oracle_verdict(&self) -> Option<OracleVerdict> {
-        let oracle = self.oracle.as_ref()?;
+        let oracle = self.oracle()?;
         Some(OracleVerdict {
             history: oracle.verdict(),
             workers: renaming_oracle::WorkerCounts {
@@ -298,37 +294,13 @@ impl NameService {
     ///
     /// As for [`acquire`](Self::acquire).
     pub fn acquire_name(&self) -> Result<Name, RenamingError> {
-        // Oracle disabled (the default): one never-taken branch, no
-        // recording — the zero-cost-when-disabled discipline.
-        let Some(oracle) = &self.oracle else {
-            return self.acquire_name_timed();
-        };
-        oracle.acquire_start();
-        let result = self.acquire_name_timed();
-        match &result {
-            Ok(name) => oracle.acquire_win(name.value()),
-            Err(_) => oracle.acquire_fail(),
-        }
-        result
-    }
-
-    fn acquire_name_timed(&self) -> Result<Name, RenamingError> {
-        // Metrics disabled (the default): one never-taken branch, no
-        // clock reads — the zero-cost-when-disabled discipline.
-        let Some(metrics) = &self.metrics else {
-            return self.acquire_name_inner();
-        };
-        let start = std::time::Instant::now();
-        let result = self.acquire_name_inner();
-        metrics.acquire.record(start.elapsed());
-        result
-    }
-
-    fn acquire_name_inner(&self) -> Result<Name, RenamingError> {
-        match &self.combiner {
+        let started = self.instruments.acquire_start();
+        let result = match &self.combiner {
             Some(combiner) => combiner.acquire(self),
             None => self.acquire_direct(),
-        }
+        };
+        self.instruments.acquire_end(started, &result);
+        result
     }
 
     /// The direct acquire path: check a worker out, drive one
@@ -371,34 +343,15 @@ impl NameService {
     /// # }
     /// ```
     pub fn release_name(&self, name: Name) -> Result<(), RenamingError> {
-        // The oracle must record *before* the backend resets the slot:
-        // the published clock has to be visible to the name's next
-        // winner (see the channel contract in `renaming_oracle`).
-        if let Some(oracle) = &self.oracle {
-            oracle.release(name.value());
-        }
-        self.release_name_timed(name)
+        self.release_as(name, ReleaseKind::Explicit)
     }
 
-    /// The RAII release path: identical to
-    /// [`release_name`](Self::release_name) except the oracle records
-    /// the return as a `GuardDrop` event, so histories distinguish
+    /// The one release path, shared by [`release_name`](Self::release_name)
+    /// and both guards' drops; `kind` lets the oracle's history tell
     /// explicit releases from guard drops.
-    pub(crate) fn release_name_from_guard(&self, name: Name) -> Result<(), RenamingError> {
-        if let Some(oracle) = &self.oracle {
-            oracle.guard_drop(name.value());
-        }
-        self.release_name_timed(name)
-    }
-
-    fn release_name_timed(&self, name: Name) -> Result<(), RenamingError> {
-        let Some(metrics) = &self.metrics else {
-            return self.backend.release(name);
-        };
-        let start = std::time::Instant::now();
-        let result = self.backend.release(name);
-        metrics.release.record(start.elapsed());
-        result
+    pub(crate) fn release_as(&self, name: Name, kind: ReleaseKind) -> Result<(), RenamingError> {
+        self.instruments
+            .release(name, kind, || self.backend.release(name))
     }
 
     /// The namespace size `m`: every acquired name is in `0..m`.
@@ -509,33 +462,6 @@ impl NameService {
         self.combiner.as_ref()
     }
 
-    /// Oracle hooks for the async facade, which publishes into the
-    /// combiner's slot table directly instead of going through
-    /// [`acquire_name`](Self::acquire_name). Each is a no-op when the
-    /// oracle is disabled. The *recording* participant is the polling
-    /// (or dropping) task's thread — the thread that observes the
-    /// outcome — matching the sync path's convention that the
-    /// requester, not the combiner, records the win.
-    pub(crate) fn oracle_note_start(&self) {
-        if let Some(oracle) = &self.oracle {
-            oracle.acquire_start();
-        }
-    }
-
-    /// Records an async win; see [`oracle_note_start`](Self::oracle_note_start).
-    pub(crate) fn oracle_note_win(&self, name: Name) {
-        if let Some(oracle) = &self.oracle {
-            oracle.acquire_win(name.value());
-        }
-    }
-
-    /// Records an async failure; see [`oracle_note_start`](Self::oracle_note_start).
-    pub(crate) fn oracle_note_fail(&self) {
-        if let Some(oracle) = &self.oracle {
-            oracle.acquire_fail();
-        }
-    }
-
     /// Checks a worker out for the combining front-end. It usually stays
     /// resident with the combiner role (the role's Acquire/Release lock
     /// edges hand it between combiners); [`Self::checkin_worker`] takes
@@ -578,7 +504,7 @@ impl fmt::Debug for NameService {
             .field("workers", &self.worker_count())
             .field("seed_policy", &self.seed_policy)
             .field("acquire_mode", &self.acquire_mode())
-            .field("oracle", &self.oracle.is_some())
+            .field("oracle", &self.oracle().is_some())
             .finish()
     }
 }

@@ -25,8 +25,9 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use crate::sync_shim::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use renaming_core::{Name, RenamingError};
 
+use crate::sync_shim::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use crate::wait::{WaitCell, WaiterKind};
 
 /// No request published; the slot may be claimed/leased but is idle.
@@ -148,6 +149,19 @@ impl RequestSlot {
     /// the slot publishable again.
     pub(crate) fn finish(&self) {
         self.state.store(EMPTY, Ordering::Relaxed);
+    }
+
+    /// Owner edge: consumes the verdict as the acquire's result (a
+    /// failure exhausted a namespace of size `namespace`); `None` while
+    /// the request is in flight.
+    pub(crate) fn take_verdict(&self, namespace: usize) -> Option<Result<Name, RenamingError>> {
+        let result = match self.poll() {
+            SlotPoll::Waiting => return None,
+            SlotPoll::Done(value) => Ok(Name::new(value)),
+            SlotPoll::Failed => Err(RenamingError::NamespaceExhausted { namespace }),
+        };
+        self.finish();
+        Some(result)
     }
 }
 

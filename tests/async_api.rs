@@ -1,6 +1,6 @@
 //! End-to-end tests for the async acquire facade (`AsyncNameService`).
 //!
-//! Four guarantees under test, mirroring `service_api.rs` on the sync
+//! Five guarantees under test, mirroring `service_api.rs` on the sync
 //! side:
 //!
 //! 1. **Golden equality** — a single-task `acquire().await` sequence
@@ -20,6 +20,9 @@
 //!    of acquires on one thread resolves them all to distinct names
 //!    (the cooperative-scheduling shape, closest to the paper's
 //!    arbitrarily-delayed asynchronous processes).
+//! 5. **One record per outcome** — sync, `block_on` and `drive_all`
+//!    acquires each leave exactly one latency sample and one oracle
+//!    outcome, in both acquire modes.
 
 use std::future::Future;
 use std::task::Context;
@@ -199,7 +202,15 @@ fn async_tournament_churn_is_unique_and_recycles() {
 #[test]
 fn cancellation_under_churn_leaks_neither_slots_nor_names() {
     let threads = 8;
-    let service = async_service(Algorithm::FastAdaptive, threads, 0xCA9C);
+    let service = AsyncNameService::new(
+        NameService::builder(Algorithm::FastAdaptive, threads)
+            .acquire_mode(AcquireMode::Combining)
+            .metrics(true)
+            .oracle(true)
+            .seed_policy(SeedPolicy::Fixed(0xCA9C))
+            .build()
+            .expect("build"),
+    );
     std::thread::scope(|scope| {
         for t in 0..threads {
             let service = &service;
@@ -239,6 +250,15 @@ fn cancellation_under_churn_leaks_neither_slots_nor_names() {
     assert!(verdict.drained(), "cancellations leaked names");
     assert_eq!(verdict.history.wins, verdict.history.released());
     assert!(verdict.history.starts >= verdict.history.wins + verdict.history.fails);
+    // A withdrawn future records a start and no latency sample; an
+    // adopted-then-dropped one records exactly one outcome and one
+    // release, like a completed acquire.
+    let metrics = service.metrics().expect("metrics enabled").snapshot();
+    assert_eq!(
+        metrics.acquire.count(),
+        verdict.history.wins + verdict.history.fails
+    );
+    assert_eq!(metrics.release.count(), verdict.history.released());
     assert_eq!(service.held(), 0, "cancellations leaked names");
     // The slot table must be whole: a full capacity's worth of fresh
     // concurrent acquires still succeeds.
@@ -247,6 +267,65 @@ fn cancellation_under_churn_leaks_neither_slots_nor_names() {
         .collect();
     drop(guards);
     assert_eq!(service.held(), 0);
+}
+
+/// One acquire is one latency sample and one oracle outcome, whichever
+/// path served it. For each acquire mode and each way to acquire — sync,
+/// `block_on`, and 8-future `drive_all` batches — `N` acquire/drop
+/// cycles leave exactly `N` acquire and `N` release samples, and an
+/// oracle history with `N` starts, `N` outcomes and every win released.
+#[test]
+fn every_acquire_path_records_each_outcome_once() {
+    const N: usize = 64;
+    const BATCH: usize = 8;
+    type Driver = fn(&AsyncNameService);
+    let paths: [(&str, Driver); 3] = [
+        ("sync", |service| {
+            for _ in 0..N {
+                drop(service.service().acquire().expect("within capacity"));
+            }
+        }),
+        ("block_on", |service| {
+            for _ in 0..N {
+                drop(exec::block_on(service.acquire()).expect("within capacity"));
+            }
+        }),
+        ("drive_all", |service| {
+            for _ in 0..N / BATCH {
+                let guards = exec::drive_all((0..BATCH).map(|_| service.acquire()))
+                    .into_iter()
+                    .collect::<Result<Vec<_>, _>>()
+                    .expect("within capacity");
+                drop(guards);
+            }
+        }),
+    ];
+    for mode in [AcquireMode::Direct, AcquireMode::Combining] {
+        for (path, drive) in paths {
+            let service = AsyncNameService::new(
+                NameService::builder(Algorithm::Rebatching, BATCH)
+                    .acquire_mode(mode)
+                    .metrics(true)
+                    .oracle(true)
+                    .seed_policy(SeedPolicy::Fixed(0x5EA4))
+                    .build()
+                    .expect("build"),
+            );
+            drive(&service);
+            let cell = format!("{mode:?}/{path}");
+            let metrics = service.metrics().expect("metrics enabled").snapshot();
+            assert_eq!(metrics.acquire.count(), N as u64, "{cell}: acquire samples");
+            assert_eq!(metrics.release.count(), N as u64, "{cell}: release samples");
+            let history = service.oracle_verdict().expect("oracle enabled").history;
+            assert_eq!(history.starts, N as u64, "{cell}: oracle starts");
+            assert_eq!(
+                history.wins + history.fails,
+                N as u64,
+                "{cell}: oracle outcomes"
+            );
+            assert_eq!(history.released(), history.wins, "{cell}: oracle releases");
+        }
+    }
 }
 
 /// One thread, many in-flight acquires: `drive_all` interleaves the
