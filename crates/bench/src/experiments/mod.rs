@@ -21,7 +21,7 @@ pub use comparisons::layers_to_completion;
 pub use net_throughput::ARTIFACT_PATH as NET_ARTIFACT;
 pub use oracle_churn::ARTIFACT_PATH as ORACLE_ARTIFACT;
 pub use service_throughput::ARTIFACT_PATH as SERVICE_ARTIFACT;
-pub use throughput::{ARTIFACT_PATH as THROUGHPUT_ARTIFACT, SPEEDUP_TARGET};
+pub use throughput::{ARTIFACT_PATH as THROUGHPUT_ARTIFACT, SEED_OVER_BOXED, SPEEDUP_TARGET};
 
 use crate::Harness;
 

@@ -1,28 +1,24 @@
-//! Engine throughput: the monomorphic fast path against the paths it
-//! replaced.
+//! Engine throughput: the monomorphic fast path against the boxed tier
+//! and, through a frozen ratio, against the seed repository's engine.
 //!
 //! Not a paper claim — this experiment tracks the simulator itself. It
-//! runs the same quick/full ReBatching sweep through three engines:
+//! runs the same quick/full ReBatching sweep through both tiers of the
+//! one sim engine:
 //!
-//! * **legacy** — a faithful replica of the seed repository's engine
-//!   (`Box<dyn Renamer>` machines, boxed scheduling decision, `StdRng`
-//!   ChaCha12 coins, `HashMap` location index with bucket churn, a `Vec`
-//!   allocated per step for due crashes, per-probe layout lookups): the
-//!   "old path" this PR's tentpole rebuilt, kept in
-//!   [`crate::legacy`] so the trajectory stays measurable;
-//! * **boxed** — today's shared engine behind the boxed API
-//!   (`Execution::run`): flat state and slice crash scans, but still
-//!   vtable dispatch and `StdRng`;
+//! * **boxed** — `Execution::run`: flat state and slice crash scans, but
+//!   still vtable dispatch and `StdRng` (ChaCha12) coins;
 //! * **typed** — the monomorphic tier (`Execution::run_typed_in`):
 //!   concrete `RebatchingMachine`s, a concrete adversary, `FastRng`
 //!   (xoshiro256**) coins, and scratch reuse so steady-state trials do no
 //!   engine allocation.
 //!
-//! The headline ratio is typed over legacy (the PR's ≥5× target); typed
-//! over boxed is reported alongside so the boxed tier's own improvement
-//! is visible rather than hidden. Results are emitted as harness records
-//! and as `BENCH_throughput.json` in the working directory — the artifact
-//! CI uploads to track the perf trajectory across PRs.
+//! The target is the monomorphic tier at ≥ [`SPEEDUP_TARGET`]× the seed
+//! engine. The seed engine itself no longer runs: its rate is frozen as
+//! [`SEED_OVER_BOXED`], a fraction of the boxed tier's, so the gate
+//! compares two tiers timed live in the same run — typed/boxed must reach
+//! `SPEEDUP_TARGET × SEED_OVER_BOXED`. Results are emitted as harness
+//! records and as `BENCH_throughput.json` in the working directory — the
+//! artifact CI uploads to track the perf trajectory across PRs.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -33,17 +29,27 @@ use serde_json::{json, Value};
 use renaming_analysis::Table;
 use renaming_core::{FastRng, RebatchingMachine};
 use renaming_sim::adversary::UniformRandom;
-use renaming_sim::{EngineScratch, Execution, Renamer};
+use renaming_sim::{EngineScratch, Execution};
 
 use crate::experiments::{header, verdict};
 use crate::harness::paper_layout;
-use crate::legacy::{run_legacy, LegacyRebatchingMachine};
 use crate::machine_kind::MachineKind;
 use crate::sweep::{AdversaryKind, Sweep, TrialSpec};
 use crate::Harness;
 
-/// Speedup the monomorphic tier must reach over the legacy (seed) engine.
+/// Speedup the monomorphic tier must reach over the seed engine.
 pub const SPEEDUP_TARGET: f64 = 5.0;
+
+/// The seed repository's engine rate as a fraction of the boxed tier's
+/// (seed steps/s ÷ boxed steps/s), frozen when the seed-engine replica
+/// was deleted. It is the median of 20 alternating pairs of
+/// `experiments throughput --quick --seed 42` runs on one 2-CPU host:
+/// each pair divides the replica's total rate, from the last build that
+/// still timed it, by the boxed total from a build that no longer does
+/// (quartiles 0.493–0.515). Pairing across the two builds matters: the
+/// boxed tier reads faster when the replica runs just before it, so the
+/// last build's own ratio would not carry over.
+pub const SEED_OVER_BOXED: f64 = 0.508;
 
 /// Where the JSON artifact lands (relative to the working directory).
 pub const ARTIFACT_PATH: &str = "BENCH_throughput.json";
@@ -71,32 +77,6 @@ impl PathMeasurement {
 
 fn trial_seed(seed: u64, n: usize, trial: usize) -> u64 {
     seed ^ ((n as u64) << 20) ^ trial as u64
-}
-
-fn measure_legacy(
-    layout: &Arc<renaming_core::BatchLayout>,
-    n: usize,
-    trials: usize,
-    seed: u64,
-) -> PathMeasurement {
-    let memory = layout.namespace_size();
-    let mut steps = 0u64;
-    let start = Instant::now();
-    for trial in 0..trials {
-        let machines: Vec<Box<dyn Renamer>> = (0..n)
-            .map(|_| {
-                Box::new(LegacyRebatchingMachine::new(Arc::clone(layout), 0))
-                    as Box<dyn Renamer>
-            })
-            .collect();
-        let outcome = run_legacy(memory, machines, trial_seed(seed, n, trial));
-        assert_eq!(outcome.named, n, "legacy sweep run must name everyone");
-        steps += outcome.total_steps;
-    }
-    PathMeasurement {
-        steps,
-        seconds: start.elapsed().as_secs_f64(),
-    }
 }
 
 fn measure_boxed(kind: &MachineKind, memory: usize, n: usize, trials: usize, seed: u64) -> PathMeasurement {
@@ -177,26 +157,23 @@ fn measure_sweep_threads(
     }
 }
 
-/// The `throughput` experiment: measures steps/sec on the legacy, boxed
-/// and monomorphic engines over the ReBatching sweep, plus the parallel
-/// sweep's multi-thread scaling curve, and writes
-/// `BENCH_throughput.json`.
+/// The `throughput` experiment: measures steps/sec on the boxed and
+/// monomorphic tiers over the ReBatching sweep, plus the parallel sweep's
+/// multi-thread scaling curve, and writes `BENCH_throughput.json`.
 pub fn throughput(h: &mut Harness) -> String {
     let mut out = header(
         "throughput",
-        "engine: monomorphic fast path vs boxed and legacy (seed) paths, steps/sec",
+        "engine: monomorphic fast path vs boxed tier and seed engine, steps/sec",
     );
     let mut table = Table::new([
         "n",
         "trials",
-        "legacy Msteps/s",
         "boxed Msteps/s",
         "typed Msteps/s",
-        "vs legacy",
         "vs boxed",
+        "vs seed",
     ]);
     let mut rows: Vec<Value> = Vec::new();
-    let mut legacy_total = PathMeasurement::default();
     let mut boxed_total = PathMeasurement::default();
     let mut typed_total = PathMeasurement::default();
 
@@ -211,7 +188,6 @@ pub fn throughput(h: &mut Harness) -> String {
         // Warm every path once (allocator, page faults), then keep the
         // best of three timed repetitions per path — scheduler noise only
         // ever slows a repetition down.
-        let _ = measure_legacy(&layout, n, 1, h.seed() ^ 0xaaaa);
         let _ = measure_boxed(&kind, memory, n, 1, h.seed() ^ 0xdead);
         let _ = measure_typed(&layout, n, 1, h.seed() ^ 0xbeef);
         let best = |f: &dyn Fn() -> PathMeasurement| {
@@ -224,49 +200,44 @@ pub fn throughput(h: &mut Harness) -> String {
                 })
                 .expect("nonempty repetitions")
         };
-        let legacy = best(&|| measure_legacy(&layout, n, trials, h.seed()));
         let boxed = best(&|| measure_boxed(&kind, memory, n, trials, h.seed()));
         let typed = best(&|| measure_typed(&layout, n, trials, h.seed()));
-        let vs_legacy = typed.steps_per_sec() / legacy.steps_per_sec().max(f64::MIN_POSITIVE);
         let vs_boxed = typed.steps_per_sec() / boxed.steps_per_sec().max(f64::MIN_POSITIVE);
+        let vs_seed = vs_boxed / SEED_OVER_BOXED;
         table.row([
             n.to_string(),
             trials.to_string(),
-            format!("{:.2}", legacy.steps_per_sec() / 1e6),
             format!("{:.2}", boxed.steps_per_sec() / 1e6),
             format!("{:.2}", typed.steps_per_sec() / 1e6),
-            format!("{vs_legacy:.2}x"),
             format!("{vs_boxed:.2}x"),
+            format!("{vs_seed:.2}x"),
         ]);
         rows.push(json!({
             "n": n,
             "trials": trials,
-            "legacy_steps_per_sec": legacy.steps_per_sec(),
             "boxed_steps_per_sec": boxed.steps_per_sec(),
             "typed_steps_per_sec": typed.steps_per_sec(),
-            "speedup_vs_legacy": vs_legacy,
-            "speedup_vs_boxed": vs_boxed
+            "speedup_vs_boxed": vs_boxed,
+            "speedup_vs_seed": vs_seed
         }));
         h.record(
             "throughput",
             json!({"n": n, "trials": trials}),
             json!({
-                "legacy_steps_per_sec": legacy.steps_per_sec(),
                 "boxed_steps_per_sec": boxed.steps_per_sec(),
                 "typed_steps_per_sec": typed.steps_per_sec(),
-                "speedup_vs_legacy": vs_legacy,
-                "speedup_vs_boxed": vs_boxed
+                "speedup_vs_boxed": vs_boxed,
+                "speedup_vs_seed": vs_seed
             }),
         );
-        legacy_total.accumulate(legacy);
         boxed_total.accumulate(boxed);
         typed_total.accumulate(typed);
     }
 
-    // Multi-thread scaling of the parallel sweep harness (ROADMAP open
-    // item): the same typed trials, fanned over 1..=N sweep workers. On a
-    // single-core runner the curve is flat — the point is to document the
-    // speedup wherever CI has cores.
+    // Multi-thread scaling of the parallel sweep harness: the same typed
+    // trials, fanned over 1..=N sweep workers. Rows with more threads
+    // than the host has cores measure oversubscription, not scaling, and
+    // are marked so.
     let available =
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut thread_counts: Vec<usize> = vec![1, 2, 4, 8];
@@ -281,7 +252,13 @@ pub fn throughput(h: &mut Harness) -> String {
     // Warm once, then best-of-3 per thread count, like the engine rows.
     let _ = measure_sweep_threads(&scale_layout, scale_n, scale_trials, 1, h.seed() ^ 0xcafe);
     let mut scaling_rows: Vec<Value> = Vec::new();
-    let mut scaling_table = Table::new(["sweep threads", "steps", "Msteps/s", "speedup vs 1"]);
+    let mut scaling_table = Table::new([
+        "sweep threads",
+        "steps",
+        "Msteps/s",
+        "speedup vs 1",
+        "oversubscribed",
+    ]);
     let mut single_rate = 0.0f64;
     for &threads in &thread_counts {
         let best = (0..3)
@@ -296,18 +273,21 @@ pub fn throughput(h: &mut Harness) -> String {
             single_rate = best.steps_per_sec();
         }
         let speedup = best.steps_per_sec() / single_rate.max(f64::MIN_POSITIVE);
+        let oversubscribed = threads > available;
         scaling_table.row([
             threads.to_string(),
             best.steps.to_string(),
             format!("{:.2}", best.steps_per_sec() / 1e6),
             format!("{speedup:.2}x"),
+            if oversubscribed { "yes" } else { "no" }.to_string(),
         ]);
         scaling_rows.push(json!({
             "threads": threads,
             "n": scale_n,
             "trials": scale_trials,
             "steps_per_sec": best.steps_per_sec(),
-            "speedup_vs_1": speedup
+            "speedup_vs_1": speedup,
+            "oversubscribed": oversubscribed
         }));
         h.record(
             "throughput",
@@ -316,11 +296,10 @@ pub fn throughput(h: &mut Harness) -> String {
         );
     }
 
-    let overall_vs_legacy =
-        typed_total.steps_per_sec() / legacy_total.steps_per_sec().max(f64::MIN_POSITIVE);
     let overall_vs_boxed =
         typed_total.steps_per_sec() / boxed_total.steps_per_sec().max(f64::MIN_POSITIVE);
-    let pass = overall_vs_legacy >= SPEEDUP_TARGET;
+    let overall_vs_seed = overall_vs_boxed / SEED_OVER_BOXED;
+    let pass = overall_vs_seed >= SPEEDUP_TARGET;
     let artifact = json!({
         "experiment": "throughput",
         "mode": if h.quick() { "quick" } else { "full" },
@@ -330,10 +309,6 @@ pub fn throughput(h: &mut Harness) -> String {
             if h.quick() { " --quick" } else { "" },
             h.seed()
         ),
-        "legacy": {
-            "engine": "seed replica: Box<dyn Renamer>, HashMap index, per-step Vec alloc, StdRng (ChaCha12)",
-            "steps_per_sec": legacy_total.steps_per_sec()
-        },
         "boxed": {
             "engine": "shared engine, boxed tier: Box<dyn Renamer> + Box<dyn Adversary>, StdRng (ChaCha12)",
             "steps_per_sec": boxed_total.steps_per_sec()
@@ -342,8 +317,9 @@ pub fn throughput(h: &mut Harness) -> String {
             "engine": "shared engine, monomorphic tier: concrete machines + adversary, FastRng (xoshiro256**), scratch reuse",
             "steps_per_sec": typed_total.steps_per_sec()
         },
-        "speedup_vs_legacy": overall_vs_legacy,
+        "seed_over_boxed": SEED_OVER_BOXED,
         "speedup_vs_boxed": overall_vs_boxed,
+        "speedup_vs_seed": overall_vs_seed,
         "speedup_target": SPEEDUP_TARGET,
         "pass": pass,
         "rows": rows,
@@ -374,12 +350,113 @@ pub fn throughput(h: &mut Harness) -> String {
     out.push_str(&verdict(
         pass,
         &format!(
-            "typed {:.2} Msteps/s vs legacy {:.2} ({overall_vs_legacy:.2}x, target \
-             {SPEEDUP_TARGET:.0}x) and boxed {:.2} ({overall_vs_boxed:.2}x)",
+            "typed {:.2} Msteps/s vs boxed {:.2} ({overall_vs_boxed:.2}x, needs {:.2}x) = \
+             {overall_vs_seed:.2}x the seed engine (frozen at {SEED_OVER_BOXED} x boxed, \
+             target {SPEEDUP_TARGET:.0}x)",
             typed_total.steps_per_sec() / 1e6,
-            legacy_total.steps_per_sec() / 1e6,
             boxed_total.steps_per_sec() / 1e6,
+            SPEEDUP_TARGET * SEED_OVER_BOXED,
         ),
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn number(value: &Value, key: &str) -> f64 {
+        value
+            .get(key)
+            .and_then(Value::as_f64)
+            .unwrap_or_else(|| panic!("no number `{key}` in {value}"))
+    }
+
+    fn keys(value: &Value) -> Vec<&str> {
+        match value {
+            Value::Object(fields) => fields.iter().map(|(key, _)| key.as_str()).collect(),
+            _ => panic!("{value} is not an object"),
+        }
+    }
+
+    fn array<'a>(value: &'a Value, key: &str) -> &'a [Value] {
+        match value.get(key) {
+            Some(Value::Array(items)) => items,
+            _ => panic!("no array `{key}` in {value}"),
+        }
+    }
+
+    /// Asserts the artifact's shape and the gate's arithmetic, not the
+    /// verdict itself: an unoptimized build times a different program.
+    #[test]
+    fn quick_mode_gates_on_the_frozen_seed_ratio_and_marks_oversubscription() {
+        let mut h = Harness::with_threads(true, 42, 1);
+        let report = throughput(&mut h);
+        let text = std::fs::read_to_string(ARTIFACT_PATH).expect("artifact written");
+        let artifact: Value = serde_json::from_str(&text).expect("artifact parses");
+
+        let rows = array(&artifact, "rows");
+        let ns: Vec<u64> = rows
+            .iter()
+            .filter_map(|row| row.get("n")?.as_u64())
+            .collect();
+        let quick_ns: Vec<u64> = h.n_sweep().into_iter().map(|n| n as u64).collect();
+        assert_eq!(ns, quick_ns);
+        for row in rows {
+            assert_eq!(
+                keys(row),
+                [
+                    "n",
+                    "trials",
+                    "boxed_steps_per_sec",
+                    "typed_steps_per_sec",
+                    "speedup_vs_boxed",
+                    "speedup_vs_seed"
+                ]
+            );
+            assert!(number(row, "boxed_steps_per_sec") > 0.0, "{row}");
+            assert!(number(row, "typed_steps_per_sec") > 0.0, "{row}");
+            assert_eq!(
+                number(row, "speedup_vs_seed"),
+                number(row, "speedup_vs_boxed") / SEED_OVER_BOXED
+            );
+        }
+        let timed: Vec<&str> = keys(&artifact)
+            .into_iter()
+            .filter(|key| artifact.get(key).and_then(|v| v.get("engine")).is_some())
+            .collect();
+        assert_eq!(
+            timed,
+            ["boxed", "typed"],
+            "only the sim engine's two tiers run"
+        );
+
+        let vs_seed = number(&artifact, "speedup_vs_seed");
+        assert_eq!(
+            vs_seed,
+            number(&artifact, "speedup_vs_boxed") / SEED_OVER_BOXED
+        );
+        let pass = vs_seed >= SPEEDUP_TARGET;
+        assert_eq!(report.contains("[PASS]"), pass, "{report}");
+        assert_eq!(report.contains("[FAIL]"), !pass, "{report}");
+
+        let available =
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) as u64;
+        assert_eq!(
+            artifact
+                .get("available_parallelism")
+                .and_then(Value::as_u64),
+            Some(available)
+        );
+        let scaling = array(&artifact, "thread_scaling");
+        assert!(!scaling.is_empty());
+        for row in scaling {
+            let threads = row
+                .get("threads")
+                .and_then(Value::as_u64)
+                .expect("thread count");
+            let flag = row.get("oversubscribed").and_then(Value::as_bool);
+            assert_eq!(flag, Some(threads > available), "{row}");
+        }
+    }
 }

@@ -27,7 +27,6 @@
 
 pub mod experiments;
 mod harness;
-pub mod legacy;
 pub mod machine_kind;
 pub mod sweep;
 

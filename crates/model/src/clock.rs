@@ -1,19 +1,26 @@
-//! Dense vector clocks for the happens-before race detector.
+//! Dense vector clocks: the happens-before race detector's, and the
+//! concurrency oracle's event stamps.
 //!
-//! One component per model thread, indexed by thread id. Components a
-//! clock has never seen are implicitly zero, so clocks taken before a
-//! spawn compare correctly against clocks taken after it.
+//! One component per thread (or oracle participant), indexed by its
+//! dense id. Components a clock has never seen are implicitly zero, so
+//! clocks taken before a spawn compare correctly against clocks taken
+//! after it.
 
 /// A dense vector clock: component `i` counts thread `i`'s events.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct VClock {
-    components: Vec<u32>,
+    components: Vec<u64>,
 }
 
 impl VClock {
     /// The zero clock (happens-before everything).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Thread `tid`'s component; missing components read as zero.
+    pub fn component(&self, tid: usize) -> u64 {
+        self.components.get(tid).copied().unwrap_or(0)
     }
 
     /// Increments this clock's own component for thread `tid`.
@@ -42,13 +49,21 @@ impl VClock {
         self.components
             .iter()
             .enumerate()
-            .all(|(i, &c)| c <= other.components.get(i).copied().unwrap_or(0))
+            .all(|(i, &c)| c <= other.component(i))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A clock with exactly these components, trailing zeros included
+    /// (ticking alone never leaves a trailing zero).
+    fn clock(components: &[u64]) -> VClock {
+        VClock {
+            components: components.to_vec(),
+        }
+    }
 
     #[test]
     fn tick_join_and_compare() {
@@ -72,5 +87,26 @@ mod tests {
         let short = VClock::new();
         assert!(short.leq(&long));
         assert!(!long.leq(&short));
+    }
+
+    #[test]
+    fn join_and_leq_treat_missing_components_as_zero() {
+        let mut a = clock(&[1, 2]);
+        a.join(&clock(&[0, 3, 4]));
+        assert_eq!(a, clock(&[1, 3, 4]));
+        assert!(clock(&[1, 2]).leq(&clock(&[1, 2, 0])));
+        assert!(clock(&[1, 2, 0]).leq(&clock(&[1, 2])));
+        assert!(!clock(&[1, 2, 1]).leq(&clock(&[1, 2])));
+        assert!(!clock(&[2]).leq(&clock(&[1, 9])));
+    }
+
+    #[test]
+    fn tick_grows_the_vector() {
+        let mut c = VClock::new();
+        c.tick(2);
+        assert_eq!(c, clock(&[0, 0, 1]));
+        c.tick(2);
+        assert_eq!(c, clock(&[0, 0, 2]));
+        assert_eq!([c.component(1), c.component(2), c.component(9)], [0, 2, 0]);
     }
 }

@@ -16,8 +16,7 @@
 //!    markers is consistent (closed under happens-before) and live
 //!    occupancy at the cut respects the capacity.
 
-use crate::clock::{self, Clock};
-use crate::{Event, EventKind};
+use crate::{Event, EventKind, VClock};
 
 /// A merged, immutable execution history: per-participant event logs
 /// plus the bounds they were recorded against. Produced by
@@ -217,8 +216,8 @@ impl HistoryReport {
 /// One hold of a name reconstructed during replay.
 struct Hold {
     participant: usize,
-    win_clock: Clock,
-    release_clock: Option<Clock>,
+    win_clock: VClock,
+    release_clock: Option<VClock>,
 }
 
 impl History {
@@ -264,9 +263,8 @@ impl History {
             for p in 0..nparts {
                 while done[p] < self.events[p].len() {
                     let event = &self.events[p][done[p]];
-                    let ready = (0..nparts).all(|q| {
-                        q == p || clock::component(&event.clock, q) <= done[q] as u64
-                    });
+                    let ready =
+                        (0..nparts).all(|q| q == p || event.clock.component(q) <= done[q] as u64);
                     if !ready {
                         break;
                     }
@@ -347,11 +345,11 @@ impl History {
                     let a_before_b = a
                         .release_clock
                         .as_ref()
-                        .is_some_and(|r| clock::leq(r, &b.win_clock));
+                        .is_some_and(|r| r.leq(&b.win_clock));
                     let b_before_a = b
                         .release_clock
                         .as_ref()
-                        .is_some_and(|r| clock::leq(r, &a.win_clock));
+                        .is_some_and(|r| r.leq(&a.win_clock));
                     if !a_before_b && !b_before_a {
                         violations.push(Violation::OverlappingHolds {
                             name,
@@ -378,8 +376,7 @@ impl History {
             let (mut cut_wins, mut cut_releases) = (0usize, 0usize);
             for (p, log) in self.events.iter().enumerate() {
                 for event in &log[..cut[p]] {
-                    let covered = (0..nparts)
-                        .all(|q| clock::component(&event.clock, q) <= cut[q] as u64);
+                    let covered = (0..nparts).all(|q| event.clock.component(q) <= cut[q] as u64);
                     if !covered && consistent {
                         consistent = false;
                         violations.push(Violation::InconsistentCut {
@@ -439,7 +436,14 @@ impl History {
 mod tests {
     use super::*;
 
-    fn event(participant: usize, kind: EventKind, epoch: u64, clock: Vec<u64>) -> Event {
+    /// An event whose clock ticks component `i` `ticks[i]` times.
+    fn event(participant: usize, kind: EventKind, epoch: u64, ticks: &[u64]) -> Event {
+        let mut clock = VClock::new();
+        for (index, &count) in ticks.iter().enumerate() {
+            for _ in 0..count {
+                clock.tick(index);
+            }
+        }
         Event {
             participant,
             kind,
@@ -459,12 +463,12 @@ mod tests {
             snapshots: 0,
             events: vec![
                 vec![
-                    event(0, EventKind::AcquireWin { name: 0 }, 0, vec![1]),
-                    event(0, EventKind::Release { name: 0 }, 0, vec![2]),
+                    event(0, EventKind::AcquireWin { name: 0 }, 0, &[1]),
+                    event(0, EventKind::Release { name: 0 }, 0, &[2]),
                 ],
                 vec![
-                    event(1, EventKind::AcquireWin { name: 0 }, 0, vec![0, 1]),
-                    event(1, EventKind::Release { name: 0 }, 0, vec![0, 2]),
+                    event(1, EventKind::AcquireWin { name: 0 }, 0, &[0, 1]),
+                    event(1, EventKind::Release { name: 0 }, 0, &[0, 2]),
                 ],
             ],
             recorded: Vec::new(),
@@ -486,12 +490,12 @@ mod tests {
             snapshots: 0,
             events: vec![
                 vec![
-                    event(0, EventKind::AcquireWin { name: 0 }, 0, vec![1]),
-                    event(0, EventKind::Release { name: 0 }, 0, vec![2]),
+                    event(0, EventKind::AcquireWin { name: 0 }, 0, &[1]),
+                    event(0, EventKind::Release { name: 0 }, 0, &[2]),
                 ],
                 vec![
-                    event(1, EventKind::AcquireWin { name: 0 }, 0, vec![2, 1]),
-                    event(1, EventKind::Release { name: 0 }, 0, vec![2, 2]),
+                    event(1, EventKind::AcquireWin { name: 0 }, 0, &[2, 1]),
+                    event(1, EventKind::Release { name: 0 }, 0, &[2, 2]),
                 ],
             ],
             recorded: Vec::new(),
@@ -511,7 +515,7 @@ mod tests {
             snapshots: 0,
             events: vec![
                 Vec::new(),
-                vec![event(1, EventKind::AcquireStart, 0, vec![5, 1])],
+                vec![event(1, EventKind::AcquireStart, 0, &[5, 1])],
             ],
             recorded: Vec::new(),
         };
@@ -533,12 +537,12 @@ mod tests {
             snapshots: 1,
             events: vec![
                 vec![
-                    event(0, EventKind::Marker, 1, vec![1]),
-                    event(0, EventKind::AcquireStart, 1, vec![2]),
+                    event(0, EventKind::Marker, 1, &[1]),
+                    event(0, EventKind::AcquireStart, 1, &[2]),
                 ],
                 // In-cut (epoch 0) event whose clock says it saw
                 // participant 0's second (post-cut) event.
-                vec![event(1, EventKind::AcquireStart, 0, vec![2, 1])],
+                vec![event(1, EventKind::AcquireStart, 0, &[2, 1])],
             ],
             recorded: Vec::new(),
         };

@@ -6,13 +6,14 @@
 //! namespace bound is never exceeded at any point of the execution —
 //! but the stress tests in this tree historically checked only
 //! end-state invariants (occupancy tables after the fact). This crate
-//! closes that gap with a small, dependency-free oracle:
+//! closes that gap with a small oracle whose one dependency is the
+//! model checker's [`VClock`]:
 //!
 //! * **Recording.** Each participating thread records
 //!   [`EventKind::AcquireStart`] / [`EventKind::AcquireWin`] /
 //!   [`EventKind::Release`] / [`EventKind::GuardDrop`] events into its
 //!   own append-only log, stamped with a dense per-participant
-//!   [vector clock](clock). Logs are merged once, at quiescence — the
+//!   [vector clock](VClock). Logs are merged once, at quiescence — the
 //!   hot path touches only the recording thread's own state (an
 //!   uncontended mutex plus relaxed counters), mirroring the shape of
 //!   the service's `ServiceMetrics`.
@@ -62,78 +63,11 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+pub use renaming_model::VClock;
+
 mod history;
 
 pub use history::{History, HistoryReport, SnapshotReport, Violation, WorkerCounts};
-
-/// Vector-clock helpers.
-///
-/// A clock is a dense `Vec<u64>`, one component per participant index;
-/// missing trailing components read as zero. Participant `p` ticks
-/// component `p` exactly once per event it records, so event number
-/// `i` (1-based) of participant `p` always has `clock[p] == i` — the
-/// checker leans on this to replay logs in happens-before order.
-pub mod clock {
-    /// A dense vector clock; component `i` counts events of
-    /// participant `i`. Trailing zero components may be omitted.
-    pub type Clock = Vec<u64>;
-
-    /// Read component `index`, treating missing components as zero.
-    pub fn component(clock: &[u64], index: usize) -> u64 {
-        clock.get(index).copied().unwrap_or(0)
-    }
-
-    /// Increment `clock[index]`, growing the vector as needed.
-    pub fn tick(clock: &mut Clock, index: usize) {
-        if clock.len() <= index {
-            clock.resize(index + 1, 0);
-        }
-        clock[index] += 1;
-    }
-
-    /// Pointwise maximum: `dst = dst ⊔ src`.
-    pub fn join(dst: &mut Clock, src: &[u64]) {
-        if dst.len() < src.len() {
-            dst.resize(src.len(), 0);
-        }
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = (*d).max(*s);
-        }
-    }
-
-    /// Pointwise `a ≤ b`: true iff the event stamped `a` happens
-    /// before (or equals) the event stamped `b`.
-    pub fn leq(a: &[u64], b: &[u64]) -> bool {
-        (0..a.len().max(b.len())).all(|i| component(a, i) <= component(b, i))
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn join_and_leq_treat_missing_components_as_zero() {
-            let mut a = vec![1, 2];
-            join(&mut a, &[0, 3, 4]);
-            assert_eq!(a, vec![1, 3, 4]);
-            assert!(leq(&[1, 2], &[1, 2, 0]));
-            assert!(leq(&[1, 2, 0], &[1, 2]));
-            assert!(!leq(&[1, 2, 1], &[1, 2]));
-            assert!(!leq(&[2], &[1, 9]));
-        }
-
-        #[test]
-        fn tick_grows_the_vector() {
-            let mut c = Clock::new();
-            tick(&mut c, 2);
-            assert_eq!(c, vec![0, 0, 1]);
-            tick(&mut c, 2);
-            assert_eq!(c, vec![0, 0, 2]);
-        }
-    }
-}
-
-use clock::Clock;
 
 /// Lock a mutex, recovering the data if a previous holder panicked.
 /// Oracle state stays meaningful across a panicking test thread: the
@@ -195,16 +129,18 @@ pub struct Event {
     /// Snapshot epoch the event belongs to: the event is inside the
     /// cut of every snapshot with epoch greater than this value.
     pub epoch: u64,
-    /// Vector clock at the event; `clock[participant]` equals this
-    /// event's 1-based position in the participant's log.
-    pub clock: Clock,
+    /// Vector clock at the event. Participant `p` ticks component `p`
+    /// once per event it records, so `clock.component(participant)`
+    /// equals this event's 1-based position in the participant's log —
+    /// the checker leans on this to replay logs in happens-before order.
+    pub clock: VClock,
 }
 
 /// Per-participant recording state, touched only by the owning thread
 /// until the quiescence merge.
 #[derive(Debug, Default)]
 struct PartState {
-    clock: Clock,
+    clock: VClock,
     epoch: u64,
     events: Vec<Event>,
 }
@@ -228,7 +164,7 @@ struct NameCell {
 
 #[derive(Debug, Default)]
 struct Channel {
-    clock: Clock,
+    clock: VClock,
     epoch: u64,
 }
 
@@ -379,7 +315,7 @@ impl Oracle {
 
     /// Tick the participant's clock and append the event.
     fn push(part: &Participant, st: &mut PartState, kind: EventKind) {
-        clock::tick(&mut st.clock, part.index);
+        st.clock.tick(part.index);
         st.events.push(Event {
             participant: part.index,
             kind,
@@ -415,17 +351,14 @@ impl Oracle {
         let part = self.participant();
         let mut st = lock(&part.state);
         let mut target = self.epoch.load(Ordering::Acquire);
-        let mut inherited: Option<Clock> = None;
-        if let Some(cell) = self.cells.get(name) {
+        let inherited = self.cells.get(name).map(|cell| {
             let chan = lock(&cell.channel);
             target = target.max(chan.epoch);
-            if !chan.clock.is_empty() {
-                inherited = Some(chan.clock.clone());
-            }
-        }
+            chan.clock.clone()
+        });
         Self::enter_epoch(&part, &mut st, target);
         if let Some(chan_clock) = inherited {
-            clock::join(&mut st.clock, &chan_clock);
+            st.clock.join(&chan_clock);
         }
         Self::push(&part, &mut st, EventKind::AcquireWin { name });
         drop(st);
@@ -482,7 +415,7 @@ impl Oracle {
         Self::push(&part, &mut st, kind);
         if let Some(cell) = self.cells.get(name) {
             let mut chan = lock(&cell.channel);
-            clock::join(&mut chan.clock, &st.clock);
+            chan.clock.join(&st.clock);
             chan.epoch = chan.epoch.max(st.epoch);
             drop(chan);
             cell.holder.store(0, Ordering::SeqCst);
