@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use serde_json::{json, Value};
 
 use renaming_net::{Client, LoadConfig, NameServer, ServerConfig, ServerHandle};
-use renaming_service::{AcquireMode, Algorithm, NameService, SeedPolicy};
+use renaming_service::{Algorithm, NameService, SeedPolicy};
 
 use crate::experiments::{header, verdict};
 use crate::Harness;
@@ -86,12 +86,10 @@ fn wait_for_occupancy(client: &mut Client, target: u64) -> bool {
     }
 }
 
-/// Spawns a server for `algorithm`: combining mode (so connections
-/// served at once can share combiner batches), metrics on (so `Stats`
-/// exports the histograms), handler pool sized for the sweep.
+/// Spawns a server for `algorithm`: metrics on (so `Stats` exports the
+/// histograms), handler pool sized for the sweep.
 fn spawn_backend(algorithm: Algorithm, seed: u64, handlers: usize) -> ServerHandle {
     let service = NameService::builder(algorithm, CAPACITY)
-        .acquire_mode(AcquireMode::Combining)
         .metrics(true)
         .seed_policy(SeedPolicy::Fixed(seed))
         .build()

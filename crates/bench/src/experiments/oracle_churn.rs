@@ -3,8 +3,8 @@
 //!
 //! Not a paper claim — this experiment gates on **verdicts, not
 //! timing**. For every algorithm selectable through `NameServiceBuilder`
-//! and every acquire path (the direct per-thread checkout, the
-//! flat-combining front-end, and the async facade), real OS threads
+//! and both callers of the one acquire path (sync `NameService::acquire`
+//! and the async facade), real OS threads
 //! churn acquire/drop cycles against an oracle-instrumented service
 //! while the main thread takes a Chandy–Lamport-style snapshot mid-run.
 //! Each cell must replay to a clean verdict: no overlapping holds under
@@ -35,7 +35,7 @@ use serde_json::{json, Value};
 
 use renaming_analysis::Table;
 use renaming_service::{
-    exec, AcquireMode, Algorithm, AsyncNameService, NameService, Oracle, SeedPolicy, Violation,
+    exec, Algorithm, AsyncNameService, NameService, Oracle, SeedPolicy, Violation,
 };
 
 use crate::experiments::{header, verdict};
@@ -189,7 +189,7 @@ fn injected_violations_detected() -> bool {
 }
 
 /// The `oracle_churn` experiment: oracle-checked churn verdicts for
-/// every algorithm × {direct, combining, async}, a seeded-violation
+/// every algorithm × {direct, async}, a seeded-violation
 /// self-check, and a checked-vs-unchecked overhead axis. Writes
 /// `BENCH_oracle.json` and merges the overhead table into
 /// `BENCH_service.json` when present. The PASS gate is verdicts, not
@@ -197,13 +197,13 @@ fn injected_violations_detected() -> bool {
 pub fn oracle_churn(h: &mut Harness) -> String {
     let mut out = header(
         "oracle_churn",
-        "Oracle: every backend and acquire mode replays to a clean vector-clock verdict under churn (tooling)",
+        "Oracle: every backend, sync and async, replays to a clean vector-clock verdict under churn (tooling)",
     );
     let ops_per_thread = if h.quick() { 400 } else { 4_000 };
     let overhead_ops = if h.quick() { 5_000 } else { 40_000 };
     let threads = h.threads().clamp(2, CAPACITY);
     let overhead_threads = h.threads().clamp(1, CAPACITY);
-    let mode_labels = ["direct", "combining", "async"];
+    let mode_labels = ["direct", "async"];
 
     let mut table = Table::new(["backend", "mode", "threads", "wins", "events", "verdict"]);
     let mut rows: Vec<Value> = Vec::new();
@@ -212,17 +212,11 @@ pub fn oracle_churn(h: &mut Harness) -> String {
 
     for algorithm in Algorithm::all() {
         for &mode_label in &mode_labels {
-            let mode = if mode_label == "direct" {
-                AcquireMode::Direct
-            } else {
-                AcquireMode::Combining
-            };
             let service = NameService::builder(algorithm, CAPACITY)
-                .acquire_mode(mode)
                 .oracle(true)
                 .seed_policy(SeedPolicy::Fixed(h.seed()))
                 .build()
-                .expect("service builds for every algorithm and mode");
+                .expect("service builds for every algorithm");
             let backend_label = service.algorithm();
             let (clean, wins, events, snapshots_ok) = if mode_label == "async" {
                 let service = AsyncNameService::new(service);
@@ -402,7 +396,7 @@ pub fn oracle_churn(h: &mut Harness) -> String {
     let _ = writeln!(out, "{overhead_table}");
     out.push_str(&verdict(
         all_clean && all_snapshots_consistent && injections_caught,
-        "every backend x acquire-mode cell replayed to a clean, drained, complete verdict with consistent mid-churn snapshots, and every seeded violation was flagged",
+        "every backend x mode cell replayed to a clean, drained, complete verdict with consistent mid-churn snapshots, and every seeded violation was flagged",
     ));
     out
 }
@@ -430,7 +424,6 @@ mod tests {
             "single-batch",
             "doubling-uniform",
             " direct ",
-            " combining ",
             " async ",
             "detected: true",
         ] {

@@ -1,5 +1,5 @@
 //! Service throughput: acquire/release operations per second through the
-//! `NameService` front-end, across backends, acquire modes, TAS
+//! `NameService` front-end, across backends, sync and async callers, TAS
 //! substrates and thread counts.
 //!
 //! Not a paper claim — this experiment tracks the service layer the API
@@ -9,13 +9,12 @@
 //! backend. The thread axis is driven by the harness's `--threads` flag
 //! (powers of two up to it) rather than a pinned 1/2/4.
 //!
-//! Each (backend, threads) cell runs the three **acquire paths**
-//! back-to-back — the direct per-thread checkout path, the
-//! flat-combining front-end (`AcquireMode::Combining`), and the async
-//! facade (`AsyncNameService::acquire().await`, each hammer thread a
-//! one-task `block_on` executor over a combining-mode service) —
-//! recording all three curves and their ratios over direct in the
-//! artifact's `mode_comparison` section.
+//! Each (backend, threads) cell runs the two **callers** of the one
+//! acquire path back-to-back — sync `NameService::acquire` (the `direct`
+//! rows) and the async facade (`AsyncNameService::acquire().await`, each
+//! hammer thread a one-task `block_on` executor) — recording both curves
+//! and the async/direct ratio in the artifact's `mode_comparison`
+//! section.
 //!
 //! Since the register substrate became long-lived, the run also sweeps
 //! the **tournament backend under acquire/release churn** for the
@@ -31,7 +30,7 @@
 //!
 //! Results land in the harness records and in `BENCH_service.json` — the
 //! CI artifact tracking the service's perf trajectory across PRs,
-//! including the acquire-mode curves side by side and the tournament
+//! including the sync and async curves side by side and the tournament
 //! churn curves.
 
 use std::fmt::Write as _;
@@ -40,9 +39,7 @@ use std::time::Instant;
 use serde_json::{json, Value};
 
 use renaming_analysis::Table;
-use renaming_service::{
-    exec, AcquireMode, Algorithm, AsyncNameService, NameService, SeedPolicy, TasBackend,
-};
+use renaming_service::{exec, Algorithm, AsyncNameService, NameService, SeedPolicy, TasBackend};
 use renaming_tas::rwtas::TournamentTas;
 use renaming_tas::{ResettableTas, Tas, TicketTas};
 
@@ -63,11 +60,9 @@ const TOURNAMENT_CAPACITY: usize = 16;
 
 /// Timed repetitions per (backend, mode, threads) point; the best
 /// ops/sec is reported, as in the engine throughput experiment, so a
-/// descheduled rep does not masquerade as a slow path. The three modes
+/// descheduled rep does not masquerade as a slow path. The two modes
 /// are measured back-to-back within each (backend, threads) cell so
-/// slow machine-wide drift cancels out of their ratios, and the
-/// direct/combining contrast is fine (single-digit percent at 1 thread),
-/// so it gets enough best-of reps for the scheduler noise to wash out.
+/// slow machine-wide drift cancels out of their ratio.
 const REPS: usize = 9;
 
 /// Repetitions for the (much slower) tournament churn cells.
@@ -105,8 +100,8 @@ fn thread_sweep(max: usize) -> Vec<usize> {
 
 /// `threads` OS threads each run `ops_per_thread` acquire/drop cycles
 /// against one shared service. The timed region includes thread
-/// spawn/join — a fixed cost identical for every acquire mode, so it
-/// dilutes the ratios over direct slightly toward 1.0.
+/// spawn/join — a fixed cost identical for both modes, so it dilutes
+/// the async/direct ratio slightly toward 1.0.
 fn hammer(service: &NameService, threads: usize, ops_per_thread: usize) -> Measurement {
     let start = Instant::now();
     std::thread::scope(|scope| {
@@ -141,8 +136,8 @@ fn best_of(service: &NameService, threads: usize, ops_per_thread: usize, reps: u
 
 /// The async-facade analogue of [`hammer`]: each OS thread is a one-task
 /// executor, driving every cycle through `block_on(service.acquire())`.
-/// Prices the suspension machinery (waker registration, slot publish,
-/// combiner exit re-check) against the sync paths it shares slots with.
+/// Prices the executor and future machinery (waker construction, one
+/// poll, the `Arc`-holding guard) on top of the sync path it wraps.
 fn hammer_async(service: &AsyncNameService, threads: usize, ops_per_thread: usize) -> Measurement {
     let start = Instant::now();
     std::thread::scope(|scope| {
@@ -180,53 +175,41 @@ fn best_of_async(
 }
 
 /// The `service_throughput` experiment: acquire/release ops/sec through
-/// `NameService` for every atomic-backend algorithm in each acquire mode
-/// and for the paper algorithms on the long-lived tournament substrate,
-/// across a `--threads`-driven sweep, plus a post-run drain check, a
-/// per-backend mode comparison and an O(1)-reset proof for the register
-/// trees. Writes `BENCH_service.json`.
+/// `NameService` for every atomic-backend algorithm from sync and async
+/// callers and for the paper algorithms on the long-lived tournament
+/// substrate, across a `--threads`-driven sweep, plus a post-run drain
+/// check, a per-backend mode comparison and an O(1)-reset proof for the
+/// register trees. Writes `BENCH_service.json`.
 pub fn service_throughput(h: &mut Harness) -> String {
     let mut out = header(
         "service_throughput",
-        "Service: NameService acquire/release ops/sec per backend, acquire mode, TAS substrate (tooling)",
+        "Service: NameService acquire/release ops/sec per backend, sync/async caller, TAS substrate (tooling)",
     );
     let ops_per_thread = if h.quick() { 10_000 } else { 60_000 };
     let thread_counts = thread_sweep(h.threads().min(CAPACITY));
     let max_threads = *thread_counts.last().expect("non-empty");
     let mut all_drained = true;
 
-    // ---- Acquire-mode axis: direct vs combining vs the async facade. ----
+    // ---- Caller axis: sync (`direct`) vs the async facade. ----
     //
-    // All three acquire paths measured back-to-back within each
-    // (backend, threads) cell so machine-wide drift cancels out of the
-    // ratios over direct. At one thread the combiner forms batches of
-    // one (the direct path with a slot round-trip); under contention
-    // one combiner drains many requests through a single checked-out
-    // session, amortizing checkout and — for the rebatching machines —
-    // resuming the winning batch instead of rescanning from batch zero
-    // (`BatchAcquire::rearm_after_win`).
+    // Both callers measured back-to-back within each (backend, threads)
+    // cell so machine-wide drift cancels out of the ratio. The second
+    // cell drives the same kind of service through the async facade:
+    // each hammer thread is a one-task executor running
+    // `exec::block_on(service.acquire())` per cycle (`hammer_async`).
     let mut mode_table = Table::new(["backend", "mode", "threads", "ops", "Kops/s", "drained"]);
     let mut mode_rows: Vec<Value> = Vec::new();
     let mut mode_comparison: Vec<Value> = Vec::new();
-    // The third cell drives a combining-mode service through the async
-    // facade: each hammer thread is a one-task executor running
-    // `exec::block_on(service.acquire())` per cycle (`hammer_async`).
-    let mode_labels = ["direct", "combining", "async"];
+    let mode_labels = ["direct", "async"];
     for algorithm in Algorithm::all() {
         let mut curve = vec![vec![0.0f64; thread_counts.len()]; mode_labels.len()];
         let mut backend_label = "";
         for (thread_idx, &threads) in thread_counts.iter().enumerate() {
             for (mode_idx, &mode_label) in mode_labels.iter().enumerate() {
-                let mode = if mode_label == "direct" {
-                    AcquireMode::Direct
-                } else {
-                    AcquireMode::Combining
-                };
                 let service = NameService::builder(algorithm, CAPACITY)
-                    .acquire_mode(mode)
                     .seed_policy(SeedPolicy::Fixed(h.seed()))
                     .build()
-                    .expect("service builds in every acquire mode");
+                    .expect("every backend builds");
                 backend_label = service.algorithm();
                 let (best, drained) = if mode_label == "async" {
                     let service = AsyncNameService::new(service);
@@ -270,27 +253,18 @@ pub fn service_throughput(h: &mut Harness) -> String {
                 );
             }
         }
-        let (direct, combining, r#async) = (&curve[0], &curve[1], &curve[2]);
+        let (direct, r#async) = (&curve[0], &curve[1]);
         let last = thread_counts.len() - 1;
-        let at_1 = combining[0] / direct[0].max(f64::MIN_POSITIVE);
-        let at_max = combining[last] / direct[last].max(f64::MIN_POSITIVE);
         let async_at_1 = r#async[0] / direct[0].max(f64::MIN_POSITIVE);
         let async_at_max = r#async[last] / direct[last].max(f64::MIN_POSITIVE);
         mode_comparison.push(json!({
             "backend": backend_label,
             "threads": thread_counts.clone(),
             "direct_ops_per_sec": direct,
-            "combining_ops_per_sec": combining,
             "async_ops_per_sec": r#async,
-            "combining_over_direct_at_1_thread": at_1,
-            "combining_over_direct_at_max_threads": at_max,
             "async_over_direct_at_1_thread": async_at_1,
             "async_over_direct_at_max_threads": async_at_max
         }));
-        let _ = writeln!(
-            out,
-            "{algorithm:?}: combining/direct = {at_1:.2}x at 1 thread, {at_max:.2}x at {max_threads} threads",
-        );
         let _ = writeln!(
             out,
             "{algorithm:?}: async/direct = {async_at_1:.2}x at 1 thread, {async_at_max:.2}x at {max_threads} threads",
@@ -456,9 +430,7 @@ mod tests {
             "doubling-uniform",
             " tournament ",
             " direct ",
-            " combining ",
             " async ",
-            "combining/direct",
             "async/direct",
             "epoch bump",
         ] {

@@ -35,7 +35,8 @@ pub trait ResetMachine: Renamer {
 
 /// A machine that can serve a *batch* of acquire requests back-to-back,
 /// amortizing its probe state across the batch — the paper's `BatchCall`
-/// shape, surfaced to the service layer's flat-combining front-end.
+/// shape, surfaced as `PooledSession::acquire_batch` in the service
+/// crate.
 ///
 /// Between two wins of one batch the driver calls
 /// [`rearm_after_win`](Self::rearm_after_win) instead of

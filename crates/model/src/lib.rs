@@ -49,11 +49,11 @@
 //! ```
 //!
 //! The service's `sync_shim` module re-exports these types under
-//! `--cfg renaming_model`, so the *real* `slots.rs`, `wait.rs`,
-//! `combiner.rs` and `pool.rs` code paths run under the checker in
+//! `--cfg renaming_model`, so the *real* `pool.rs` code paths — alone
+//! and behind `NameService::acquire` — run under the checker in
 //! `crates/service/src/model_tests.rs`; the suites in `tests/` model
-//! the same protocols in isolation, including mutants the checker must
-//! flag.
+//! the pool protocol in isolation and calibrate the ordering detector,
+//! including mutants the checker must flag.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]

@@ -822,7 +822,12 @@ fn worker_loop(worker: Arc<WorkerSlot>) {
             }
         };
         job();
-        *lock(&worker.slot) = JobSlot::Idle;
+        // A shutdown posted while the job ran stands: the next pass
+        // sees it and exits.
+        let mut slot = lock(&worker.slot);
+        if matches!(*slot, JobSlot::Busy) {
+            *slot = JobSlot::Idle;
+        }
     }
 }
 
@@ -833,8 +838,16 @@ impl Drop for WorkerPool {
             *lock(&worker.slot) = JobSlot::Shutdown;
             worker.cv.notify_one();
         }
+        // Every `ExecShared` holds an `Arc<WorkerPool>`, so the last one
+        // can be dropped by a model thread's job, on one of these
+        // workers. That worker exits on its own once the job returns;
+        // joining it from itself would panic ("Resource deadlock
+        // avoided").
+        let current = std::thread::current().id();
         for (_, handle) in workers {
-            let _ = handle.join();
+            if handle.thread().id() != current {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -1247,6 +1260,29 @@ mod tests {
             shape(&replay_b.trace),
             "identical branch structure on every replay"
         );
+    }
+
+    #[test]
+    fn dropping_the_last_pool_handle_on_a_worker_does_not_join_itself() {
+        let pool = WorkerPool::new();
+        let last = Arc::clone(&pool);
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        pool.dispatch(Box::new(move || {
+            go_rx.recv().expect("the test thread signals");
+            // By now the test thread has dropped its handle: this drop
+            // runs `WorkerPool::drop` on the pool's own worker.
+            let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(last)));
+            done_tx
+                .send(dropped.is_ok())
+                .expect("the test thread waits");
+        }));
+        drop(pool);
+        go_tx.send(()).expect("the job waits");
+        let clean = done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the job reports");
+        assert!(clean, "dropping the pool on its own worker panicked");
     }
 
     #[test]

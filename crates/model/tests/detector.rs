@@ -1,14 +1,14 @@
 //! Vector-clock ordering-detector calibration: no false positive on a
 //! correctly SeqCst Dekker pair, no false negative on its
 //! Relaxed-weakened mutant, and the same pair of checks for the
-//! release/acquire publication idiom the service's slot fill path uses.
+//! release/acquire publication idiom the service's pool check-in uses.
 
 use renaming_model::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use renaming_model::sync::Arc;
 use renaming_model::{thread, Checker};
 
-/// The Dekker store/load pair both sides of the combiner's
-/// waiter-vs-exit handshake rely on, with configurable orderings.
+/// The classic Dekker store/load pair (each side stores its flag, then
+/// loads the other's), with configurable orderings.
 /// Returns the checker report; the scenario itself asserts mutual
 /// exclusion (which sequentially-consistent value semantics always
 /// provide — only the *detector* can tell the orderings apart).

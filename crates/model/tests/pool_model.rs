@@ -4,7 +4,9 @@
 //! Two threads share one shard of two slots — so every checkout past
 //! the first is the cross-thread steal path — and the model asserts no
 //! worker is ever handed out twice and none goes missing
-//! (`created == pooled + retired + held`).
+//! (`created == pooled + retired + held`). A mutant whose check-in
+//! publishes with a load and a plain store instead of the CAS must be
+//! caught: a checker that cannot fail is not a check.
 
 use renaming_model::sync::atomic::{AtomicUsize, Ordering};
 use renaming_model::sync::Arc;
@@ -18,14 +20,18 @@ struct PoolModel {
     slots: [AtomicUsize; SLOTS],
     created: AtomicUsize,
     retired: AtomicUsize,
+    /// The mutant: check-in stores into a slot it saw empty, so two
+    /// check-ins can claim the same slot and one worker is lost.
+    blind_checkin: bool,
 }
 
 impl PoolModel {
-    fn new() -> Self {
+    fn new(blind_checkin: bool) -> Self {
         Self {
             slots: [AtomicUsize::new(0), AtomicUsize::new(0)],
             created: AtomicUsize::new(0),
             retired: AtomicUsize::new(0),
+            blind_checkin,
         }
     }
 
@@ -47,10 +53,16 @@ impl PoolModel {
     /// the worker when every slot is taken — `ShardedPool::checkin`.
     fn checkin(&self, worker: usize) {
         for slot in &self.slots {
-            if slot.load(Ordering::Acquire) == 0
-                && slot
-                    .compare_exchange(0, worker, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
+            if slot.load(Ordering::Acquire) != 0 {
+                continue;
+            }
+            if self.blind_checkin {
+                slot.store(worker, Ordering::Release);
+                return;
+            }
+            if slot
+                .compare_exchange(0, worker, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
             {
                 return;
             }
@@ -59,10 +71,11 @@ impl PoolModel {
     }
 }
 
-#[test]
-fn checkout_checkin_steal_conserves_and_never_double_hands() {
-    let report = Checker::new().check(|| {
-        let pool = Arc::new(PoolModel::new());
+/// Two threads each check a worker out and back in, on one seeded
+/// shard, under the checker.
+fn churn(blind_checkin: bool) -> renaming_model::Report {
+    Checker::new().check(move || {
+        let pool = Arc::new(PoolModel::new(blind_checkin));
         // Seed one pooled worker so a cross-thread steal of a
         // previously-pooled worker is reachable in the explored window.
         pool.checkin(pool.created.fetch_add(1, Ordering::SeqCst) + 1);
@@ -105,11 +118,30 @@ fn checkout_checkin_steal_conserves_and_never_double_hands() {
             "worker conservation violated: created {created} != pooled {pooled} \
              + retired {retired}"
         );
-    });
+    })
+}
+
+#[test]
+fn checkout_checkin_steal_conserves_and_never_double_hands() {
+    let report = churn(false);
     println!(
         "pool/checkout-checkin-steal: {} interleavings (complete: {})",
         report.interleavings, report.complete
     );
     report.assert_clean();
     assert!(report.complete, "pool model must be explored exhaustively");
+}
+
+#[test]
+fn blind_store_checkin_mutant_is_caught() {
+    let report = churn(true);
+    println!(
+        "pool/blind-store-checkin mutant: {} interleavings (caught: {})",
+        report.interleavings,
+        report.violation.is_some()
+    );
+    assert!(
+        report.violation.is_some(),
+        "a check-in that can overwrite a pooled worker must be caught"
+    );
 }

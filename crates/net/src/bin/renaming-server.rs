@@ -4,8 +4,8 @@
 //! ```text
 //! renaming-server [--addr 127.0.0.1:0] [--addr-file PATH]
 //!                 [--algorithm rebatching] [--capacity 64]
-//!                 [--mode combining|direct] [--handlers 8]
-//!                 [--pipeline 32] [--no-metrics] [--oracle] [--seed N]
+//!                 [--handlers 8] [--pipeline 32] [--no-metrics]
+//!                 [--oracle] [--seed N]
 //! ```
 //!
 //! Binding `:0` picks an ephemeral port; the resolved address is
@@ -18,10 +18,10 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 use renaming_net::{NameServer, ServerConfig};
-use renaming_service::{AcquireMode, Algorithm, NameService, SeedPolicy};
+use renaming_service::{Algorithm, NameService, SeedPolicy};
 
 const USAGE: &str = "usage: renaming-server [--addr HOST:PORT] [--addr-file PATH] \
-[--algorithm NAME] [--capacity N] [--mode combining|direct] [--handlers N] \
+[--algorithm NAME] [--capacity N] [--handlers N] \
 [--pipeline N] [--no-metrics] [--oracle] [--seed N]
 algorithms: rebatching | adaptive | fast-adaptive | uniform | linear-scan | single-batch | doubling";
 
@@ -43,7 +43,6 @@ struct Args {
     addr_file: Option<String>,
     algorithm: Algorithm,
     capacity: usize,
-    mode: AcquireMode,
     config: ServerConfig,
     metrics: bool,
     oracle: bool,
@@ -56,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
         addr_file: None,
         algorithm: Algorithm::Rebatching,
         capacity: 64,
-        mode: AcquireMode::Combining,
         config: ServerConfig::default(),
         metrics: true,
         oracle: false,
@@ -80,13 +78,6 @@ fn parse_args() -> Result<Args, String> {
                 args.capacity = value("--capacity")?
                     .parse()
                     .map_err(|e| format!("--capacity: {e}"))?;
-            }
-            "--mode" => {
-                args.mode = match value("--mode")?.as_str() {
-                    "combining" => AcquireMode::Combining,
-                    "direct" => AcquireMode::Direct,
-                    other => return Err(format!("unknown mode {other:?}\n{USAGE}")),
-                };
             }
             "--handlers" => {
                 args.config.handlers = value("--handlers")?
@@ -119,7 +110,6 @@ fn main() -> ExitCode {
         }
     };
     let mut builder = NameService::builder(args.algorithm, args.capacity)
-        .acquire_mode(args.mode)
         .metrics(args.metrics)
         .oracle(args.oracle);
     if let Some(seed) = args.seed {

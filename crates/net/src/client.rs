@@ -4,8 +4,8 @@
 //! session: names it acquires are released by the server if the
 //! connection drops. Calls are synchronous request/response except
 //! [`Client::acquire_many`], which pipelines a batch of acquires in one
-//! flush (the shape the server's handler feeds to the combiner as a
-//! single `drive_all` batch).
+//! flush (the server reads them as one batch and answers them with one
+//! flush).
 
 use std::fmt;
 use std::io::{BufReader, BufWriter, Write};
@@ -142,7 +142,7 @@ impl Client {
 
     /// Pipelines `count` acquires: writes every request, flushes once,
     /// then reads every response. The server answers the whole batch
-    /// with one `exec::drive_all`.
+    /// in request order and flushes the responses once.
     ///
     /// # Errors
     ///

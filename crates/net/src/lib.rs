@@ -14,8 +14,8 @@
 //! * [`server`] — [`NameServer`]: a `std::net::TcpListener` front-end
 //!   with a bounded connection-handler pool, per-connection sessions
 //!   (a dropped connection releases every name it held — RAII over the
-//!   wire), pipelined acquires driven through the async facade via
-//!   [`exec::drive_all`](renaming_service::exec::drive_all), and a
+//!   wire), pipelined request batches answered in order with one sync
+//!   [`NameService`](renaming_service::NameService) call apiece, and a
 //!   `Stats` endpoint serving live occupancy, worker counts and
 //!   latency histograms as JSON;
 //! * [`client`] — [`Client`]: a small blocking client speaking the
@@ -27,20 +27,18 @@
 //!   [`Summary::quantile`](renaming_analysis::Summary::quantile) path.
 //!
 //! Everything is std-only — no async runtime, no network crates; the
-//! vendored dependency set stays exactly as it is. A handler thread
-//! drives a connection's pipelined Acquires through one `drive_all`,
-//! which polls them in turn; they share a combiner batch only while
-//! another handler holds the combiner role.
+//! vendored dependency set stays exactly as it is. An acquire never
+//! waits on another thread, so a handler thread answers a connection's
+//! pipelined requests with plain sync calls.
 //!
 //! # Quickstart
 //!
 //! ```
 //! use renaming_net::{Client, NameServer, ServerConfig};
-//! use renaming_service::{AcquireMode, Algorithm, NameService};
+//! use renaming_service::{Algorithm, NameService};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let service = NameService::builder(Algorithm::Rebatching, 16)
-//!     .acquire_mode(AcquireMode::Combining)
 //!     .metrics(true)
 //!     .build()?;
 //! let handle = NameServer::bind("127.0.0.1:0", service, ServerConfig::default())?.spawn()?;

@@ -1,5 +1,5 @@
 //! The TCP server: bounded handler pool, per-connection sessions, and
-//! pipelined acquires through the async facade.
+//! pipelined request batches.
 //!
 //! # Connection lifecycle
 //!
@@ -10,10 +10,8 @@
 //!                      ┌─ read a batch of ≤ max_pipeline frames
 //!                      │  (first blocks with a timeout so shutdown is
 //!                      │   noticed; the rest only if already buffered)
-//!                      ├─ consecutive Acquires go through one
-//!                      │  exec::drive_all, which polls them in turn:
-//!                      │  they share a combiner batch only while
-//!                      │  another handler holds the combiner role
+//!                      ├─ decode and answer each request in order,
+//!                      │  one sync NameService call apiece
 //!                      ├─ write all responses, in request order; flush
 //!                      └─ repeat until EOF / Shutdown / framing error
 //!                               │
@@ -52,11 +50,11 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use renaming_service::{exec, AsyncNameService, Name, NameService};
+use renaming_service::{Name, NameService};
 use serde_json::{json, Value};
 
 use crate::protocol::{
-    read_frame, write_frame, ProtocolError, Request, Response, Status, WireError, MAX_FRAME_LEN,
+    read_frame, write_frame, Request, Response, Status, WireError, MAX_FRAME_LEN,
 };
 
 /// Tuning knobs for a [`NameServer`]. `Default` is sized for tests and
@@ -69,8 +67,8 @@ pub struct ServerConfig {
     /// load generator) want `handlers >=` their connection count.
     pub handlers: usize,
     /// Per-connection in-flight request cap: the most frames a handler
-    /// decodes before answering them. Consecutive `Acquire`s within a
-    /// batch are driven through one `exec::drive_all`.
+    /// reads before answering them; their responses go out in one
+    /// flush.
     pub max_pipeline: usize,
     /// Bound of the accepted-but-unserved connection queue.
     pub pending_connections: usize,
@@ -95,7 +93,7 @@ impl Default for ServerConfig {
 /// State shared by the accept loop, every handler, and the handle.
 #[derive(Debug)]
 struct Shared {
-    service: AsyncNameService,
+    service: NameService,
     config: ServerConfig,
     addr: SocketAddr,
     shutdown: AtomicBool,
@@ -133,8 +131,7 @@ pub struct NameServer {
 
 impl NameServer {
     /// Binds a listener and wraps `service` for serving. The service is
-    /// consumed: the server owns it (behind the async facade) for its
-    /// lifetime.
+    /// consumed: the server owns it for its lifetime.
     ///
     /// # Errors
     ///
@@ -155,7 +152,7 @@ impl NameServer {
         Ok(NameServer {
             listener,
             shared: Arc::new(Shared {
-                service: AsyncNameService::new(service),
+                service,
                 config,
                 addr,
                 shutdown: AtomicBool::new(false),
@@ -174,7 +171,7 @@ impl NameServer {
 
     /// The wrapped service (e.g. for asserting occupancy in tests).
     pub fn service(&self) -> &NameService {
-        self.shared.service.service()
+        &self.shared.service
     }
 
     /// Serves on the calling thread until a `Shutdown` request (or
@@ -263,7 +260,7 @@ impl ServerHandle {
     /// the server runs — e.g. reading the concurrency oracle's verdict
     /// after wire traffic has drained.
     pub fn service(&self) -> &NameService {
-        self.shared.service.service()
+        &self.shared.service
     }
 
     /// Signals shutdown and waits for every handler to finish (and thus
@@ -332,7 +329,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     // a server wants a release-capable backend, which all built-ins
     // are.)
     for name in session.drain(..) {
-        let _ = shared.service.service().release_name(name);
+        let _ = shared.service.release_name(name);
     }
     if matches!(outcome, Err(WireError::Protocol(_))) {
         shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -404,80 +401,59 @@ fn serve(shared: &Shared, stream: TcpStream, session: &mut Vec<Name>) -> Result<
     }
 }
 
-/// Decodes and answers one batch of request payloads, in order.
-/// Consecutive `Acquire`s are driven through the async facade by one
-/// `exec::drive_all`.
+/// Decodes and answers one batch of request payloads, in order, with
+/// one sync service call per request.
 fn answer_batch(
     shared: &Shared,
     session: &mut Vec<Name>,
     batch: &[Vec<u8>],
 ) -> (Vec<Response>, bool) {
-    let requests: Vec<Result<Request, ProtocolError>> =
-        batch.iter().map(|payload| Request::decode(payload)).collect();
-    let mut responses = Vec::with_capacity(requests.len());
+    let mut responses = Vec::with_capacity(batch.len());
     let mut shutdown_now = false;
-    let mut i = 0;
-    while i < requests.len() {
+    for payload in batch {
         if shutdown_now {
             responses.push(Response::Error {
                 status: Status::ShuttingDown,
                 detail: "server is shutting down".to_string(),
             });
-            i += 1;
             continue;
         }
-        match &requests[i] {
-            Ok(Request::Acquire) => {
-                let mut j = i + 1;
-                while j < requests.len() && matches!(requests[j], Ok(Request::Acquire)) {
-                    j += 1;
+        let response = match Request::decode(payload) {
+            Ok(Request::Acquire) => match shared.service.acquire_name() {
+                Ok(name) => {
+                    session.push(name);
+                    Response::Name(name.value() as u64)
                 }
-                let outcomes = exec::drive_all((i..j).map(|_| shared.service.acquire()));
-                for outcome in outcomes {
-                    match outcome {
-                        Ok(guard) => {
-                            let name = guard.into_name();
-                            responses.push(Response::Name(name.value() as u64));
-                            session.push(name);
-                        }
-                        Err(error) => responses.push(Response::from_error(&error)),
-                    }
-                }
-                i = j;
-                continue;
-            }
+                Err(error) => Response::from_error(&error),
+            },
             Ok(Request::Release { name }) => {
-                match session.iter().position(|held| held.value() as u64 == *name) {
+                match session.iter().position(|held| held.value() as u64 == name) {
                     Some(pos) => {
                         let held = session.swap_remove(pos);
-                        match shared.service.service().release_name(held) {
-                            Ok(()) => responses.push(Response::Released),
-                            Err(error) => responses.push(Response::from_error(&error)),
+                        match shared.service.release_name(held) {
+                            Ok(()) => Response::Released,
+                            Err(error) => Response::from_error(&error),
                         }
                     }
-                    None => responses.push(Response::Error {
+                    None => Response::Error {
                         status: Status::NotHeld,
                         detail: format!("name {name} is not held by this connection"),
-                    }),
+                    },
                 }
             }
-            Ok(Request::Stats) => {
-                responses.push(Response::Stats(stats_json(shared, session.len())));
-            }
+            Ok(Request::Stats) => Response::Stats(stats_json(shared, session.len())),
             Ok(Request::Shutdown) => {
-                responses.push(Response::ShuttingDown);
                 shutdown_now = true;
+                Response::ShuttingDown
             }
-            Err(error) => {
-                // The frame boundary held, so the stream can resync:
-                // answer Malformed and keep the connection.
-                responses.push(Response::Error {
-                    status: Status::Malformed,
-                    detail: error.to_string(),
-                });
-            }
-        }
-        i += 1;
+            // The frame boundary held, so the stream can resync: answer
+            // Malformed and keep the connection.
+            Err(error) => Response::Error {
+                status: Status::Malformed,
+                detail: error.to_string(),
+            },
+        };
+        responses.push(response);
     }
     (responses, shutdown_now)
 }
@@ -506,7 +482,7 @@ fn histogram_json(snapshot: &renaming_service::HistogramSnapshot) -> Value {
 /// (when it was built with the concurrency oracle) the oracle's
 /// event-counter summary.
 fn stats_json(shared: &Shared, session_held: usize) -> Value {
-    let service = shared.service.service();
+    let service = &shared.service;
     // Occupancy before the oracle summary: a release records in the
     // oracle before the backend frees the slot, so a zero read here
     // means the summary below already counts every release.
@@ -559,7 +535,6 @@ fn stats_json(shared: &Shared, session_held: usize) -> Value {
                 "created": service.worker_count(),
                 "pooled": service.pooled_workers(),
                 "retired": service.retired_workers(),
-                "resident": service.resident_workers(),
             },
         },
         "latency": latency,

@@ -10,16 +10,15 @@ use std::time::{Duration, Instant};
 use renaming_net::{
     write_frame, Client, ClientError, NameServer, Request, ServerConfig, ServerHandle, Status,
 };
-use renaming_service::{AcquireMode, Algorithm, NameService, SeedPolicy};
+use renaming_service::{Algorithm, NameService, SeedPolicy};
 use serde_json::Value;
 
-/// Spawns a server over `algorithm` with the given capacity; combining
-/// mode, metrics, and the concurrency oracle on, handlers sized for
+/// Spawns a server over `algorithm` with the given capacity; metrics
+/// and the concurrency oracle on, handlers sized for
 /// the tests' connection counts. With the oracle enabled, every test
 /// in this file doubles as a wire-level history check.
 fn spawn_server(algorithm: Algorithm, capacity: usize) -> ServerHandle {
     let service = NameService::builder(algorithm, capacity)
-        .acquire_mode(AcquireMode::Combining)
         .metrics(true)
         .oracle(true)
         .seed_policy(SeedPolicy::Fixed(7))
@@ -205,7 +204,7 @@ fn stats_shape_is_complete() {
     let service = stats.get("service").expect("service section");
     assert_eq!(service.get("capacity").and_then(Value::as_u64), Some(8));
     let workers = service.get("workers").expect("workers section");
-    for key in ["created", "pooled", "retired", "resident"] {
+    for key in ["created", "pooled", "retired"] {
         assert!(workers.get(key).and_then(Value::as_u64).is_some(), "{key}");
     }
     let latency = stats.get("latency").expect("latency section");
@@ -252,8 +251,8 @@ fn wire_churn_yields_a_clean_oracle_verdict() {
                 let mut client = Client::connect(handle.addr()).expect("connect");
                 for round in 0..rounds {
                     if round % 4 == 3 {
-                        // Every fourth round pipelines a pair, so the
-                        // server's `drive_all` path is in the history.
+                        // Every fourth round pipelines a pair, so a
+                        // multi-request server batch is in the history.
                         let names = client.acquire_many(2).expect("pipeline");
                         for name in names {
                             client.release(name.expect("within capacity")).expect("release");

@@ -143,7 +143,7 @@ pub struct SnapshotReport {
 }
 
 /// The service's worker conservation law, checked at quiescence:
-/// every worker ever created is pooled, retired, or resident.
+/// every worker ever created is pooled or retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerCounts {
     /// Workers ever created by the service.
@@ -152,15 +152,13 @@ pub struct WorkerCounts {
     pub pooled: u64,
     /// Workers dropped by the sharded pool at check-in.
     pub retired: u64,
-    /// Workers held resident by the combining front-end.
-    pub resident: u64,
 }
 
 impl WorkerCounts {
-    /// `created == pooled + retired + resident` — no worker leaked,
-    /// none double-counted.
+    /// `created == pooled + retired` — no worker leaked, none
+    /// double-counted.
     pub fn conserved(&self) -> bool {
-        self.created == self.pooled + self.retired + self.resident
+        self.created == self.pooled + self.retired
     }
 }
 

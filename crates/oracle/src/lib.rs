@@ -44,7 +44,7 @@
 //!   [`EventKind::Marker`] when they first observe the new epoch —
 //!   from the global counter or from a channel cell, so the marker
 //!   rides the same per-name channels as the happens-before edges
-//!   (combiner drain traffic flushes them naturally). The checker
+//!   (churn on the names flushes them naturally). The checker
 //!   verifies each cut is consistent (no event inside the cut depends
 //!   on one outside it) and that live occupancy *at the cut* respects
 //!   the capacity — an invariant asserted mid-churn, not after join.
@@ -666,16 +666,14 @@ mod tests {
     fn worker_counts_conservation_law() {
         let balanced = WorkerCounts {
             created: 5,
-            pooled: 3,
+            pooled: 4,
             retired: 1,
-            resident: 1,
         };
         assert!(balanced.conserved());
         let leaky = WorkerCounts {
             created: 5,
             pooled: 3,
             retired: 1,
-            resident: 0,
         };
         assert!(!leaky.conserved());
     }

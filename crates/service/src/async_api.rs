@@ -1,5 +1,5 @@
-//! The async acquire facade: `acquire().await` over the same combiner
-//! slots the sync path uses.
+//! The async acquire facade: `acquire().await` over the service's one
+//! acquire path.
 //!
 //! The paper's asynchronous-processes model — processes arbitrarily
 //! delayed between steps — is exactly the execution regime of tasks
@@ -9,42 +9,19 @@
 //! external runtime, consistent with the workspace's vendored-stubs
 //! constraint.
 //!
-//! # How a poll maps onto the combining protocol
+//! An acquire never waits on another thread: it is a handful of TAS
+//! probes on a pooled session. So [`AcquireFuture`] runs
+//! [`NameService::acquire_name`] on its first poll and returns
+//! [`Poll::Ready`] — it is never `Pending`, and it holds nothing that a
+//! drop would have to clean up. A single-task caller under
+//! [`SeedPolicy::Fixed`](crate::SeedPolicy::Fixed) therefore produces the
+//! *same sequence* as the sync path, which the golden tests pin, and
+//! metrics and the oracle see the acquire through the sync path's
+//! instrumentation seam.
 //!
-//! * **First poll, lock free:** the task elects itself combiner and
-//!   serves itself synchronously (the combiner's `serve_locked`) — a
-//!   batch of one, identical to the sync fast path. A single-task
-//!   caller under [`SeedPolicy::Fixed`](crate::SeedPolicy::Fixed)
-//!   therefore produces the *same sequence* as sync combining (and as
-//!   the direct path) — pinned by the golden tests.
-//! * **First poll, lock busy:** the task claims a request slot directly
-//!   (no thread lease — tasks migrate between executor threads),
-//!   registers its [`std::task::Waker`] in the slot's wait cell,
-//!   publishes `PENDING`, and makes one more lock attempt before
-//!   returning [`Poll::Pending`]. That failed SeqCst lock CAS is the
-//!   liveness linchpin: it is ordered before the active combiner's
-//!   unlock, whose exit re-check then cannot miss the published request
-//!   (see the liveness notes in the combiner module).
-//! * **Re-poll:** consume the verdict if the slot is filled; otherwise
-//!   re-register the fresh waker and re-check state (the waiter half of
-//!   the Dekker handshake) before suspending again.
-//! * **Drop after publish (cancellation):** withdraw the request via
-//!   the `PENDING → EMPTY` CAS if no combiner adopted it — consuming
-//!   the queued-hint credit — or, if one did, wait out the in-flight
-//!   batch and route a won name through the service's normal release
-//!   (the abandoned-win recycling path), so neither a slot nor a name
-//!   can leak. The `pooled + retired + resident` worker conservation
-//!   law and namespace occupancy both hold across cancellations.
-//!
-//! On a service built with [`AcquireMode::Direct`](crate::AcquireMode),
-//! there are no combiner slots; the future completes on first poll
-//! through the direct path (never `Pending`), keeping
-//! [`AsyncNameGuard`]'s release path mode-independent.
-//!
-//! Metrics and oracle see an async acquire through the sync path's
-//! instrumentation seam: the start on first poll, the outcome at `poll`'s
-//! one `Ready` exit or, for a request adopted and then cancelled, in
-//! `drop`.
+//! What the facade adds is ownership: [`AsyncNameGuard`] holds an
+//! [`Arc`] to the service, so a name can travel between tasks and
+//! threads and outlive the handle that acquired it.
 
 use std::fmt;
 use std::future::Future;
@@ -52,13 +29,11 @@ use std::ops::Deref;
 use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll};
-use std::time::Instant;
 
 use renaming_core::{Name, RenamingError};
 
 use crate::metrics::ReleaseKind;
 use crate::service::NameService;
-use crate::slots::SlotPoll;
 
 /// A [`NameService`] driven through `async` acquires.
 ///
@@ -70,13 +45,11 @@ use crate::slots::SlotPoll;
 /// # Example
 ///
 /// ```
-/// use renaming_service::{AcquireMode, Algorithm, NameService, exec};
+/// use renaming_service::{Algorithm, NameService, exec};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let service = renaming_service::AsyncNameService::new(
-///     NameService::builder(Algorithm::Rebatching, 16)
-///         .acquire_mode(AcquireMode::Combining)
-///         .build()?,
+///     NameService::builder(Algorithm::Rebatching, 16).build()?,
 /// );
 /// let guard = exec::block_on(service.acquire())?;
 /// assert!(guard.value() < service.namespace_size());
@@ -111,23 +84,15 @@ impl AsyncNameService {
     /// Acquires a unique name asynchronously, resolving to an RAII
     /// [`AsyncNameGuard`] that releases the name on drop.
     ///
-    /// On a combining-mode service the returned future publishes into
-    /// the combiner's request slots and suspends (via its task's
-    /// [`std::task::Waker`]) until a combiner fills them; on a
-    /// direct-mode service it completes on first poll. Dropping the
-    /// future before completion is safe — see the module docs on
-    /// cancellation.
+    /// The returned future completes on its first poll (see the module
+    /// docs); dropping it unpolled acquires nothing.
     ///
     /// # Errors
     ///
     /// Resolves to [`RenamingError::NamespaceExhausted`] when the
     /// namespace cannot hold another name.
     pub fn acquire(&self) -> AcquireFuture<'_> {
-        AcquireFuture {
-            service: self,
-            state: FutureState::Start,
-            started: None,
-        }
+        AcquireFuture { service: self }
     }
 
     fn guard(&self, name: Name) -> AsyncNameGuard {
@@ -147,171 +112,29 @@ impl Deref for AsyncNameService {
     }
 }
 
-/// Where an [`AcquireFuture`] is in the slot protocol.
-enum FutureState {
-    /// Not yet published: the next poll tries the fast path first.
-    Start,
-    /// Published into combiner slot `index`; the claim on that slot is
-    /// ours until we consume the verdict or withdraw on drop.
-    Published { index: usize },
-    /// Resolved (or never started); nothing to clean up.
-    Done,
-}
-
 /// The future returned by [`AsyncNameService::acquire`].
 ///
 /// Hand-rolled over std's task machinery — no runtime dependency; any
 /// executor (including the minimal ones in the public [`crate::exec`]
-/// module) can drive
-/// it. Safe to drop at any point: a published-but-unserved request is
-/// withdrawn, an already-served one has its name recycled.
+/// module) can drive it. Every poll is `Ready`.
 #[must_use = "futures do nothing unless polled"]
 pub struct AcquireFuture<'s> {
     service: &'s AsyncNameService,
-    state: FutureState,
-    /// The instrumentation seam's start token, taken on first poll.
-    started: Option<Instant>,
 }
 
 impl Future for AcquireFuture<'_> {
     type Output = Result<AsyncNameGuard, RenamingError>;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        let handle = this.service;
-        let service = handle.service();
-        if let FutureState::Start = this.state {
-            // The request logically enters the service on first poll.
-            this.started = service.instruments.acquire_start();
-        }
-        let Poll::Ready(result) = this.advance(cx) else {
-            return Poll::Pending;
-        };
-        this.state = FutureState::Done;
-        // The requester — not the combiner that filled its slot —
-        // records the outcome, before the name reaches the caller, as on
-        // the sync path.
-        service.instruments.acquire_end(this.started, &result);
-        Poll::Ready(result.map(|name| handle.guard(name)))
-    }
-}
-
-impl AcquireFuture<'_> {
-    /// Drives the slot protocol one poll further; a `Ready` leaves no
-    /// slot claim behind.
-    fn advance(&mut self, cx: &mut Context<'_>) -> Poll<Result<Name, RenamingError>> {
-        let service = self.service.service();
-        if let FutureState::Start = self.state {
-            let Some(combiner) = service.combiner() else {
-                // Direct mode: no slots to publish into; the direct
-                // path is synchronous and fast, complete immediately.
-                return Poll::Ready(service.acquire_direct());
-            };
-            if combiner.try_lock() {
-                // Uncontended: serve ourselves as a batch of one —
-                // byte-identical to the sync combining (and direct)
-                // fast path, which is what pins the async goldens.
-                return Poll::Ready(combiner.serve_locked(service));
-            }
-            combiner.note_contention();
-            let Some(index) = combiner.table().claim() else {
-                // Every slot taken: fall back to the direct path, as
-                // the sync waiter does.
-                return Poll::Ready(service.acquire_direct());
-            };
-            // Register the waker *before* publishing so there is no
-            // window in which a combiner could fill the slot and find
-            // nobody to notify.
-            let slot = combiner.table().slot(index);
-            slot.wait.install_waker(cx.waker());
-            combiner.announce();
-            slot.publish();
-            self.state = FutureState::Published { index };
-        }
-        let FutureState::Published { index } = self.state else {
-            panic!("AcquireFuture polled after completion");
-        };
-        let combiner = service.combiner().expect("published implies combining mode");
-        let slot = combiner.table().slot(index);
-        let namespace = service.namespace_size();
-        loop {
-            if let Some(result) = slot.take_verdict(namespace) {
-                combiner.table().release(index);
-                return Poll::Ready(result);
-            }
-            if combiner.try_lock() {
-                // The role is free: serve the queue ourselves — our own
-                // slot included, so the next loop iteration consumes
-                // the verdict. (SERVING by another combiner is
-                // impossible here: adoption and fill happen under the
-                // lock we just took.)
-                combiner.drain_as_combiner(service);
-                continue;
-            }
-            // The lock is busy (a SeqCst CAS that read `true` — the
-            // ordering hook the combiner's exit re-check needs, see the
-            // module docs). Re-register the fresh waker, then re-check
-            // the state one last time: the Dekker handshake's waiter
-            // half, so a fill racing with this registration is never
-            // missed.
-            slot.wait.install_waker(cx.waker());
-            if let SlotPoll::Waiting = slot.poll() {
-                return Poll::Pending;
-            }
-        }
-    }
-}
-
-impl Drop for AcquireFuture<'_> {
-    fn drop(&mut self) {
-        let FutureState::Published { index } = self.state else {
-            return;
-        };
-        let service = self.service.service();
-        let combiner = service.combiner().expect("published implies combining mode");
-        let slot = combiner.table().slot(index);
-        if slot.withdraw() {
-            // No combiner adopted the request: the PENDING → EMPTY CAS
-            // unpublished it atomically. Consume the hint credit we
-            // announced at publish. The start stays without an outcome,
-            // which the oracle tolerates: starts create no holds.
-            combiner.retract();
-        } else {
-            // A combiner adopted the request (the adoption CAS won, so
-            // our withdraw lost) — the verdict is being produced under
-            // the combiner lock right now. Wait it out and recycle an
-            // abandoned win through the normal release path, exactly
-            // like a dropped sync guard.
-            let namespace = service.namespace_size();
-            let result = loop {
-                if let Some(result) = slot.take_verdict(namespace) {
-                    break result;
-                }
-                std::thread::yield_now();
-            };
-            // Record the adopted outcome before releasing a won name, so
-            // the oracle history pairs the two events; the cancelled
-            // requester is the participant for both, mirroring a dropped
-            // sync guard.
-            service.instruments.acquire_end(self.started, &result);
-            if let Ok(name) = result {
-                let _ = service.release_name(name);
-            }
-        }
-        combiner.table().release(index);
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let handle = self.service;
+        Poll::Ready(handle.service().acquire_name().map(|name| handle.guard(name)))
     }
 }
 
 impl fmt::Debug for AcquireFuture<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = match self.state {
-            FutureState::Start => "start",
-            FutureState::Published { .. } => "published",
-            FutureState::Done => "done",
-        };
         f.debug_struct("AcquireFuture")
             .field("algorithm", &self.service.algorithm())
-            .field("state", &state)
             .finish()
     }
 }
@@ -319,24 +142,19 @@ impl fmt::Debug for AcquireFuture<'_> {
 /// Owned access to one asynchronously acquired name; the name is
 /// released back to the service when the guard drops.
 ///
-/// The async counterpart of [`crate::NameGuard`], with the same
-/// mode-independent release path ([`NameService::release_name`] —
-/// identical for direct and combining services) but `'static`
-/// ownership: the guard holds an [`Arc`] to the service, so it can be
+/// The async counterpart of [`crate::NameGuard`], with the same release
+/// path ([`NameService::release_name`]) but `'static` ownership: the
+/// guard holds an [`Arc`] to the service, so it can be
 /// moved into tasks, sent across threads, and outlive the
 /// [`AsyncNameService`] handle that produced it.
 ///
 /// # Example
 ///
 /// ```
-/// use renaming_service::{AcquireMode, Algorithm, AsyncNameService, NameService, exec};
+/// use renaming_service::{Algorithm, AsyncNameService, NameService, exec};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let service = AsyncNameService::new(
-///     NameService::builder(Algorithm::Rebatching, 8)
-///         .acquire_mode(AcquireMode::Combining)
-///         .build()?,
-/// );
+/// let service = AsyncNameService::new(NameService::builder(Algorithm::Rebatching, 8).build()?);
 /// let guard = exec::block_on(service.acquire())?;
 /// assert_eq!(service.held(), 1);
 /// drop(guard);
@@ -426,17 +244,7 @@ impl fmt::Display for AsyncNameGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AcquireMode, Algorithm, SeedPolicy};
-
-    fn combining_service(capacity: usize) -> AsyncNameService {
-        AsyncNameService::new(
-            NameService::builder(Algorithm::Rebatching, capacity)
-                .acquire_mode(AcquireMode::Combining)
-                .seed_policy(SeedPolicy::Fixed(9))
-                .build()
-                .expect("build"),
-        )
-    }
+    use crate::{Algorithm, SeedPolicy};
 
     /// Polls `future` exactly once against a throwaway waker.
     fn poll_once<F: Future>(future: Pin<&mut F>) -> Poll<F::Output> {
@@ -446,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn direct_mode_completes_on_first_poll() {
+    fn acquire_completes_on_first_poll() {
         let service = AsyncNameService::new(
             NameService::builder(Algorithm::Rebatching, 4)
                 .seed_policy(SeedPolicy::Fixed(9))
@@ -455,91 +263,10 @@ mod tests {
         );
         let mut future = std::pin::pin!(service.acquire());
         let Poll::Ready(Ok(guard)) = poll_once(future.as_mut()) else {
-            panic!("direct mode must complete synchronously");
+            panic!("an acquire must complete synchronously");
         };
         assert!(guard.value() < service.namespace_size());
         drop(guard);
         assert_eq!(service.held(), 0);
-    }
-
-    #[test]
-    fn cancelled_future_withdraws_an_unserved_request() {
-        let service = combining_service(4);
-        let combiner = service.service().combiner().expect("combining mode");
-        // Stage a busy combiner so the poll takes the publish path.
-        assert!(combiner.try_lock());
-        {
-            let mut future = std::pin::pin!(service.acquire());
-            assert!(
-                poll_once(future.as_mut()).is_pending(),
-                "lock is held: the future must publish and suspend"
-            );
-            assert_eq!(combiner.queued_hint(), 1, "published request announced");
-            // Future dropped here, mid-flight, before any combiner
-            // adopts the request.
-        }
-        assert_eq!(
-            combiner.queued_hint(),
-            0,
-            "withdraw must consume the announce credit"
-        );
-        combiner.unlock_for_test();
-        assert_eq!(service.held(), 0, "no name was won, none may leak");
-        // The slot must be claimable again, and the service fully
-        // functional.
-        let guard = crate::exec::block_on(service.acquire()).expect("acquire after cancel");
-        drop(guard);
-        assert_eq!(service.held(), 0);
-    }
-
-    #[test]
-    fn cancelled_future_recycles_an_adopted_win() {
-        let service = combining_service(4);
-        let combiner = service.service().combiner().expect("combining mode");
-        assert!(combiner.try_lock());
-        let mut future = Box::pin(service.acquire());
-        assert!(poll_once(future.as_mut()).is_pending());
-        // We are the staged combiner: serve the published request (the
-        // drain adopts and fills the slot), *then* drop the future —
-        // the withdraw CAS must lose and the won name must be recycled.
-        combiner.drain_as_combiner(service.service());
-        assert_eq!(service.held(), 1, "the batch won a name for the request");
-        drop(future);
-        assert_eq!(
-            service.held(),
-            0,
-            "dropping a served-but-unconsumed future must recycle its name"
-        );
-        assert_eq!(combiner.queued_hint(), 0);
-        // Conservation: the drain's worker is parked resident; nothing
-        // leaked.
-        assert_eq!(
-            service.worker_count(),
-            service.pooled_workers()
-                + service.retired_workers() as usize
-                + service.resident_workers(),
-        );
-    }
-
-    #[test]
-    fn completed_future_releases_its_slot_claim() {
-        let service = combining_service(4);
-        let combiner = service.service().combiner().expect("combining mode");
-        let slots = combiner.table().len();
-        for _ in 0..3 * slots {
-            // Each acquire claims a slot only if it publishes; either
-            // way, after completion every claim must be back.
-            let guard = crate::exec::block_on(service.acquire()).expect("acquire");
-            drop(guard);
-        }
-        assert_eq!(service.held(), 0);
-        let mut claimed = Vec::new();
-        while let Some(index) = combiner.table().claim() {
-            claimed.push(index);
-        }
-        assert_eq!(claimed.len(), slots, "every slot claim was released");
-        for index in claimed {
-            combiner.table().release(index);
-        }
     }
 }

@@ -74,45 +74,6 @@ impl Algorithm {
     }
 }
 
-/// How a [`NameService`] routes its `acquire` hot path.
-///
-/// # Example
-///
-/// Both modes serve the same contract; single-threaded they produce
-/// byte-identical sequences (a combining batch of one *is* a direct
-/// acquire):
-///
-/// ```
-/// use renaming_service::{AcquireMode, Algorithm, NameService, SeedPolicy};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let seq = |mode: AcquireMode| -> Vec<usize> {
-///     let service = NameService::builder(Algorithm::Rebatching, 8)
-///         .acquire_mode(mode)
-///         .seed_policy(SeedPolicy::Fixed(7))
-///         .build()
-///         .expect("build");
-///     (0..10).map(|_| service.acquire().expect("name").value()).collect()
-/// };
-/// assert_eq!(seq(AcquireMode::Direct), seq(AcquireMode::Combining));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum AcquireMode {
-    /// Every thread drives its own checked-out session — the PR 5
-    /// behaviour, unchanged. The default.
-    #[default]
-    Direct,
-    /// Flat combining: threads publish requests into padded slots; one
-    /// thread elects itself combiner and satisfies the whole batch
-    /// through a single session in one rebatching sweep (the machine is
-    /// rearmed, not reset, between wins — the paper's `BatchCall`
-    /// amortization applied to service traffic). Best under heavy
-    /// multi-thread contention; identical results single-threaded.
-    Combining,
-}
-
 /// The test-and-set substrate under the namespace's slots.
 ///
 /// # Example
@@ -181,7 +142,6 @@ pub struct NameServiceBuilder {
     beta: usize,
     backend: TasBackend,
     seed_policy: SeedPolicy,
-    acquire_mode: AcquireMode,
     metrics: bool,
     oracle: bool,
 }
@@ -198,7 +158,6 @@ impl NameServiceBuilder {
             beta: DEFAULT_BETA,
             backend: TasBackend::Atomic,
             seed_policy: SeedPolicy::Entropy,
-            acquire_mode: AcquireMode::Direct,
             metrics: false,
             oracle: false,
         }
@@ -231,15 +190,6 @@ impl NameServiceBuilder {
     #[must_use]
     pub fn seed_policy(mut self, policy: SeedPolicy) -> Self {
         self.seed_policy = policy;
-        self
-    }
-
-    /// The acquire-path routing (default [`AcquireMode::Direct`]).
-    /// [`AcquireMode::Combining`] batches concurrent acquires through a
-    /// flat-combining front-end (see [`AcquireMode`]).
-    #[must_use]
-    pub fn acquire_mode(mut self, mode: AcquireMode) -> Self {
-        self.acquire_mode = mode;
         self
     }
 
@@ -282,8 +232,7 @@ impl NameServiceBuilder {
             TasBackend::Atomic => self.build_atomic()?,
             TasBackend::Tournament => self.build_tournament()?,
         };
-        let mut service =
-            NameService::with_backend_mode(backend, self.seed_policy, self.acquire_mode);
+        let mut service = NameService::with_backend(backend, self.seed_policy);
         if self.metrics {
             service.enable_metrics();
         }

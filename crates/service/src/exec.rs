@@ -4,16 +4,15 @@
 //! [`AcquireFuture`](crate::AcquireFuture) is hand-rolled over std's
 //! `Waker`/`Poll` machinery), so anything that holds an
 //! [`AsyncNameService`](crate::AsyncNameService) — examples, tests,
-//! experiment 18, and the `renaming-net` server's connection handlers —
-//! needs a way to drive futures to completion. This module provides the
-//! two smallest correct shapes:
+//! experiments 18 and 20, and the benchmark's async probe — needs a way
+//! to drive futures to completion. This module provides the two smallest
+//! correct shapes:
 //!
 //! * [`block_on`] — park the calling thread until one future resolves:
-//!   the "one request at a time" connection-handler loop;
+//!   the "one request at a time" handler loop;
 //! * [`drive_all`] — round-robin a batch of futures on the calling
 //!   thread until all resolve, interleaving their polls: the pipelined
-//!   connection-handler shape. Polls run in turn, so acquires share a
-//!   combiner batch only while another thread holds the combiner role.
+//!   handler shape, where one thread serves many in-flight requests.
 //!
 //! Both are correct general-purpose executors for any `Future`, but
 //! deliberately minimal: no spawning, no timers, no IO. Callers with a
@@ -28,8 +27,7 @@ use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
 
 /// A waker that unparks a thread, with a notification flag so wakes
-/// delivered between polls are never lost (the park/unpark analogue of
-/// the slot protocol's own engaged flag).
+/// delivered between polls are never lost.
 struct ThreadWaker {
     thread: Thread,
     notified: AtomicBool,
@@ -71,14 +69,10 @@ impl Wake for ThreadWaker {
 /// # Example
 ///
 /// ```
-/// use renaming_service::{AcquireMode, Algorithm, AsyncNameService, NameService, exec};
+/// use renaming_service::{Algorithm, AsyncNameService, NameService, exec};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let service = AsyncNameService::new(
-///     NameService::builder(Algorithm::Rebatching, 8)
-///         .acquire_mode(AcquireMode::Combining)
-///         .build()?,
-/// );
+/// let service = AsyncNameService::new(NameService::builder(Algorithm::Rebatching, 8).build()?);
 /// let guard = exec::block_on(service.acquire())?;
 /// assert!(guard.value() < service.namespace_size());
 /// # Ok(())
@@ -103,21 +97,16 @@ pub fn block_on<F: Future>(future: F) -> F::Output {
 /// Polls every live future each pass (a shared waker cannot attribute a
 /// wake to one future; with batch sizes in the tens, precise routing
 /// would be all bookkeeping and no benefit), parking when a full pass
-/// leaves all of them pending. This interleaves many in-flight
-/// acquires on one thread — the pipelined connection-handler shape the
-/// `renaming-net` server runs per batch.
+/// leaves all of them pending. This interleaves many in-flight futures
+/// on one thread — the pipelined handler shape.
 ///
 /// # Example
 ///
 /// ```
-/// use renaming_service::{AcquireMode, Algorithm, AsyncNameService, NameService, exec};
+/// use renaming_service::{Algorithm, AsyncNameService, NameService, exec};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let service = AsyncNameService::new(
-///     NameService::builder(Algorithm::Rebatching, 8)
-///         .acquire_mode(AcquireMode::Combining)
-///         .build()?,
-/// );
+/// let service = AsyncNameService::new(NameService::builder(Algorithm::Rebatching, 8).build()?);
 /// // Drive four in-flight acquires on this one thread; outputs come
 /// // back in input order.
 /// let guards: Vec<_> = exec::drive_all((0..4).map(|_| service.acquire()))

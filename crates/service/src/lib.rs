@@ -20,13 +20,12 @@
 //!   `let guard = service.acquire()?` from any thread;
 //! * [`AsyncNameService`] — the same service behind `acquire().await`:
 //!   a hand-rolled [`Future`](std::future::Future) (std
-//!   `Waker`/`Poll` only, no external runtime) that publishes into the
-//!   combining front-end's request slots and suspends instead of
-//!   parking, with [`AsyncNameGuard`] for mode-independent RAII release;
+//!   `Waker`/`Poll` only, no external runtime) that runs the one acquire
+//!   path on its first poll, with [`AsyncNameGuard`] for `'static` RAII
+//!   release;
 //! * [`exec`] — minimal, documented executors ([`exec::block_on`],
 //!   [`exec::drive_all`]) for driving the async facade without any
-//!   runtime — what connection handlers (e.g. the `renaming-net`
-//!   server) and tests use;
+//!   runtime — what the examples, tests and experiments use;
 //! * [`ServiceMetrics`] — opt-in latency histograms
 //!   ([`NameServiceBuilder::metrics`]): fixed-bucket log₂
 //!   [`LatencyHistogram`]s with relaxed-counter increments, zero cost
@@ -64,7 +63,6 @@
 
 mod async_api;
 mod builder;
-mod combiner;
 pub mod exec;
 mod guard;
 mod metrics;
@@ -72,15 +70,13 @@ mod namespace;
 mod oracle;
 mod pool;
 mod service;
-mod slots;
 mod sync_shim;
-mod wait;
 
 #[cfg(all(test, renaming_model))]
 mod model_tests;
 
 pub use async_api::{AcquireFuture, AsyncNameGuard, AsyncNameService};
-pub use builder::{AcquireMode, Algorithm, NameServiceBuilder, TasBackend};
+pub use builder::{Algorithm, NameServiceBuilder, TasBackend};
 pub use guard::NameGuard;
 pub use metrics::{
     HistogramSnapshot, LatencyHistogram, MetricsSnapshot, ServiceMetrics, HISTOGRAM_BUCKETS,

@@ -1,8 +1,8 @@
 //! Opt-in latency metrics: fixed-bucket log₂ histograms over the
 //! service's acquire/release paths, fed — like the concurrency oracle —
-//! by one instrumentation seam that every path (sync direct, sync
-//! combining, async, and so the wire server) calls once per outcome, so
-//! a sample means the same thing whichever path served the request.
+//! by one instrumentation seam that the one acquire path (reached by
+//! sync callers, the async facade and the wire server) calls once per
+//! outcome, so a sample means the same thing whoever made the request.
 //!
 //! The observability discipline is the monomorphic-tier one: **zero
 //! cost when disabled**. A service built without
@@ -244,7 +244,7 @@ pub(crate) enum ReleaseKind {
 
 /// The instrumentation seam: the optional histograms and oracle, fed
 /// only through these three calls. An acquire makes one `acquire_start`
-/// and at most one `acquire_end`; a release makes one `release`. With
+/// and one `acquire_end`; a release makes one `release`. With
 /// both consumers off, no call reads the clock.
 #[derive(Default)]
 pub(crate) struct Instruments {

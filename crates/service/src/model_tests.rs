@@ -1,134 +1,24 @@
 //! Model-checked suites over the *real* concurrency layer.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg renaming_model"` (see
-//! [`crate::sync_shim`]): the slot table, wait cell, sharded pool and
-//! combiner below are the production structs, whose atomics and
-//! park/unpark calls resolve to the [`renaming_model`] shim — every
+//! [`crate::sync_shim`]): the sharded pool below is the production
+//! struct, whose atomics resolve to the [`renaming_model`] shim — every
 //! interleaving the checker explores is an interleaving of the shipped
 //! code, and every cross-thread read is audited by the vector-clock
 //! race detector.
 //!
-//! The `crates/model/tests/` suites prove the *protocols* (on distilled
-//! models, exhaustively, with seeded mutants); these tests prove the
-//! *implementations* follow them. The small structures are explored
-//! exhaustively; the full combiner end-to-end runs under an explicit
+//! `crates/model/tests/pool_model.rs` proves the pool *protocol* (on a
+//! distilled model, exhaustively, with a seeded mutant); these tests
+//! prove the *implementation* follows it. The pool race is explored
+//! exhaustively; the service end-to-end runs under an explicit
 //! interleaving cap (its state space includes the whole acquire
 //! machinery) and asserts cleanliness over that window.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use renaming_model::{thread, Checker};
 
 use crate::pool::ShardedPool;
-use crate::slots::{SlotPoll, SlotTable};
-
-/// The real `RequestSlot` adopt/withdraw CAS pair: in every
-/// interleaving exactly one of the combiner's `take_for_service` and
-/// the owner's `withdraw` wins, and an adopted request always yields a
-/// consumable verdict.
-#[test]
-fn real_slot_adopt_and_withdraw_are_exclusive() {
-    let report = Checker::new().check(|| {
-        let table = SlotTable::new(2);
-        let index = table.claim().expect("fresh table has slots");
-        table.slot(index).publish();
-
-        let adopter = Arc::clone(&table);
-        let combiner = thread::spawn(move || {
-            let slot = adopter.slot(index);
-            if !slot.take_for_service() {
-                return false;
-            }
-            if let Some(waiter) = slot.fill(Some(7)) {
-                waiter.notify();
-            }
-            true
-        });
-
-        let slot = table.slot(index);
-        let withdrew = slot.withdraw();
-        let adopted = combiner.join().unwrap();
-        assert!(
-            withdrew ^ adopted,
-            "exactly one of withdraw/adopt must win (withdrew: {withdrew}, adopted: {adopted})"
-        );
-        if adopted {
-            loop {
-                match slot.poll() {
-                    SlotPoll::Done(value) => {
-                        assert_eq!(value, 7, "adopted request sees the published payload");
-                        slot.finish();
-                        break;
-                    }
-                    SlotPoll::Failed => unreachable!("fill carried a name"),
-                    SlotPoll::Waiting => thread::yield_now(),
-                }
-            }
-        }
-        table.release(index);
-    });
-    println!(
-        "service-model/slot-exclusivity: {} interleavings (complete: {})",
-        report.interleavings, report.complete
-    );
-    report.assert_clean();
-    assert!(report.complete, "real slot CAS pair must be explored exhaustively");
-}
-
-/// The real publish → engage → park / fill → notify handshake, on the
-/// production `RequestSlot` + `WaitCell` (thread-waiter registration,
-/// SeqCst Dekker pair, Release disengage): the waiter always observes
-/// its verdict, in every interleaving, with no race reports.
-#[test]
-fn real_wait_cell_handshake_delivers_every_verdict() {
-    let report = Checker::new().check(|| {
-        let table = SlotTable::new(2);
-        let index = table.claim().expect("slot");
-        table.slot(index).wait.install_thread();
-
-        let server = Arc::clone(&table);
-        let combiner = thread::spawn(move || {
-            let slot = server.slot(index);
-            while !slot.take_for_service() {
-                thread::yield_now();
-            }
-            if let Some(waiter) = slot.fill(Some(3)) {
-                waiter.notify();
-            }
-        });
-
-        let slot = table.slot(index);
-        slot.publish();
-        // The sync wait loop from `Combiner::acquire`, minus the lock
-        // re-contention (there is no combiner lock in this scenario).
-        loop {
-            match slot.poll() {
-                SlotPoll::Done(value) => {
-                    assert_eq!(value, 3);
-                    slot.finish();
-                    break;
-                }
-                SlotPoll::Failed => unreachable!("fill carried a name"),
-                SlotPoll::Waiting => {
-                    slot.wait.engage();
-                    if slot.in_flight() {
-                        thread::park_timeout(Duration::from_micros(500));
-                    }
-                    slot.wait.disengage();
-                }
-            }
-        }
-        combiner.join().unwrap();
-        table.release(index);
-    });
-    println!(
-        "service-model/wait-handshake: {} interleavings (complete: {})",
-        report.interleavings, report.complete
-    );
-    report.assert_clean();
-    assert!(report.complete, "real handshake must be explored exhaustively");
-}
 
 /// The real `ShardedPool` under a two-thread checkout/checkin race on
 /// one shard: no worker conservation violation (`created == pooled +
@@ -147,7 +37,7 @@ fn real_pool_churn_conserves_items() {
                 thread::spawn(move || {
                     // Checkout (stealing the seeded item or creating a
                     // fresh one), touch, checkin — the service's
-                    // direct-path worker cycle.
+                    // acquire-path worker cycle.
                     let (item, created) = match pool.checkout() {
                         Some(item) => (item, 0u64),
                         None => (Box::new(10 + i), 1u64),
@@ -177,14 +67,14 @@ fn real_pool_churn_conserves_items() {
 }
 
 /// End-to-end: two threads drive `NameService::acquire` through the
-/// real combining front-end (lock election, slot publication, drain,
-/// resident-worker handoff). The state space includes the whole acquire
-/// machinery, so this runs under an explicit interleaving cap rather
-/// than to exhaustion; within the window every interleaving must
-/// produce two distinct names, preserve worker conservation, and report
-/// no races, deadlocks or livelocks.
+/// real pool (checkout, session acquire, checkin) and drop their guards.
+/// The state space includes the whole acquire machinery, so this runs
+/// under an explicit interleaving cap rather than to exhaustion; within
+/// the window every interleaving must produce two distinct names, drain
+/// the namespace, preserve worker conservation, and report no races,
+/// deadlocks or livelocks.
 #[test]
-fn real_combiner_two_acquirers_stay_conservative() {
+fn real_service_two_acquirers_stay_conservative() {
     let report = Checker::new()
         .max_interleavings(400)
         .max_steps(20_000)
@@ -192,7 +82,6 @@ fn real_combiner_two_acquirers_stay_conservative() {
         .check(|| {
             let service = Arc::new(
                 crate::NameService::builder(crate::Algorithm::Rebatching, 8)
-                    .acquire_mode(crate::AcquireMode::Combining)
                     .seed_policy(crate::SeedPolicy::Fixed(7))
                     .build()
                     .expect("build"),
@@ -216,16 +105,14 @@ fn real_combiner_two_acquirers_stay_conservative() {
             names.dedup();
             assert_eq!(names.len(), 2, "concurrent acquires must win distinct names");
             assert_eq!(service.held(), 0, "both guards released");
-
-            let combiner = service.combiner().expect("combining mode");
             assert_eq!(
-                service.pooled_workers() + combiner.resident_workers(),
-                service.worker_count(),
+                service.worker_count() as u64,
+                service.pooled_workers() as u64 + service.retired_workers(),
                 "worker conservation violated after quiescence"
             );
         });
     println!(
-        "service-model/combiner-end-to-end: {} interleavings (complete: {})",
+        "service-model/service-end-to-end: {} interleavings (complete: {})",
         report.interleavings, report.complete
     );
     report.assert_clean();

@@ -196,11 +196,12 @@ pub trait PooledSession: Send {
     fn acquire(&mut self, rng: &mut dyn RngCore) -> Result<Name, RenamingError>;
 
     /// Acquires `count` unique names in one batched sweep, appending
-    /// them to `out` — the combining front-end's entry point (see
-    /// [`renaming_core::BatchAcquire`]). The machine is rearmed, not
-    /// reset, between wins, so batch-structured machines amortize their
-    /// probe state across the whole batch. `acquire_batch(1, ..)` is
-    /// exactly [`acquire`](Self::acquire).
+    /// them to `out` (see [`renaming_core::BatchAcquire`]). The machine
+    /// is rearmed, not reset, between wins, so batch-structured machines
+    /// amortize their probe state across the whole batch.
+    /// `acquire_batch(1, ..)` is exactly [`acquire`](Self::acquire).
+    /// [`crate::NameService`] never calls it: each acquire drives its
+    /// own session, one name at a time.
     ///
     /// # Errors
     ///

@@ -41,8 +41,8 @@ pub struct OracleVerdict {
 }
 
 impl OracleVerdict {
-    /// The worker conservation law: every worker created is pooled,
-    /// retired, or resident.
+    /// The worker conservation law: every worker created is pooled or
+    /// retired.
     pub fn workers_conserved(&self) -> bool {
         self.workers.conserved()
     }

@@ -11,8 +11,7 @@ use renaming_core::{FastRng, Name, RenamingError};
 
 use renaming_oracle::Oracle;
 
-use crate::builder::{AcquireMode, NameServiceBuilder};
-use crate::combiner::Combiner;
+use crate::builder::NameServiceBuilder;
 use crate::guard::NameGuard;
 use crate::metrics::{Instruments, ReleaseKind, ServiceMetrics};
 use crate::oracle::OracleVerdict;
@@ -80,12 +79,9 @@ impl SeedPolicy {
 /// stream. The stream id (and therefore the RNG seed) is assigned once,
 /// at construction — never at checkout — so which pool slot a worker
 /// lands in has no effect on the names it produces.
-///
-/// `pub(crate)` so the combining front-end can check one out and drive
-/// its session through a whole batch.
-pub(crate) struct Worker {
-    pub(crate) session: Box<dyn PooledSession>,
-    pub(crate) rng: FastRng,
+struct Worker {
+    session: Box<dyn PooledSession>,
+    rng: FastRng,
 }
 
 /// A thread-safe, long-lived renaming service: `acquire` from any
@@ -127,16 +123,12 @@ pub struct NameService {
     seed_policy: SeedPolicy,
     /// Next worker stream id; also the number of workers ever created.
     streams: AtomicU64,
-    /// `Some` iff the builder selected [`AcquireMode::Combining`]: the
-    /// flat-combining front-end acquires route through. `None` is the
-    /// direct path, byte-identical to pre-combining releases.
-    combiner: Option<Combiner>,
     /// Latency metrics ([`NameServiceBuilder::metrics`]) and the
     /// concurrency oracle ([`NameServiceBuilder::oracle`]) behind the one
-    /// instrumentation seam every acquire and release path reports
-    /// through (the async facade reaches it directly). Both off — the
-    /// default — is the zero-cost state: no clock reads.
-    pub(crate) instruments: Instruments,
+    /// instrumentation seam the acquire and release paths report
+    /// through. Both off — the default — is the zero-cost state: no
+    /// clock reads.
+    instruments: Instruments,
 }
 
 impl NameService {
@@ -148,25 +140,14 @@ impl NameService {
 
     /// Wraps an explicit backend — the escape hatch for backends the
     /// [`NameServiceBuilder`] enums do not cover (custom probe
-    /// schedules, counting instrumentation, hand-built objects). Uses
-    /// the direct acquire front-end.
+    /// schedules, counting instrumentation, hand-built objects), and the
+    /// builder's own `build` hook.
     pub fn with_backend(backend: Arc<dyn ServiceBackend>, seed_policy: SeedPolicy) -> Self {
-        Self::with_backend_mode(backend, seed_policy, AcquireMode::Direct)
-    }
-
-    /// As [`with_backend`](Self::with_backend), additionally choosing
-    /// the acquire front-end — the builder's `build` hook.
-    pub(crate) fn with_backend_mode(
-        backend: Arc<dyn ServiceBackend>,
-        seed_policy: SeedPolicy,
-        acquire_mode: AcquireMode,
-    ) -> Self {
         Self {
             backend,
             pool: ShardedPool::new(ShardedPool::<Worker>::default_shards()),
             seed_policy,
             streams: AtomicU64::new(0),
-            combiner: (acquire_mode == AcquireMode::Combining).then(Combiner::new),
             instruments: Instruments::default(),
         }
     }
@@ -253,7 +234,6 @@ impl NameService {
                 created: self.worker_count() as u64,
                 pooled: self.pooled_workers() as u64,
                 retired: self.retired_workers(),
-                resident: self.resident_workers() as u64,
             },
             held: self.held(),
         })
@@ -290,27 +270,20 @@ impl NameService {
     /// Acquires a raw name without a guard. The caller owns it and is
     /// responsible for an eventual [`release_name`](Self::release_name).
     ///
+    /// This is the one acquire path: [`acquire`](Self::acquire), the
+    /// async facade and the wire server all come through here. It checks
+    /// a worker out of the pool, drives one acquisition on the worker's
+    /// own session and RNG stream, and checks the worker back in.
+    ///
     /// # Errors
     ///
     /// As for [`acquire`](Self::acquire).
     pub fn acquire_name(&self) -> Result<Name, RenamingError> {
         let started = self.instruments.acquire_start();
-        let result = match &self.combiner {
-            Some(combiner) => combiner.acquire(self),
-            None => self.acquire_direct(),
-        };
-        self.instruments.acquire_end(started, &result);
-        result
-    }
-
-    /// The direct acquire path: check a worker out, drive one
-    /// acquisition, check it back in. This is the whole of
-    /// [`AcquireMode::Direct`] and the combining front-end's fallback
-    /// when every request slot is taken.
-    pub(crate) fn acquire_direct(&self) -> Result<Name, RenamingError> {
         let mut worker = self.checkout();
         let result = worker.session.acquire(&mut worker.rng);
         self.pool.checkin(worker);
+        self.instruments.acquire_end(started, &result);
         result
     }
 
@@ -410,7 +383,7 @@ impl NameService {
     /// checkout slow path, so the count is exact once the service is
     /// quiescent (e.g. after joining all acquiring threads — the
     /// conservation law `worker_count == pooled_workers +
-    /// retired_workers + resident_workers` the torture tests assert).
+    /// retired_workers` the torture tests assert).
     /// While acquires are in flight it is a snapshot, advisory like
     /// every concurrent counter.
     pub fn worker_count(&self) -> usize {
@@ -425,55 +398,25 @@ impl NameService {
 
     /// Workers the pool has dropped because every slot was already
     /// occupied at check-in. When the service is idle,
-    /// `worker_count() == pooled_workers() + retired_workers() +
-    /// resident_workers()` — the no-leak conservation law the torture
-    /// tests assert.
+    /// `worker_count() == pooled_workers() + retired_workers()` — the
+    /// no-leak conservation law the torture tests assert.
     pub fn retired_workers(&self) -> u64 {
         self.pool.retired()
     }
 
-    /// Workers held resident by the combining front-end's combiner role
-    /// (`0` or `1`; always `0` in [`AcquireMode::Direct`]). The resident
-    /// session travels with the combiner lock instead of cycling through
-    /// the pool — see the worker conservation law on
-    /// [`retired_workers`](Self::retired_workers).
+    /// Workers held outside the pool between acquires: always `0`. Every
+    /// acquire checks its worker back in before returning, so no worker
+    /// stays resident anywhere else. Kept so callers that sum
+    /// `pooled + retired + resident` against
+    /// [`worker_count`](Self::worker_count) still compile and still
+    /// balance.
     pub fn resident_workers(&self) -> usize {
-        self.combiner.as_ref().map_or(0, Combiner::resident_workers)
+        0
     }
 
     /// The shared backend.
     pub fn backend(&self) -> &Arc<dyn ServiceBackend> {
         &self.backend
-    }
-
-    /// Which acquire front-end this service routes through.
-    pub fn acquire_mode(&self) -> AcquireMode {
-        if self.combiner.is_some() {
-            AcquireMode::Combining
-        } else {
-            AcquireMode::Direct
-        }
-    }
-
-    /// The combining front-end, if this service was built with
-    /// [`AcquireMode::Combining`] — the async facade publishes into its
-    /// slot table directly.
-    pub(crate) fn combiner(&self) -> Option<&Combiner> {
-        self.combiner.as_ref()
-    }
-
-    /// Checks a worker out for the combining front-end. It usually stays
-    /// resident with the combiner role (the role's Acquire/Release lock
-    /// edges hand it between combiners); [`Self::checkin_worker`] takes
-    /// it back when two combiners raced and the resident seat is taken.
-    pub(crate) fn checkout_worker(&self) -> Box<Worker> {
-        self.checkout()
-    }
-
-    /// Returns a combining-front-end worker to the checkout pool when
-    /// the combiner role already holds a resident worker.
-    pub(crate) fn checkin_worker(&self, worker: Box<Worker>) {
-        self.pool.checkin(worker);
     }
 
     fn checkout(&self) -> Box<Worker> {
@@ -503,7 +446,6 @@ impl fmt::Debug for NameService {
             .field("held", &self.held())
             .field("workers", &self.worker_count())
             .field("seed_policy", &self.seed_policy)
-            .field("acquire_mode", &self.acquire_mode())
             .field("oracle", &self.oracle().is_some())
             .finish()
     }

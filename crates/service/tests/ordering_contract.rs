@@ -1,17 +1,17 @@
 //! ARCHITECTURE.md's ordering contract table is checked against the
-//! service's concurrency sources: for each of the four hot modules, the
-//! set of memory orderings the code uses must equal the set the table
-//! documents, every documented field must exist in its file, and every
+//! service's concurrency source: for its one hot module, the set of
+//! memory orderings the code uses must equal the set the table
+//! documents, every documented field must exist in the file, and every
 //! referenced model suite must exist on disk. Documentation that cannot
-//! drift — change an `Ordering::` in `slots.rs`/`wait.rs`/
-//! `combiner.rs`/`pool.rs` and this test demands the contract row moves
-//! with it (same discipline as `crates/bench/tests/experiments_md.rs`).
+//! drift — change an `Ordering::` in `pool.rs` and this test demands the
+//! contract row moves with it (same discipline as
+//! `crates/bench/tests/experiments_md.rs`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-/// The four sources the contract covers.
-const CONTRACT_FILES: [&str; 4] = ["slots.rs", "wait.rs", "combiner.rs", "pool.rs"];
+/// The sources the contract covers.
+const CONTRACT_FILES: [&str; 1] = ["pool.rs"];
 
 /// Every ordering name the scan recognizes.
 const ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];

@@ -5,9 +5,11 @@
 //! for a per-seat buffer, a hazard slot, a shard index. Thread ids are
 //! useless (tasks migrate), and task ids are sparse. Loose renaming is
 //! the right primitive, and `AsyncNameService` exposes it as
-//! `acquire().await`: the future publishes into the combining
-//! front-end's request slots and suspends instead of parking, so the
-//! executor thread keeps driving other connections.
+//! `acquire().await`. An acquire is a handful of TAS probes that never
+//! waits on another thread, so the future completes on its first poll
+//! and the executor thread goes straight back to driving other
+//! connections. What the facade adds is ownership: the seat's guard is
+//! `'static` and can move to whichever thread finishes the connection.
 //!
 //! No external runtime is involved — the future is hand-rolled over
 //! std's `Waker`/`Poll`, and this example drives it with the
@@ -25,7 +27,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let connections = 24;
     let service = AsyncNameService::new(
         NameService::builder(Algorithm::Rebatching, connections)
-            .acquire_mode(AcquireMode::Combining)
             .seed_policy(SeedPolicy::Entropy)
             .build()?,
     );
@@ -35,10 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         connections
     );
 
-    // Phase 1: one executor thread, a full batch of connections in
-    // flight at once. `drive_all` interleaves the acquire futures'
-    // polls — suspended acquires coexist on one stack, and every
-    // connection still gets a distinct seat.
+    // Phase 1: one executor thread, a full batch of connection handlers
+    // in flight at once. `drive_all` interleaves the handlers' polls on
+    // one stack, and every connection gets a distinct seat.
     let handler = |id: usize| {
         let service = &service;
         async move {

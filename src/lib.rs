@@ -82,8 +82,8 @@ pub use renaming_tas as tas;
 pub mod prelude {
     pub use renaming_core::{Epsilon, Name, RenamingError};
     pub use renaming_service::{
-        AcquireFuture, AcquireMode, Algorithm, AsyncNameGuard, AsyncNameService, HistoryReport,
-        NameGuard, NameService, NameServiceBuilder, Namespace, Oracle, OracleVerdict, SeedPolicy,
-        TasBackend, Violation, WorkerCounts,
+        AcquireFuture, Algorithm, AsyncNameGuard, AsyncNameService, HistoryReport, NameGuard,
+        NameService, NameServiceBuilder, Namespace, Oracle, OracleVerdict, SeedPolicy, TasBackend,
+        Violation, WorkerCounts,
     };
 }

@@ -1,43 +1,34 @@
 //! End-to-end tests for the async acquire facade (`AsyncNameService`).
 //!
-//! Five guarantees under test, mirroring `service_api.rs` on the sync
+//! Four guarantees under test, mirroring `service_api.rs` on the sync
 //! side:
 //!
 //! 1. **Golden equality** — a single-task `acquire().await` sequence
-//!    under a fixed seed is byte-identical to the sync combining (and
-//!    hence direct) sequence, on every backend: the async facade is a
-//!    suspension shape, not a different algorithm.
+//!    under a fixed seed is byte-identical to the sync sequence, on
+//!    every backend: the async facade is an ownership shape, not a
+//!    different algorithm.
 //! 2. **Executor churn** — OS threads each driving `block_on` acquires
 //!    hold unique names at every instant — proved by the concurrency
 //!    oracle's vector-clock history checker, with consistent snapshot
 //!    cuts taken mid-churn — and recycle them all, on all seven
 //!    backends and on the register-based tournament substrate.
-//! 3. **Cancellation safety** — futures dropped mid-flight (published
-//!    but unserved, or served but unconsumed) leak neither request
-//!    slots nor names: occupancy drains to zero and the worker
-//!    conservation law holds after a churn full of cancellations.
-//! 4. **Single-thread interleaving** — `drive_all` multiplexing a batch
+//! 3. **Single-thread interleaving** — `drive_all` multiplexing a batch
 //!    of acquires on one thread resolves them all to distinct names
 //!    (the cooperative-scheduling shape, closest to the paper's
 //!    arbitrarily-delayed asynchronous processes).
-//! 5. **One record per outcome** — sync, `block_on` and `drive_all`
+//! 4. **One record per outcome** — sync, `block_on` and `drive_all`
 //!    acquires each leave exactly one latency sample and one oracle
-//!    outcome, in both acquire modes.
-
-use std::future::Future;
-use std::task::Context;
+//!    outcome.
 
 use loose_renaming::prelude::*;
 use loose_renaming::service::exec;
 
-/// Builds a combining-mode service wrapped for async acquisition. The
-/// concurrency oracle records every acquire/release; recording does not
-/// touch the RNG streams, so the fixed-seed goldens below are
-/// unaffected.
+/// Builds a service wrapped for async acquisition. The concurrency
+/// oracle records every acquire/release; recording does not touch the
+/// RNG streams, so the fixed-seed goldens below are unaffected.
 fn async_service(algorithm: Algorithm, capacity: usize, seed: u64) -> AsyncNameService {
     AsyncNameService::new(
         NameService::builder(algorithm, capacity)
-            .acquire_mode(AcquireMode::Combining)
             .oracle(true)
             .seed_policy(SeedPolicy::Fixed(seed))
             .build()
@@ -46,10 +37,9 @@ fn async_service(algorithm: Algorithm, capacity: usize, seed: u64) -> AsyncNameS
 }
 
 /// The mixed hold/release single-thread workload from `service_api.rs`,
-/// driven synchronously through the requested acquire mode.
-fn sync_sequence(algorithm: Algorithm, seed: u64, n: usize, mode: AcquireMode) -> Vec<usize> {
+/// driven synchronously.
+fn sync_sequence(algorithm: Algorithm, seed: u64, n: usize) -> Vec<usize> {
     let service = NameService::builder(algorithm, 32)
-        .acquire_mode(mode)
         .seed_policy(SeedPolicy::Fixed(seed))
         .build()
         .expect("build");
@@ -92,18 +82,18 @@ fn async_sequence(algorithm: Algorithm, seed: u64, n: usize) -> Vec<usize> {
     values
 }
 
-/// A single async task forms batches of one through the combiner's
-/// uncontended fast path, so its fixed-seed sequence must reproduce the
-/// sync combining sequence exactly — on every backend. (Sync combining
-/// is itself pinned against the PR 3 direct-mode goldens in
-/// `service_api.rs`, so this transitively pins async against those too.)
+/// A single async task runs the sync acquire path on each first poll,
+/// so its fixed-seed sequence must reproduce the sync sequence exactly —
+/// on every backend. (The sync path is itself pinned against the golden
+/// sequences in `service_api.rs`, so this transitively pins async
+/// against those too.)
 #[test]
-fn async_fixed_seed_sequences_match_sync_combining_on_every_backend() {
+fn async_fixed_seed_sequences_match_sync_on_every_backend() {
     for algorithm in Algorithm::all() {
         assert_eq!(
             async_sequence(algorithm, 0xD0C5, 24),
-            sync_sequence(algorithm, 0xD0C5, 24, AcquireMode::Combining),
-            "{algorithm:?}: acquire().await diverged from sync combining"
+            sync_sequence(algorithm, 0xD0C5, 24),
+            "{algorithm:?}: acquire().await diverged from the sync path"
         );
     }
 }
@@ -176,14 +166,13 @@ fn async_churn_is_unique_and_recycles_on_every_backend() {
 }
 
 /// The register-based tournament substrate behind `acquire().await`:
-/// batch sweeps drive epoch-stamped trees exactly like sync acquires.
+/// async acquires drive epoch-stamped trees exactly like sync acquires.
 #[test]
 fn async_tournament_churn_is_unique_and_recycles() {
     let threads = 4;
     let service = AsyncNameService::new(
         NameService::builder(Algorithm::Rebatching, threads)
             .tas_backend(TasBackend::Tournament)
-            .acquire_mode(AcquireMode::Combining)
             .oracle(true)
             .seed_policy(SeedPolicy::Fixed(0xA57D))
             .build()
@@ -193,87 +182,11 @@ fn async_tournament_churn_is_unique_and_recycles() {
     async_churn(&service, threads, iterations);
 }
 
-/// Cancellation torture: threads interleave completed acquires with
-/// futures that are polled once — far enough to publish into a request
-/// slot under contention — and then dropped. Every cancellation must
-/// either withdraw the request or recycle the won name; afterwards the
-/// service must be fully drained, conservation must hold, and every
-/// request slot must be claimable again.
-#[test]
-fn cancellation_under_churn_leaks_neither_slots_nor_names() {
-    let threads = 8;
-    let service = AsyncNameService::new(
-        NameService::builder(Algorithm::FastAdaptive, threads)
-            .acquire_mode(AcquireMode::Combining)
-            .metrics(true)
-            .oracle(true)
-            .seed_policy(SeedPolicy::Fixed(0xCA9C))
-            .build()
-            .expect("build"),
-    );
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let service = &service;
-            scope.spawn(move || {
-                for i in 0..150 {
-                    if (i + t) % 3 == 0 {
-                        // Poll once, then drop mid-flight. Under
-                        // contention the poll publishes and suspends;
-                        // uncontended it completes and the guard drop
-                        // releases — both paths must leave no residue.
-                        let mut future = std::pin::pin!(service.acquire());
-                        let waker = exec::test_waker();
-                        let mut cx = Context::from_waker(&waker);
-                        drop(future.as_mut().poll(&mut cx));
-                    } else {
-                        let guard =
-                            exec::block_on(service.acquire()).expect("within capacity");
-                        drop(guard);
-                    }
-                }
-            });
-        }
-    });
-    // The oracle's verdict subsumes the old hand-rolled conservation
-    // asserts: a clean drained verdict means no overlapping holds, no
-    // leaked names (every recorded win was released — adopted wins by
-    // their cancelled requester, completed ones by the guard drop),
-    // workers conserved, and history agreeing with the backend's
-    // occupancy counter. Withdrawn futures record a start with no
-    // outcome, which the checker tolerates by design.
-    let verdict = service.service().oracle_verdict().expect("oracle enabled");
-    assert!(
-        verdict.is_clean(),
-        "oracle violations under cancellation churn: {:?}",
-        verdict.history.violations
-    );
-    assert!(verdict.drained(), "cancellations leaked names");
-    assert_eq!(verdict.history.wins, verdict.history.released());
-    assert!(verdict.history.starts >= verdict.history.wins + verdict.history.fails);
-    // A withdrawn future records a start and no latency sample; an
-    // adopted-then-dropped one records exactly one outcome and one
-    // release, like a completed acquire.
-    let metrics = service.metrics().expect("metrics enabled").snapshot();
-    assert_eq!(
-        metrics.acquire.count(),
-        verdict.history.wins + verdict.history.fails
-    );
-    assert_eq!(metrics.release.count(), verdict.history.released());
-    assert_eq!(service.held(), 0, "cancellations leaked names");
-    // The slot table must be whole: a full capacity's worth of fresh
-    // concurrent acquires still succeeds.
-    let guards: Vec<AsyncNameGuard> = (0..service.capacity())
-        .map(|_| exec::block_on(service.acquire()).expect("slots all claimable"))
-        .collect();
-    drop(guards);
-    assert_eq!(service.held(), 0);
-}
-
-/// One acquire is one latency sample and one oracle outcome, whichever
-/// path served it. For each acquire mode and each way to acquire — sync,
-/// `block_on`, and 8-future `drive_all` batches — `N` acquire/drop
-/// cycles leave exactly `N` acquire and `N` release samples, and an
-/// oracle history with `N` starts, `N` outcomes and every win released.
+/// One acquire is one latency sample and one oracle outcome, whoever
+/// made it. For each way to acquire — sync, `block_on`, and 8-future
+/// `drive_all` batches — `N` acquire/drop cycles leave exactly `N`
+/// acquire and `N` release samples, and an oracle history with `N`
+/// starts, `N` outcomes and every win released.
 #[test]
 fn every_acquire_path_records_each_outcome_once() {
     const N: usize = 64;
@@ -300,38 +213,34 @@ fn every_acquire_path_records_each_outcome_once() {
             }
         }),
     ];
-    for mode in [AcquireMode::Direct, AcquireMode::Combining] {
-        for (path, drive) in paths {
-            let service = AsyncNameService::new(
-                NameService::builder(Algorithm::Rebatching, BATCH)
-                    .acquire_mode(mode)
-                    .metrics(true)
-                    .oracle(true)
-                    .seed_policy(SeedPolicy::Fixed(0x5EA4))
-                    .build()
-                    .expect("build"),
-            );
-            drive(&service);
-            let cell = format!("{mode:?}/{path}");
-            let metrics = service.metrics().expect("metrics enabled").snapshot();
-            assert_eq!(metrics.acquire.count(), N as u64, "{cell}: acquire samples");
-            assert_eq!(metrics.release.count(), N as u64, "{cell}: release samples");
-            let history = service.oracle_verdict().expect("oracle enabled").history;
-            assert_eq!(history.starts, N as u64, "{cell}: oracle starts");
-            assert_eq!(
-                history.wins + history.fails,
-                N as u64,
-                "{cell}: oracle outcomes"
-            );
-            assert_eq!(history.released(), history.wins, "{cell}: oracle releases");
-        }
+    for (path, drive) in paths {
+        let service = AsyncNameService::new(
+            NameService::builder(Algorithm::Rebatching, BATCH)
+                .metrics(true)
+                .oracle(true)
+                .seed_policy(SeedPolicy::Fixed(0x5EA4))
+                .build()
+                .expect("build"),
+        );
+        drive(&service);
+        let metrics = service.metrics().expect("metrics enabled").snapshot();
+        assert_eq!(metrics.acquire.count(), N as u64, "{path}: acquire samples");
+        assert_eq!(metrics.release.count(), N as u64, "{path}: release samples");
+        let history = service.oracle_verdict().expect("oracle enabled").history;
+        assert_eq!(history.starts, N as u64, "{path}: oracle starts");
+        assert_eq!(
+            history.wins + history.fails,
+            N as u64,
+            "{path}: oracle outcomes"
+        );
+        assert_eq!(history.released(), history.wins, "{path}: oracle releases");
     }
 }
 
 /// One thread, many in-flight acquires: `drive_all` interleaves the
-/// futures' polls, so suspended acquires coexist on a single stack —
-/// the executor analogue of the paper's arbitrarily-delayed processes.
-/// All resolved names must be distinct (they are held simultaneously).
+/// futures' polls on a single stack — the executor analogue of the
+/// paper's arbitrarily-delayed processes. All resolved names must be
+/// distinct (they are held simultaneously).
 #[test]
 fn drive_all_resolves_a_full_batch_to_distinct_names() {
     let batch = 16;

@@ -14,7 +14,7 @@
 //! 3. **Reproducibility** — under a fixed seed policy, a single-threaded
 //!    acquisition sequence is a pure function of the builder
 //!    configuration, and byte-identical to the golden sequences pinned
-//!    from the original mutex-pool service, in both acquire modes.
+//!    from the original mutex-pool service.
 //! 4. **Pool integrity** — the sharded lock-free pool never hands one
 //!    session to two threads at once and never leaks workers, even with
 //!    far more threads than shards and churn far beyond capacity.
@@ -96,8 +96,8 @@ fn churn(service: &NameService, threads: usize, iterations: usize) {
     // The churn performed far more acquisitions than the namespace has
     // slots — only recycling makes that possible.
     assert!(threads * iterations > 2 * service.namespace_size());
-    // Worker conservation (pooled + retired + resident == created) is
-    // part of `is_clean` via the verdict's `workers_conserved`.
+    // Worker conservation (pooled + retired == created) is part of
+    // `is_clean` via the verdict's `workers_conserved`.
     assert!(verdict.workers_conserved());
 }
 
@@ -193,17 +193,7 @@ fn fixed_seed_sequences_are_reproducible_per_backend() {
 /// The mixed hold/release single-thread workload used for the golden
 /// sequences below (and by `fixed_seed_sequences_are_reproducible_per_backend`).
 fn fixed_seed_sequence(algorithm: Algorithm, seed: u64, n: usize) -> Vec<usize> {
-    fixed_seed_sequence_mode(algorithm, seed, n, AcquireMode::Direct)
-}
-
-fn fixed_seed_sequence_mode(
-    algorithm: Algorithm,
-    seed: u64,
-    n: usize,
-    mode: AcquireMode,
-) -> Vec<usize> {
     let service = NameService::builder(algorithm, 32)
-        .acquire_mode(mode)
         .seed_policy(SeedPolicy::Fixed(seed))
         .build()
         .expect("build");
@@ -226,9 +216,9 @@ fn fixed_seed_sequence_mode(
 
 /// Golden sequences captured from the PR 3 `Mutex<Vec<_>>`-pool service
 /// (seed `0xD0C5`, capacity 32, the mixed workload above). The sharded
-/// pool must reproduce them byte-for-byte in both acquire modes: stream
-/// ids are assigned at session construction, so single-threaded
-/// fixed-seed output is part of the service's compatibility contract.
+/// pool must reproduce them byte-for-byte: stream ids are assigned at
+/// session construction, so single-threaded fixed-seed output is part of
+/// the service's compatibility contract.
 #[test]
 fn fixed_seed_sequences_match_pr3_golden_values() {
     let golden: [(Algorithm, &[usize]); 4] = [
@@ -255,126 +245,7 @@ fn fixed_seed_sequences_match_pr3_golden_values() {
             expected,
             "{algorithm:?} diverged from its golden sequence"
         );
-        // The combining front-end sees the same golden values: a
-        // single-threaded caller forms batches of one, which reset and
-        // drive the very same pooled session — the flat-combining layer
-        // must be invisible to uncontended fixed-seed runs.
-        assert_eq!(
-            fixed_seed_sequence_mode(algorithm, 0xD0C5, expected.len(), AcquireMode::Combining),
-            expected,
-            "{algorithm:?} combining mode diverged from the direct golden sequence"
-        );
     }
-}
-
-/// Flat-combining torture: many threads funnel their acquires through
-/// the combiner's request slots (threads far exceed the paper machines'
-/// batch widths and, on small boxes, the combiner's slot array — the
-/// overflow threads exercise the direct fallback too). The live
-/// occupancy table inside `churn` proves no two overlapping holds ever
-/// share a name, and the conservation law proves the batch sweeps leak
-/// no pooled sessions.
-#[test]
-fn combining_churn_is_unique_and_recycles() {
-    for algorithm in [
-        Algorithm::Rebatching,
-        Algorithm::Adaptive,
-        Algorithm::FastAdaptive,
-    ] {
-        let threads = 16;
-        let service = NameService::builder(algorithm, threads)
-            .acquire_mode(AcquireMode::Combining)
-            .oracle(true)
-            .seed_policy(SeedPolicy::Fixed(0xC0B1))
-            .build()
-            .expect("build");
-        assert_eq!(service.acquire_mode(), AcquireMode::Combining);
-        churn(&service, threads, 200);
-    }
-}
-
-/// Combining mode over the register-based tournament substrate: the
-/// batch sweep drives epoch-stamped trees exactly like direct acquires.
-#[test]
-fn combining_tournament_churn_is_unique_and_recycles() {
-    let threads = 4;
-    let service = NameService::builder(Algorithm::Rebatching, threads)
-        .tas_backend(TasBackend::Tournament)
-        .acquire_mode(AcquireMode::Combining)
-        .oracle(true)
-        .seed_policy(SeedPolicy::Fixed(0xC0B2))
-        .build()
-        .expect("build");
-    let iterations = (10 * service.namespace_size()).div_ceil(threads) + 5;
-    churn(&service, threads, iterations);
-}
-
-/// Combiner handoff: the thread currently holding the combiner role
-/// drops a guard mid-drain (its release routes straight to the backend,
-/// never through the request queue), and when it retires, a waiting
-/// thread must seize the combiner lock and serve the remaining requests
-/// — otherwise the parked waiters here would deadlock the scope.
-#[test]
-fn combining_handoff_survives_guard_drops_mid_drain() {
-    let threads = 8;
-    // Each thread holds up to two guards at once, so capacity is double.
-    let service = NameService::builder(Algorithm::FastAdaptive, 2 * threads)
-        .acquire_mode(AcquireMode::Combining)
-        .oracle(true)
-        .seed_policy(SeedPolicy::Fixed(0x4A9D))
-        .build()
-        .expect("build");
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let service = &service;
-            scope.spawn(move || {
-                for _ in 0..100 {
-                    // First acquire may install this thread as combiner
-                    // for a whole batch of peers.
-                    let first = service.acquire().expect("within capacity");
-                    // Second acquire re-enters the combiner while the
-                    // first guard is still live...
-                    let second = service.acquire().expect("within capacity");
-                    // ...and the first guard drops between the two
-                    // publishes — a release interleaved with draining.
-                    drop(first);
-                    drop(second);
-                }
-            });
-        }
-    });
-    // The oracle history carries every interleaved hold; the checker
-    // proves no two of them ever shared a name concurrently.
-    let verdict = service.oracle_verdict().expect("oracle enabled");
-    assert!(
-        verdict.is_clean(),
-        "oracle violations: {:?}",
-        verdict.history.violations
-    );
-    assert!(verdict.drained());
-    assert_eq!(verdict.history.wins, (threads * 100 * 2) as u64);
-    assert_eq!(verdict.history.guard_drops, verdict.history.wins);
-    assert_eq!(service.held(), 0, "all names recycled after the handoffs");
-}
-
-/// `NameGuard` release must route correctly regardless of acquire mode:
-/// a name acquired through the combiner is released directly on the
-/// backend, and the service drains to zero.
-#[test]
-fn combining_guard_release_routes_to_backend() {
-    let service = NameService::builder(Algorithm::Rebatching, 4)
-        .acquire_mode(AcquireMode::Combining)
-        .seed_policy(SeedPolicy::Fixed(0xF1EE))
-        .build()
-        .expect("build");
-    let guard = service.acquire().expect("name");
-    assert_eq!(service.held(), 1);
-    drop(guard);
-    assert_eq!(service.held(), 0);
-    // Detach + manual release works the same way.
-    let name = service.acquire().expect("name").into_name();
-    service.release_name(name).expect("release");
-    assert_eq!(service.held(), 0);
 }
 
 /// Torture the sharded pool through the service: threads ≫ shards (the
