@@ -9,17 +9,14 @@ use renaming_analysis::{Summary, Table};
 use renaming_core::{BatchLayout, Epsilon, ProbeSchedule};
 use renaming_sim::ExecutionReport;
 
-use crate::experiments::{header, verdict};
+use crate::experiments::verdict;
 use crate::sweep::{AdversaryKind, TrialSpec};
 use crate::Harness;
 use crate::MachineKind;
 
 /// A1 — the geometric batch layout vs the same probe budget without it.
 pub fn a1_geometry(h: &mut Harness) -> String {
-    let mut out = header(
-        "a1",
-        "ablation: geometric batches (Eq. 1) vs the same budget spent uniformly",
-    );
+    let mut out = String::new();
     // Use the practical tuned profile so the probe budget is small enough
     // for the geometry to matter (with t0 = 53 neither variant ever runs
     // out of probes at these scales).
@@ -97,10 +94,7 @@ pub fn a1_geometry(h: &mut Harness) -> String {
 
 /// A2 — the batch-0 probe count `t0`.
 pub fn a2_t0(h: &mut Harness) -> String {
-    let mut out = header(
-        "a2",
-        "ablation: the t0 = ceil(17 ln(8e/eps)/eps) constant (Eq. 2)",
-    );
+    let mut out = String::new();
     let n = if h.quick() { 1 << 10 } else { 1 << 14 };
     let mut table = Table::new([
         "t0",

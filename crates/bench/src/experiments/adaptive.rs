@@ -7,7 +7,7 @@ use serde_json::json;
 
 use renaming_analysis::{axis, LinearFit, Summary, Table};
 
-use crate::experiments::{header, verdict};
+use crate::experiments::verdict;
 use crate::harness::adaptive_layout;
 use crate::sweep::{AdversaryKind, TrialSpec};
 use crate::Harness;
@@ -22,10 +22,7 @@ fn name_bound(k: usize) -> usize {
 
 /// E5 — Theorem 5.1.
 pub fn e5_adaptive_steps(h: &mut Harness) -> String {
-    let mut out = header(
-        "e5",
-        "AdaptiveReBatching: O((log log k)^2) steps, names O(k) w.h.p. (Thm 5.1)",
-    );
+    let mut out = String::new();
     let capacity = if h.quick() { 1 << 10 } else { 1 << 14 };
     let layout = adaptive_layout(capacity);
     let kind = MachineKind::Adaptive {
@@ -97,10 +94,7 @@ pub fn e5_adaptive_steps(h: &mut Harness) -> String {
 
 /// E6 — Theorem 5.2.
 pub fn e6_fast_adaptive(h: &mut Harness) -> String {
-    let mut out = header(
-        "e6",
-        "FastAdaptiveReBatching: O(k log log k) total steps, names O(k) w.h.p. (Thm 5.2)",
-    );
+    let mut out = String::new();
     let capacity = if h.quick() { 1 << 10 } else { 1 << 14 };
     let layout = adaptive_layout(capacity);
     let kind = MachineKind::FastAdaptive {

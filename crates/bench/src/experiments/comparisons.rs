@@ -9,7 +9,7 @@ use renaming_analysis::{axis, LinearFit, Summary, Table};
 use renaming_core::{Epsilon, ProbeSchedule};
 use renaming_sim::ExecutionReport;
 
-use crate::experiments::{header, verdict};
+use crate::experiments::verdict;
 use crate::harness::paper_layout;
 use crate::sweep::{AdversaryKind, SweepWorker, TrialSpec};
 use crate::Harness;
@@ -26,10 +26,7 @@ struct CrossoverTrial {
 
 /// E10 — uniform probing grows like log n; ReBatching stays flat.
 pub fn e10_crossover(h: &mut Harness) -> String {
-    let mut out = header(
-        "e10",
-        "uniform probing needs Theta(log n) probes; ReBatching stays ~log log n (S4 intro)",
-    );
+    let mut out = String::new();
     let tuned = ProbeSchedule::tuned(Epsilon::one(), 3, 3).expect("valid tuned schedule");
     let mut table = Table::new([
         "n",
@@ -147,7 +144,7 @@ pub fn e10_crossover(h: &mut Harness) -> String {
 /// E11 — adversary sweep: correctness and step complexity under every
 /// scheduler, including the strong ones.
 pub fn e11_adversaries(h: &mut Harness) -> String {
-    let mut out = header("e11", "ReBatching under every adversary class (S2)");
+    let mut out = String::new();
     let n = if h.quick() { 1 << 9 } else { 1 << 12 };
     let layout = paper_layout(n);
     let kind = MachineKind::Rebatching {

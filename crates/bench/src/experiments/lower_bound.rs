@@ -11,15 +11,12 @@ use renaming_lowerbound::{
     uniform_extinction_layers, verify_lemma_6_5, CoupledPoisson, MarkingConfig, RateSystem,
 };
 
-use crate::experiments::{header, verdict};
+use crate::experiments::verdict;
 use crate::Harness;
 
 /// E7 — Theorem 6.1: survivors persist `Ω(log log n)` layers.
 pub fn e7_layers(h: &mut Harness) -> String {
-    let mut out = header(
-        "e7",
-        "survivors persist Omega(log log n) layers against the layered schedule (Thm 6.1)",
-    );
+    let mut out = String::new();
 
     // (a) Deterministic rate recurrence: layers until the total rate drops
     // below the constant 4, for the paper's parameters (λ0 = n/2 over
@@ -126,7 +123,7 @@ pub fn e7_layers(h: &mut Harness) -> String {
 
 /// E8 — Lemma 6.5 numeric verification.
 pub fn e8_lemma_6_5(h: &mut Harness) -> String {
-    let mut out = header("e8", "P_lambda(n+1) <= P_gamma(n) for gamma = min(l^2/4, l/4) (Lemma 6.5)");
+    let mut out = String::new();
     let lambdas: Vec<f64> = vec![
         0.001, 0.01, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 4.0, 6.0,
         8.0, 12.0, 16.0, 32.0, 64.0, 128.0, 512.0, 2048.0,
@@ -164,7 +161,7 @@ pub fn e8_lemma_6_5(h: &mut Harness) -> String {
 
 /// E9 — Lemma 6.6: per-layer rate decay bound over several type maps.
 pub fn e9_lemma_6_6(h: &mut Harness) -> String {
-    let mut out = header("e9", "per-layer rate decay lambda' >= bound(lambda, s) (Lemma 6.6)");
+    let mut out = String::new();
     let s = if h.quick() { 1 << 10 } else { 1 << 13 };
     let num_types = 4 * s;
     let layers = 8;

@@ -2,15 +2,14 @@
 //!
 //! Ids follow the paper's claims (`e1`..`e14`, ablations `a1`/`a2`,
 //! plus tooling). Every experiment takes the shared [`Harness`], prints
-//! nothing itself, and returns its full text report (tables + verdict);
-//! the repository's `EXPERIMENTS.md` catalogs the registry and a test
-//! keeps the two consistent.
+//! nothing itself, and returns its tables and verdict, which [`run`]
+//! heads with the catalog claim; the repository's `EXPERIMENTS.md`
+//! catalogs the registry and a test keeps the two consistent.
 
 mod ablations;
 mod adaptive;
 mod comparisons;
 mod lower_bound;
-mod net_throughput;
 mod non_adaptive;
 mod oracle_churn;
 mod robustness;
@@ -18,10 +17,13 @@ mod service_throughput;
 mod throughput;
 
 pub use comparisons::layers_to_completion;
-pub use net_throughput::ARTIFACT_PATH as NET_ARTIFACT;
 pub use oracle_churn::ARTIFACT_PATH as ORACLE_ARTIFACT;
 pub use service_throughput::ARTIFACT_PATH as SERVICE_ARTIFACT;
 pub use throughput::{ARTIFACT_PATH as THROUGHPUT_ARTIFACT, SEED_OVER_BOXED, SPEEDUP_TARGET};
+
+use std::fmt::Write as _;
+
+use serde_json::{json, Value};
 
 use crate::Harness;
 
@@ -30,11 +32,11 @@ use crate::Harness;
 pub struct ExperimentInfo {
     /// Registry id: the paper claims `e1` .. `e14`, the ablations `a1`
     /// and `a2`, plus the tooling entries `throughput` (engine),
-    /// `service_throughput` (the `NameService` front-end),
-    /// `net_throughput` (the wire-protocol server) and `oracle_churn`
-    /// (the concurrency oracle's history checker).
+    /// `service_throughput` (the `NameService` front-end) and
+    /// `oracle_churn` (the concurrency oracle's history checker).
     pub id: &'static str,
-    /// The paper claim being reproduced.
+    /// The paper claim being reproduced; [`run`] heads the report with
+    /// it.
     pub claim: &'static str,
     /// The experiment body. [`run`] dispatches through this pointer, so
     /// the catalog and the dispatcher cannot drift apart.
@@ -62,12 +64,13 @@ pub fn catalog() -> Vec<ExperimentInfo> {
         ExperimentInfo { id: "a2", claim: "Ablation: the t0 = 17 ln(8e/eps)/eps constant", runner: ablations::a2_t0 },
         ExperimentInfo { id: "throughput", claim: "Engine: monomorphic fast path >= 5x the seed engine's steps/sec (tooling)", runner: throughput::throughput },
         ExperimentInfo { id: "service_throughput", claim: "Service: NameService acquire/release ops/sec per backend, sync/async caller, TAS substrate (tooling)", runner: service_throughput::service_throughput },
-        ExperimentInfo { id: "net_throughput", claim: "Net: wire-protocol server ops/sec and p50/p99 latency per backend, connections, churn (tooling)", runner: net_throughput::net_throughput },
         ExperimentInfo { id: "oracle_churn", claim: "Oracle: vector-clock history checking passes under churn for every backend, sync and async (tooling)", runner: oracle_churn::oracle_churn },
     ]
 }
 
-/// Runs one experiment by id, returning its report text.
+/// Runs one experiment by id, returning its report text: the standard
+/// header line with the catalog claim, then the runner's tables and
+/// verdict.
 ///
 /// # Panics
 ///
@@ -78,12 +81,51 @@ pub fn run(id: &str, harness: &mut Harness) -> String {
         .into_iter()
         .find(|info| info.id == id)
         .unwrap_or_else(|| panic!("unknown experiment id `{id}`"));
-    (info.runner)(harness)
+    let mut report = header(info.id, info.claim);
+    report.push_str(&(info.runner)(harness));
+    report
 }
 
 /// Formats the standard report header.
-pub(crate) fn header(id: &str, claim: &str) -> String {
+fn header(id: &str, claim: &str) -> String {
     format!("== {} — {}\n", id.to_uppercase(), claim)
+}
+
+/// Writes a tooling experiment's JSON artifact to `path` (relative to
+/// the working directory) and reports the outcome on `out`. Every
+/// artifact opens with the same header: `experiment`, `mode`, `seed`,
+/// the host's `available_parallelism`, and the `reproduce` command line
+/// (which always names `--threads`); `body`'s fields follow.
+///
+/// # Panics
+///
+/// Panics if `body` is not a JSON object.
+pub(crate) fn write_artifact(h: &Harness, id: &str, path: &str, body: Value, out: &mut String) {
+    let Value::Object(body) = body else {
+        panic!("the `{id}` artifact body must be a JSON object");
+    };
+    let mut artifact = json!({
+        "experiment": id,
+        "mode": if h.quick() { "quick" } else { "full" },
+        "seed": h.seed(),
+        "available_parallelism": std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        "reproduce": format!(
+            "cargo run -p renaming-bench --release --bin experiments -- {id}{} --seed {} --threads {}",
+            if h.quick() { " --quick" } else { "" },
+            h.seed(),
+            h.threads()
+        )
+    });
+    if let Value::Object(fields) = &mut artifact {
+        fields.extend(body);
+    }
+    let written = serde_json::to_string(&artifact)
+        .map_err(std::io::Error::from)
+        .and_then(|text| std::fs::write(path, text + "\n"));
+    let _ = match written {
+        Ok(()) => writeln!(out, "wrote {path}"),
+        Err(e) => writeln!(out, "could not write {path}: {e}"),
+    };
 }
 
 /// Formats the standard verdict line.
@@ -103,7 +145,7 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), before);
-        assert_eq!(before, 20);
+        assert_eq!(before, 19);
     }
 
     #[test]

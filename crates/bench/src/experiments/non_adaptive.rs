@@ -8,7 +8,7 @@ use serde_json::json;
 use renaming_analysis::{axis, LinearFit, Summary, Table};
 use renaming_sim::ExecutionReport;
 
-use crate::experiments::{header, verdict};
+use crate::experiments::verdict;
 use crate::harness::paper_layout;
 use crate::sweep::{AdversaryKind, TrialSpec};
 use crate::Harness;
@@ -43,7 +43,7 @@ fn rebatching_reports(h: &Harness, n: usize) -> Vec<ExecutionReport> {
 
 /// E1 — Theorem 4.1, individual step complexity.
 pub fn e1_step_complexity(h: &mut Harness) -> String {
-    let mut out = header("e1", "ReBatching step complexity <= log log n + O(1) w.h.p. (Thm 4.1)");
+    let mut out = String::new();
     let mut table = Table::new(["n", "kappa", "budget", "max", "p99", "mean", "backup"]);
     let mut xs_loglog = Vec::new();
     let mut xs_log = Vec::new();
@@ -100,7 +100,7 @@ pub fn e1_step_complexity(h: &mut Harness) -> String {
 
 /// E2 — Theorem 4.1, total step complexity O(n).
 pub fn e2_total_steps(h: &mut Harness) -> String {
-    let mut out = header("e2", "ReBatching total step complexity O(n) (Thm 4.1)");
+    let mut out = String::new();
     let mut table = Table::new(["n", "total/n (mean)", "total/n (max)"]);
     let mut worst_ratio = 0.0f64;
     let mut budget_bound = 0.0f64;
@@ -153,7 +153,7 @@ fn survivor_bound(n: usize, i: usize, kappa: usize, delta: f64) -> f64 {
 
 /// E3 — Lemma 4.2: per-batch survivor counts.
 pub fn e3_batch_survivors(h: &mut Harness) -> String {
-    let mut out = header("e3", "batch survivors n_i <= n*_i w.h.p. (Lemma 4.2)");
+    let mut out = String::new();
     let n = if h.quick() { 1 << 12 } else { 1 << 16 };
     let layout = paper_layout(n);
     let kappa = layout.kappa();
@@ -207,7 +207,7 @@ pub fn e3_batch_survivors(h: &mut Harness) -> String {
 
 /// E4 — backup-phase frequency.
 pub fn e4_backup_rate(h: &mut Harness) -> String {
-    let mut out = header("e4", "the backup phase runs with very low probability (S4)");
+    let mut out = String::new();
     let mut table = Table::new(["n", "runs", "processes", "backup entries"]);
     let mut total_processes: u64 = 0;
     let mut total_backups: u64 = 0;

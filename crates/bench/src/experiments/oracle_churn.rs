@@ -23,22 +23,17 @@
 //!   watches, so "zero cost when off" stays an enforced property, not
 //!   a slogan.
 //!
-//! Results land in `BENCH_oracle.json`; the overhead table is also
-//! merged into `BENCH_service.json` (key `oracle_overhead`) when that
-//! artifact is present, so the service perf trajectory and the price of
-//! checking it travel together.
+//! Results land in `BENCH_oracle.json`, overhead table included.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use serde_json::{json, Value};
 
 use renaming_analysis::Table;
-use renaming_service::{
-    exec, Algorithm, AsyncNameService, NameService, Oracle, SeedPolicy, Violation,
-};
+use renaming_service::{Algorithm, AsyncNameService, NameService, Oracle, SeedPolicy, Violation};
 
-use crate::experiments::{header, verdict};
+use crate::experiments::service_throughput::{async_cycle, best_of, direct_cycle};
+use crate::experiments::{verdict, write_artifact};
 use crate::Harness;
 
 /// Where the JSON artifact lands (relative to the working directory).
@@ -53,61 +48,14 @@ const CAPACITY: usize = 16;
 /// the service throughput experiment.
 const OVERHEAD_REPS: usize = 3;
 
-struct Measurement {
-    ops: u64,
-    seconds: f64,
-}
-
-impl Measurement {
-    fn ops_per_sec(&self) -> f64 {
-        if self.seconds <= 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / self.seconds
-        }
-    }
-}
-
-/// `threads` OS threads each run `ops_per_thread` acquire/drop cycles
-/// against one shared service (the same hammer the service throughput
-/// experiment times).
-fn hammer(service: &NameService, threads: usize, ops_per_thread: usize) -> Measurement {
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(move || {
-                for _ in 0..ops_per_thread {
-                    let guard = service.acquire().expect("within capacity");
-                    std::hint::black_box(guard.value());
-                    // guard drop -> release
-                }
-            });
-        }
-    });
-    Measurement {
-        ops: (threads * ops_per_thread) as u64,
-        seconds: start.elapsed().as_secs_f64(),
-    }
-}
-
-fn best_of(service: &NameService, threads: usize, ops_per_thread: usize, reps: usize) -> Measurement {
-    // Warm the worker pool (first acquires construct sessions).
-    hammer(service, threads, 50);
-    let mut best = hammer(service, threads, ops_per_thread);
-    for _ in 1..reps {
-        let m = hammer(service, threads, ops_per_thread);
-        if m.ops_per_sec() > best.ops_per_sec() {
-            best = m;
-        }
-    }
-    best
-}
-
-/// One oracle-checked churn cell: churn on `threads` threads with a
-/// snapshot taken mid-run from the main thread, then replay the full
-/// history. Returns `(verdict_is_clean, wins, events, snapshots_consistent)`.
-fn checked_churn_sync(
+/// One oracle-checked churn cell: `threads` threads run
+/// `ops_per_thread` acquire/drop cycles through `cycle` (a caller of
+/// `service`: [`direct_cycle`] or [`async_cycle`]) while the main thread
+/// takes a snapshot mid-run, then the full history replays. Returns
+/// `(verdict_is_clean, wins, events, snapshots_consistent)`.
+fn checked_churn(
     service: &NameService,
+    cycle: impl Fn() + Sync,
     threads: usize,
     ops_per_thread: usize,
 ) -> (bool, u64, u64, bool) {
@@ -116,8 +64,7 @@ fn checked_churn_sync(
         for _ in 0..threads {
             scope.spawn(|| {
                 for _ in 0..ops_per_thread {
-                    let guard = service.acquire().expect("within capacity");
-                    std::hint::black_box(guard.value());
+                    cycle();
                 }
             });
         }
@@ -125,32 +72,6 @@ fn checked_churn_sync(
         oracle.snapshot();
     });
     let verdict = service.oracle_verdict().expect("oracle enabled");
-    let snapshots_ok = !verdict.history.snapshots.is_empty()
-        && verdict.history.snapshots.iter().all(|s| s.consistent);
-    let clean = verdict.is_clean() && verdict.drained() && verdict.history.complete;
-    (clean, verdict.history.wins, verdict.history.events as u64, snapshots_ok)
-}
-
-/// The async-facade analogue: each churn thread is a one-task
-/// `block_on` executor over `service.acquire().await`.
-fn checked_churn_async(
-    service: &AsyncNameService,
-    threads: usize,
-    ops_per_thread: usize,
-) -> (bool, u64, u64, bool) {
-    let oracle = service.service().oracle().expect("oracle enabled").clone();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                for _ in 0..ops_per_thread {
-                    let guard = exec::block_on(service.acquire()).expect("within capacity");
-                    std::hint::black_box(guard.value());
-                }
-            });
-        }
-        oracle.snapshot();
-    });
-    let verdict = service.service().oracle_verdict().expect("oracle enabled");
     let snapshots_ok = !verdict.history.snapshots.is_empty()
         && verdict.history.snapshots.iter().all(|s| s.consistent);
     let clean = verdict.is_clean() && verdict.drained() && verdict.history.complete;
@@ -191,14 +112,9 @@ fn injected_violations_detected() -> bool {
 /// The `oracle_churn` experiment: oracle-checked churn verdicts for
 /// every algorithm × {direct, async}, a seeded-violation
 /// self-check, and a checked-vs-unchecked overhead axis. Writes
-/// `BENCH_oracle.json` and merges the overhead table into
-/// `BENCH_service.json` when present. The PASS gate is verdicts, not
-/// timing.
+/// `BENCH_oracle.json`. The PASS gate is verdicts, not timing.
 pub fn oracle_churn(h: &mut Harness) -> String {
-    let mut out = header(
-        "oracle_churn",
-        "Oracle: every backend, sync and async, replays to a clean vector-clock verdict under churn (tooling)",
-    );
+    let mut out = String::new();
     let ops_per_thread = if h.quick() { 400 } else { 4_000 };
     let overhead_ops = if h.quick() { 5_000 } else { 40_000 };
     let threads = h.threads().clamp(2, CAPACITY);
@@ -220,9 +136,9 @@ pub fn oracle_churn(h: &mut Harness) -> String {
             let backend_label = service.algorithm();
             let (clean, wins, events, snapshots_ok) = if mode_label == "async" {
                 let service = AsyncNameService::new(service);
-                checked_churn_async(&service, threads, ops_per_thread)
+                checked_churn(service.service(), || async_cycle(&service), threads, ops_per_thread)
             } else {
-                checked_churn_sync(&service, threads, ops_per_thread)
+                checked_churn(&service, || direct_cycle(&service), threads, ops_per_thread)
             };
             all_clean &= clean;
             all_snapshots_consistent &= snapshots_ok;
@@ -269,13 +185,13 @@ pub fn oracle_churn(h: &mut Harness) -> String {
             .seed_policy(SeedPolicy::Fixed(h.seed()))
             .build()
             .expect("service builds");
-        let off = best_of(&plain, overhead_threads, overhead_ops, OVERHEAD_REPS);
+        let off = best_of(|| direct_cycle(&plain), overhead_threads, overhead_ops, OVERHEAD_REPS);
         let checked = NameService::builder(algorithm, CAPACITY)
             .oracle(true)
             .seed_policy(SeedPolicy::Fixed(h.seed()))
             .build()
             .expect("service builds");
-        let on = best_of(&checked, overhead_threads, overhead_ops, OVERHEAD_REPS);
+        let on = best_of(|| direct_cycle(&checked), overhead_threads, overhead_ops, OVERHEAD_REPS);
         let ratio = on.ops_per_sec() / off.ops_per_sec().max(f64::MIN_POSITIVE);
         overhead_table.row([
             plain.algorithm().to_string(),
@@ -313,84 +229,20 @@ pub fn oracle_churn(h: &mut Harness) -> String {
         "seeded violations (out-of-bounds win, capacity excess, double issue) detected: {injections_caught}"
     );
 
-    let artifact = json!({
-        "experiment": "oracle_churn",
-        "mode": if h.quick() { "quick" } else { "full" },
-        "seed": h.seed(),
-        "capacity": CAPACITY,
-        "threads": threads,
-        "ops_per_thread": ops_per_thread,
-        "reproduce": format!(
-            "cargo run -p renaming-bench --release --bin experiments -- oracle_churn{} --seed {} --threads {}",
-            if h.quick() { " --quick" } else { "" },
-            h.seed(),
-            h.threads()
-        ),
-        "verdict_rows": rows,
-        "oracle_overhead": &overhead_rows,
-        "injected_violations_detected": injections_caught
-    });
-    match serde_json::to_string(&artifact) {
-        Ok(text) => match std::fs::write(ARTIFACT_PATH, text + "\n") {
-            Ok(()) => {
-                let _ = writeln!(out, "wrote {ARTIFACT_PATH}");
-            }
-            Err(e) => {
-                let _ = writeln!(out, "could not write {ARTIFACT_PATH}: {e}");
-            }
-        },
-        Err(e) => {
-            let _ = writeln!(out, "could not serialize artifact: {e}");
-        }
-    }
-
-    // Merge the overhead table into the service perf artifact, so the
-    // price of checking travels with the trajectory it prices.
-    match std::fs::read_to_string(super::service_throughput::ARTIFACT_PATH) {
-        Ok(text) => match serde_json::from_str::<Value>(&text) {
-            Ok(mut service_artifact) => {
-                if let Value::Object(pairs) = &mut service_artifact {
-                    let merged = json!(overhead_rows);
-                    match pairs.iter_mut().find(|(k, _)| k == "oracle_overhead") {
-                        Some((_, slot)) => *slot = merged,
-                        None => pairs.push(("oracle_overhead".to_string(), merged)),
-                    }
-                }
-                match serde_json::to_string(&service_artifact) {
-                    Ok(merged) => {
-                        match std::fs::write(
-                            super::service_throughput::ARTIFACT_PATH,
-                            merged + "\n",
-                        ) {
-                            Ok(()) => {
-                                let _ = writeln!(
-                                    out,
-                                    "merged oracle_overhead into {}",
-                                    super::service_throughput::ARTIFACT_PATH
-                                );
-                            }
-                            Err(e) => {
-                                let _ = writeln!(out, "could not update service artifact: {e}");
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        let _ = writeln!(out, "could not serialize service artifact: {e}");
-                    }
-                }
-            }
-            Err(e) => {
-                let _ = writeln!(out, "service artifact unreadable, not merged: {e}");
-            }
-        },
-        Err(_) => {
-            let _ = writeln!(
-                out,
-                "{} not present, overhead kept in {ARTIFACT_PATH} only",
-                super::service_throughput::ARTIFACT_PATH
-            );
-        }
-    }
+    write_artifact(
+        h,
+        "oracle_churn",
+        ARTIFACT_PATH,
+        json!({
+            "capacity": CAPACITY,
+            "threads": threads,
+            "ops_per_thread": ops_per_thread,
+            "verdict_rows": rows,
+            "oracle_overhead": overhead_rows,
+            "injected_violations_detected": injections_caught
+        }),
+        &mut out,
+    );
 
     let _ = writeln!(out, "{table}");
     let _ = writeln!(out, "{overhead_table}");

@@ -11,7 +11,7 @@ use renaming_core::{Epsilon, ProbeSchedule};
 use renaming_sim::CrashPlan;
 use renaming_tas::rwtas::TournamentTas;
 
-use crate::experiments::{header, verdict};
+use crate::experiments::verdict;
 use crate::harness::paper_layout;
 use crate::sweep::{AdversaryKind, TrialSpec};
 use crate::Harness;
@@ -19,7 +19,7 @@ use crate::MachineKind;
 
 /// E12 — fail-stop crashes: survivors still rename correctly and fast.
 pub fn e12_crashes(h: &mut Harness) -> String {
-    let mut out = header("e12", "any number of processes may crash (S2 model)");
+    let mut out = String::new();
     let n = if h.quick() { 1 << 9 } else { 1 << 12 };
     let layout = paper_layout(n);
     let kind = MachineKind::Rebatching {
@@ -80,7 +80,7 @@ pub fn e12_crashes(h: &mut Harness) -> String {
 
 /// E13 — namespace slack sweep: `(1+eps)n` for any fixed `eps > 0`.
 pub fn e13_epsilon(h: &mut Harness) -> String {
-    let mut out = header("e13", "namespace (1+eps)n for any fixed eps > 0 (S4)");
+    let mut out = String::new();
     let n = if h.quick() { 1 << 9 } else { 1 << 12 };
     let mut table = Table::new(["eps", "t0", "m/n", "max steps", "mean steps", "backup"]);
     let mut pass = true;
@@ -142,10 +142,7 @@ pub fn e13_epsilon(h: &mut Harness) -> String {
 
 /// E14 — the register-based TAS substrate: per-operation cost multiplier.
 pub fn e14_rw_tas(h: &mut Harness) -> String {
-    let mut out = header(
-        "e14",
-        "TAS from registers costs a log-factor per operation (S2 remark, refs [6,22])",
-    );
+    let mut out = String::new();
     let mut table = Table::new(["contenders k", "mean register ops/call", "max ops/call"]);
     let mut xs = Vec::new();
     let mut ys = Vec::new();

@@ -43,7 +43,7 @@ use renaming_service::{exec, Algorithm, AsyncNameService, NameService, SeedPolic
 use renaming_tas::rwtas::TournamentTas;
 use renaming_tas::{ResettableTas, Tas, TicketTas};
 
-use crate::experiments::{header, verdict};
+use crate::experiments::{verdict, write_artifact};
 use crate::Harness;
 
 /// Where the JSON artifact lands (relative to the working directory).
@@ -68,13 +68,14 @@ const REPS: usize = 9;
 /// Repetitions for the (much slower) tournament churn cells.
 const TOURNAMENT_REPS: usize = 3;
 
-struct Measurement {
-    ops: u64,
+/// One timed run of the hammer.
+pub(super) struct Measurement {
+    pub(super) ops: u64,
     seconds: f64,
 }
 
 impl Measurement {
-    fn ops_per_sec(&self) -> f64 {
+    pub(super) fn ops_per_sec(&self) -> f64 {
         if self.seconds <= 0.0 {
             0.0
         } else {
@@ -98,19 +99,34 @@ fn thread_sweep(max: usize) -> Vec<usize> {
     counts
 }
 
+/// One acquire/drop cycle from a sync caller (`direct`): guard drop
+/// releases the name.
+pub(super) fn direct_cycle(service: &NameService) {
+    let guard = service.acquire().expect("within capacity");
+    std::hint::black_box(guard.value());
+}
+
+/// One acquire/drop cycle through the async facade, with the calling
+/// thread as a one-task `block_on` executor. Prices the executor and
+/// future machinery (waker construction, one poll, the `Arc`-holding
+/// guard) on top of the sync path it wraps.
+pub(super) fn async_cycle(service: &AsyncNameService) {
+    let guard = exec::block_on(service.acquire()).expect("within capacity");
+    std::hint::black_box(guard.value());
+}
+
 /// `threads` OS threads each run `ops_per_thread` acquire/drop cycles
-/// against one shared service. The timed region includes thread
-/// spawn/join — a fixed cost identical for both modes, so it dilutes
-/// the async/direct ratio slightly toward 1.0.
-fn hammer(service: &NameService, threads: usize, ops_per_thread: usize) -> Measurement {
+/// through `cycle` (a caller of one shared service: [`direct_cycle`]
+/// or [`async_cycle`]). The timed region includes thread spawn/join —
+/// a fixed cost identical for both callers, so it dilutes the
+/// async/direct ratio slightly toward 1.0.
+fn hammer(cycle: impl Fn() + Sync, threads: usize, ops_per_thread: usize) -> Measurement {
     let start = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(move || {
+            scope.spawn(|| {
                 for _ in 0..ops_per_thread {
-                    let guard = service.acquire().expect("within capacity");
-                    std::hint::black_box(guard.value());
-                    // guard drop -> release
+                    cycle();
                 }
             });
         }
@@ -121,52 +137,18 @@ fn hammer(service: &NameService, threads: usize, ops_per_thread: usize) -> Measu
     }
 }
 
-fn best_of(service: &NameService, threads: usize, ops_per_thread: usize, reps: usize) -> Measurement {
-    // Warm the worker pool (first acquires construct sessions).
-    hammer(service, threads, 50);
-    let mut best = hammer(service, threads, ops_per_thread);
-    for _ in 1..reps {
-        let m = hammer(service, threads, ops_per_thread);
-        if m.ops_per_sec() > best.ops_per_sec() {
-            best = m;
-        }
-    }
-    best
-}
-
-/// The async-facade analogue of [`hammer`]: each OS thread is a one-task
-/// executor, driving every cycle through `block_on(service.acquire())`.
-/// Prices the executor and future machinery (waker construction, one
-/// poll, the `Arc`-holding guard) on top of the sync path it wraps.
-fn hammer_async(service: &AsyncNameService, threads: usize, ops_per_thread: usize) -> Measurement {
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(move || {
-                for _ in 0..ops_per_thread {
-                    let guard = exec::block_on(service.acquire()).expect("within capacity");
-                    std::hint::black_box(guard.value());
-                    // guard drop -> release
-                }
-            });
-        }
-    });
-    Measurement {
-        ops: (threads * ops_per_thread) as u64,
-        seconds: start.elapsed().as_secs_f64(),
-    }
-}
-
-fn best_of_async(
-    service: &AsyncNameService,
+/// The best of `reps` [`hammer`] runs, after a short warm-up run that
+/// fills the worker pool (first acquires construct sessions).
+pub(super) fn best_of(
+    cycle: impl Fn() + Sync,
     threads: usize,
     ops_per_thread: usize,
     reps: usize,
 ) -> Measurement {
-    hammer_async(service, threads, 50);
-    let mut best = hammer_async(service, threads, ops_per_thread);
+    hammer(&cycle, threads, 50);
+    let mut best = hammer(&cycle, threads, ops_per_thread);
     for _ in 1..reps {
-        let m = hammer_async(service, threads, ops_per_thread);
+        let m = hammer(&cycle, threads, ops_per_thread);
         if m.ops_per_sec() > best.ops_per_sec() {
             best = m;
         }
@@ -181,10 +163,7 @@ fn best_of_async(
 /// check, a per-backend mode comparison and an O(1)-reset proof for the
 /// register trees. Writes `BENCH_service.json`.
 pub fn service_throughput(h: &mut Harness) -> String {
-    let mut out = header(
-        "service_throughput",
-        "Service: NameService acquire/release ops/sec per backend, sync/async caller, TAS substrate (tooling)",
-    );
+    let mut out = String::new();
     let ops_per_thread = if h.quick() { 10_000 } else { 60_000 };
     let thread_counts = thread_sweep(h.threads().min(CAPACITY));
     let max_threads = *thread_counts.last().expect("non-empty");
@@ -196,7 +175,7 @@ pub fn service_throughput(h: &mut Harness) -> String {
     // cell so machine-wide drift cancels out of the ratio. The second
     // cell drives the same kind of service through the async facade:
     // each hammer thread is a one-task executor running
-    // `exec::block_on(service.acquire())` per cycle (`hammer_async`).
+    // `exec::block_on(service.acquire())` per cycle (`async_cycle`).
     let mut mode_table = Table::new(["backend", "mode", "threads", "ops", "Kops/s", "drained"]);
     let mut mode_rows: Vec<Value> = Vec::new();
     let mut mode_comparison: Vec<Value> = Vec::new();
@@ -213,13 +192,11 @@ pub fn service_throughput(h: &mut Harness) -> String {
                 backend_label = service.algorithm();
                 let (best, drained) = if mode_label == "async" {
                     let service = AsyncNameService::new(service);
-                    let best = best_of_async(&service, threads, ops_per_thread, REPS);
-                    let drained = service.held() == 0;
-                    (best, drained)
+                    let best = best_of(|| async_cycle(&service), threads, ops_per_thread, REPS);
+                    (best, service.held() == 0)
                 } else {
-                    let best = best_of(&service, threads, ops_per_thread, REPS);
-                    let drained = service.held() == 0;
-                    (best, drained)
+                    let best = best_of(|| direct_cycle(&service), threads, ops_per_thread, REPS);
+                    (best, service.held() == 0)
                 };
                 all_drained &= drained;
                 curve[mode_idx][thread_idx] = best.ops_per_sec();
@@ -294,7 +271,7 @@ pub fn service_throughput(h: &mut Harness) -> String {
                 .build()
                 .expect("tournament service builds");
             assert!(service.supports_release(), "tournament must be long-lived");
-            let best = best_of(&service, threads, tournament_ops, TOURNAMENT_REPS);
+            let best = best_of(|| direct_cycle(&service), threads, tournament_ops, TOURNAMENT_REPS);
             let drained = service.held() == 0;
             all_drained &= drained;
             curve.push(best.ops_per_sec());
@@ -354,43 +331,27 @@ pub fn service_throughput(h: &mut Harness) -> String {
         slot.inner().node_count(),
     );
 
-    let artifact = json!({
-        "experiment": "service_throughput",
-        "mode": if h.quick() { "quick" } else { "full" },
-        "seed": h.seed(),
-        "capacity": CAPACITY,
-        "tournament_capacity": TOURNAMENT_CAPACITY,
-        "reps": REPS,
-        "threads_sweep": thread_counts,
-        "reproduce": format!(
-            "cargo run -p renaming-bench --release --bin experiments -- service_throughput{} --seed {} --threads {}",
-            if h.quick() { " --quick" } else { "" },
-            h.seed(),
-            h.threads()
-        ),
-        "mode_rows": mode_rows,
-        "mode_comparison": mode_comparison,
-        "tournament_churn": tournament_rows,
-        "tournament_reset": {
-            "register_ops": reset_register_ops,
-            "node_count": slot.inner().node_count(),
-            "is_epoch_bump": reset_is_epoch_bump,
-            "reacquired_after_reset": reacquired
-        }
-    });
-    match serde_json::to_string(&artifact) {
-        Ok(text) => match std::fs::write(ARTIFACT_PATH, text + "\n") {
-            Ok(()) => {
-                let _ = writeln!(out, "wrote {ARTIFACT_PATH}");
+    write_artifact(
+        h,
+        "service_throughput",
+        ARTIFACT_PATH,
+        json!({
+            "capacity": CAPACITY,
+            "tournament_capacity": TOURNAMENT_CAPACITY,
+            "reps": REPS,
+            "threads_sweep": thread_counts,
+            "mode_rows": mode_rows,
+            "mode_comparison": mode_comparison,
+            "tournament_churn": tournament_rows,
+            "tournament_reset": {
+                "register_ops": reset_register_ops,
+                "node_count": slot.inner().node_count(),
+                "is_epoch_bump": reset_is_epoch_bump,
+                "reacquired_after_reset": reacquired
             }
-            Err(e) => {
-                let _ = writeln!(out, "could not write {ARTIFACT_PATH}: {e}");
-            }
-        },
-        Err(e) => {
-            let _ = writeln!(out, "could not serialize artifact: {e}");
-        }
-    }
+        }),
+        &mut out,
+    );
 
     let _ = writeln!(out, "{mode_table}");
     let _ = writeln!(out, "{table}");

@@ -31,7 +31,7 @@ use renaming_core::{FastRng, RebatchingMachine};
 use renaming_sim::adversary::UniformRandom;
 use renaming_sim::{EngineScratch, Execution};
 
-use crate::experiments::{header, verdict};
+use crate::experiments::{verdict, write_artifact};
 use crate::harness::paper_layout;
 use crate::machine_kind::MachineKind;
 use crate::sweep::{AdversaryKind, Sweep, TrialSpec};
@@ -161,10 +161,7 @@ fn measure_sweep_threads(
 /// monomorphic tiers over the ReBatching sweep, plus the parallel sweep's
 /// multi-thread scaling curve, and writes `BENCH_throughput.json`.
 pub fn throughput(h: &mut Harness) -> String {
-    let mut out = header(
-        "throughput",
-        "engine: monomorphic fast path vs boxed tier and seed engine, steps/sec",
-    );
+    let mut out = String::new();
     let mut table = Table::new([
         "n",
         "trials",
@@ -300,45 +297,29 @@ pub fn throughput(h: &mut Harness) -> String {
         typed_total.steps_per_sec() / boxed_total.steps_per_sec().max(f64::MIN_POSITIVE);
     let overall_vs_seed = overall_vs_boxed / SEED_OVER_BOXED;
     let pass = overall_vs_seed >= SPEEDUP_TARGET;
-    let artifact = json!({
-        "experiment": "throughput",
-        "mode": if h.quick() { "quick" } else { "full" },
-        "seed": h.seed(),
-        "reproduce": format!(
-            "cargo run -p renaming-bench --release --bin experiments -- throughput{} --seed {}",
-            if h.quick() { " --quick" } else { "" },
-            h.seed()
-        ),
-        "boxed": {
-            "engine": "shared engine, boxed tier: Box<dyn Renamer> + Box<dyn Adversary>, StdRng (ChaCha12)",
-            "steps_per_sec": boxed_total.steps_per_sec()
-        },
-        "typed": {
-            "engine": "shared engine, monomorphic tier: concrete machines + adversary, FastRng (xoshiro256**), scratch reuse",
-            "steps_per_sec": typed_total.steps_per_sec()
-        },
-        "seed_over_boxed": SEED_OVER_BOXED,
-        "speedup_vs_boxed": overall_vs_boxed,
-        "speedup_vs_seed": overall_vs_seed,
-        "speedup_target": SPEEDUP_TARGET,
-        "pass": pass,
-        "rows": rows,
-        "available_parallelism": available,
-        "thread_scaling": scaling_rows
-    });
-    match serde_json::to_string(&artifact) {
-        Ok(text) => match std::fs::write(ARTIFACT_PATH, text + "\n") {
-            Ok(()) => {
-                let _ = writeln!(out, "wrote {ARTIFACT_PATH}");
-            }
-            Err(e) => {
-                let _ = writeln!(out, "could not write {ARTIFACT_PATH}: {e}");
-            }
-        },
-        Err(e) => {
-            let _ = writeln!(out, "could not serialize artifact: {e}");
-        }
-    }
+    write_artifact(
+        h,
+        "throughput",
+        ARTIFACT_PATH,
+        json!({
+            "boxed": {
+                "engine": "shared engine, boxed tier: Box<dyn Renamer> + Box<dyn Adversary>, StdRng (ChaCha12)",
+                "steps_per_sec": boxed_total.steps_per_sec()
+            },
+            "typed": {
+                "engine": "shared engine, monomorphic tier: concrete machines + adversary, FastRng (xoshiro256**), scratch reuse",
+                "steps_per_sec": typed_total.steps_per_sec()
+            },
+            "seed_over_boxed": SEED_OVER_BOXED,
+            "speedup_vs_boxed": overall_vs_boxed,
+            "speedup_vs_seed": overall_vs_seed,
+            "speedup_target": SPEEDUP_TARGET,
+            "pass": pass,
+            "rows": rows,
+            "thread_scaling": scaling_rows
+        }),
+        &mut out,
+    );
 
     let _ = writeln!(out, "{table}");
     let _ = writeln!(

@@ -9,8 +9,9 @@
 //! ```
 //!
 //! `--quick` shrinks the run to CI-smoke size. `--json PATH` writes the
-//! report (plus a final `Stats` snapshot) as a `BENCH_net.json`-shaped
-//! document. `--stats` prints the server's `Stats` JSON after the run;
+//! report as a JSON document labelled `"experiment": "loadgen"`: one
+//! `rows` entry in `LoadReport::to_json`'s shape, plus a final `Stats`
+//! snapshot. `--stats` prints the server's `Stats` JSON after the run;
 //! `--shutdown` then asks the server to stop gracefully — the CI smoke
 //! step uses both.
 
@@ -149,8 +150,7 @@ fn run() -> Result<(), String> {
 
     if let Some(path) = &args.json {
         let document = json!({
-            "experiment": "net_throughput",
-            "source": "renaming-loadgen",
+            "experiment": "loadgen",
             "mode": if args.quick { "quick" } else { "full" },
             "addr": addr.to_string(),
             "rows": [report.to_json()],

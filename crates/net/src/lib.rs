@@ -21,9 +21,9 @@
 //! * [`client`] — [`Client`]: a small blocking client speaking the
 //!   protocol, with pipelined batch acquire;
 //! * [`loadgen`] — the load-generator library behind the
-//!   `renaming-loadgen` bin and bench experiment 19: sweeps
-//!   connections × churn against a live server and summarizes
-//!   client-observed latency through the workspace's interpolated
+//!   `renaming-loadgen` bin: drives connections × churn against a live
+//!   server and summarizes client-observed latency through the
+//!   workspace's interpolated
 //!   [`Summary::quantile`](renaming_analysis::Summary::quantile) path.
 //!
 //! Everything is std-only — no async runtime, no network crates; the

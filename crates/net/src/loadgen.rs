@@ -7,13 +7,11 @@
 //! Every wire round trip is timed on the client side; per-connection
 //! samples are merged and summarized through the workspace's
 //! interpolated [`Summary::quantile`] path — the same order-statistic
-//! rule every committed benchmark uses — so `BENCH_net.json`'s p50/p99
-//! are directly comparable to the in-process numbers.
+//! rule every committed benchmark uses — so its p50/p99 are directly
+//! comparable to the in-process numbers.
 //!
-//! Used by the `renaming-loadgen` bin (against an external server) and
-//! by bench experiment 19 `net_throughput` (against an in-process
-//! server), which share this module so the committed artifact and the
-//! CLI measure identically.
+//! Used by the `renaming-loadgen` bin against a live server; the wire
+//! integration tests run it against an in-process one.
 
 use std::net::SocketAddr;
 use std::time::Instant;
@@ -87,7 +85,8 @@ impl LatencySummary {
         }
     }
 
-    /// The summary as a JSON object (the `BENCH_net.json` row shape).
+    /// The summary as a JSON object (the `acquire` and `release`
+    /// entries of [`LoadReport::to_json`]).
     pub fn to_json(&self) -> Value {
         json!({
             "count": self.count,
@@ -128,7 +127,8 @@ impl LoadReport {
         }
     }
 
-    /// The report as a JSON object — one `BENCH_net.json` row.
+    /// The report as a JSON object — one row of the
+    /// `renaming-loadgen --json` document.
     pub fn to_json(&self) -> Value {
         json!({
             "connections": self.config.connections,

@@ -1,17 +1,26 @@
 //! Over-the-wire integration tests: exhaustion as a graceful status,
 //! RAII release of a dropped connection's names, malformed traffic,
-//! pipelining, and graceful shutdown — all against a real server on a
-//! loopback ephemeral port.
+//! pipelining, the load generator, and graceful shutdown — all against
+//! a real server on a loopback ephemeral port.
 
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use renaming_net::{
-    write_frame, Client, ClientError, NameServer, Request, ServerConfig, ServerHandle, Status,
+    loadgen, write_frame, Client, ClientError, LoadConfig, NameServer, Request, ServerConfig,
+    ServerHandle, Status,
 };
 use renaming_service::{Algorithm, NameService, SeedPolicy};
 use serde_json::Value;
+
+/// The paper's three algorithms; the connection-lifecycle tests run on
+/// each of them.
+const PAPER_ALGORITHMS: [Algorithm; 3] = [
+    Algorithm::Rebatching,
+    Algorithm::Adaptive,
+    Algorithm::FastAdaptive,
+];
 
 /// Spawns a server over `algorithm` with the given capacity; metrics
 /// and the concurrency oracle on, handlers sized for
@@ -87,28 +96,50 @@ fn exhaustion_is_graceful_and_release_heals() {
 /// forced drain released exactly the wins.
 #[test]
 fn dropped_connection_releases_its_names() {
-    let handle = spawn_server(Algorithm::Rebatching, 16);
-    let mut observer = Client::connect(handle.addr()).expect("connect");
+    for algorithm in PAPER_ALGORITHMS {
+        let handle = spawn_server(algorithm, 16);
+        let mut observer = Client::connect(handle.addr()).expect("connect");
 
-    let mut holder = Client::connect(handle.addr()).expect("connect");
-    let names = holder.acquire_many(3).expect("pipeline");
-    assert!(names.iter().all(Result::is_ok), "{names:?}");
-    let stats = poll_stats(&mut observer, |s| occupancy(s) == 3);
-    assert_eq!(occupancy(&stats), 3);
+        let mut holder = Client::connect(handle.addr()).expect("connect");
+        let names = holder.acquire_many(3).expect("pipeline");
+        assert!(names.iter().all(Result::is_ok), "{algorithm:?}: {names:?}");
+        let stats = poll_stats(&mut observer, |s| occupancy(s) == 3);
+        assert_eq!(occupancy(&stats), 3, "{algorithm:?}");
 
-    // Drop the holder without releasing anything.
-    drop(holder);
-    let stats = poll_stats(&mut observer, |s| occupancy(s) == 0);
-    assert_eq!(occupancy(&stats), 0, "dropped session must drain: {stats}");
+        // Drop the holder without releasing anything.
+        drop(holder);
+        let stats = poll_stats(&mut observer, |s| occupancy(s) == 0);
+        assert_eq!(
+            occupancy(&stats),
+            0,
+            "{algorithm:?}: dropped session must drain: {stats}"
+        );
 
-    // The session drain went through the recorded release path: the
-    // oracle saw three wins and three matching releases, none live.
-    let oracle = stats.get("oracle").expect("oracle section");
-    assert_eq!(oracle.get("wins").and_then(Value::as_u64), Some(3));
-    assert_eq!(oracle.get("released").and_then(Value::as_u64), Some(3));
-    assert_eq!(oracle.get("live").and_then(Value::as_u64), Some(0));
-    assert_eq!(oracle.get("record_violations").and_then(Value::as_u64), Some(0));
-    handle.stop().expect("stop");
+        // The session drain went through the recorded release path: the
+        // oracle saw three wins and three matching releases, none live.
+        let oracle = stats.get("oracle").expect("oracle section");
+        assert_eq!(
+            oracle.get("wins").and_then(Value::as_u64),
+            Some(3),
+            "{algorithm:?}"
+        );
+        assert_eq!(
+            oracle.get("released").and_then(Value::as_u64),
+            Some(3),
+            "{algorithm:?}"
+        );
+        assert_eq!(
+            oracle.get("live").and_then(Value::as_u64),
+            Some(0),
+            "{algorithm:?}"
+        );
+        assert_eq!(
+            oracle.get("record_violations").and_then(Value::as_u64),
+            Some(0),
+            "{algorithm:?}"
+        );
+        handle.stop().expect("stop");
+    }
 }
 
 /// Pipelined acquires answer in request order, with per-request
@@ -293,20 +324,64 @@ fn wire_churn_yields_a_clean_oracle_verdict() {
     handle.stop().expect("stop");
 }
 
+/// The load generator's churn loop, serial and pipelined: every
+/// operation succeeds and is sampled once, the latency summary is
+/// ordered, and the drained names leave occupancy at 0 with every oracle
+/// win released.
+#[test]
+fn loadgen_churn_completes_and_drains() {
+    let handle = spawn_server(Algorithm::Rebatching, 64);
+    for pipeline in [1, 4] {
+        let config = LoadConfig {
+            connections: 2,
+            ops_per_connection: 150,
+            pipeline,
+            hold: 4,
+        };
+        let report = loadgen::run(handle.addr(), &config).expect("load run completes");
+        assert_eq!(
+            (report.errors, report.exhausted),
+            (0, 0),
+            "pipeline {pipeline}"
+        );
+        assert_eq!(report.acquire.count, 300, "pipeline {pipeline}");
+        assert_eq!(report.release.count, 300, "pipeline {pipeline}");
+        assert_eq!(report.ops, 600, "pipeline {pipeline}");
+        assert!(
+            report.acquire.p99_nanos >= report.acquire.p50_nanos && report.acquire.p50_nanos > 0.0,
+            "pipeline {pipeline}: {:?}",
+            report.acquire
+        );
+    }
+
+    let mut observer = Client::connect(handle.addr()).expect("connect");
+    let stats = poll_stats(&mut observer, |s| occupancy(s) == 0);
+    assert_eq!(occupancy(&stats), 0, "loadgen drains its names: {stats}");
+    let oracle = stats.get("oracle").expect("oracle section");
+    assert_eq!(oracle.get("wins").and_then(Value::as_u64), Some(600));
+    assert_eq!(oracle.get("released").and_then(Value::as_u64), Some(600));
+    handle.stop().expect("stop");
+}
+
 /// A wire `Shutdown` is acknowledged, stops the accept loop, and joins
 /// every handler — `join` returning proves the graceful path, and a
 /// fresh connection afterwards must not be served.
 #[test]
 fn graceful_shutdown_over_the_wire() {
-    let handle = spawn_server(Algorithm::Rebatching, 8);
-    let addr = handle.addr();
-    let mut client = Client::connect(addr).expect("connect");
-    client.shutdown().expect("acknowledged");
-    handle.join().expect("server stopped on its own");
+    for algorithm in PAPER_ALGORITHMS {
+        let handle = spawn_server(algorithm, 8);
+        let addr = handle.addr();
+        let mut client = Client::connect(addr).expect("connect");
+        client.shutdown().expect("acknowledged");
+        handle.join().expect("server stopped on its own");
 
-    // The listener is gone (or at best refuses service): a new client
-    // cannot complete a round trip.
-    if let Ok(mut late) = Client::connect(addr) {
-        assert!(late.acquire().is_err(), "no service after shutdown");
+        // The listener is gone (or at best refuses service): a new client
+        // cannot complete a round trip.
+        if let Ok(mut late) = Client::connect(addr) {
+            assert!(
+                late.acquire().is_err(),
+                "{algorithm:?}: no service after shutdown"
+            );
+        }
     }
 }

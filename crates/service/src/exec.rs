@@ -3,10 +3,10 @@
 //! The workspace vendors no async runtime (and the facade needs none:
 //! [`AcquireFuture`](crate::AcquireFuture) is hand-rolled over std's
 //! `Waker`/`Poll` machinery), so anything that holds an
-//! [`AsyncNameService`](crate::AsyncNameService) — examples, tests,
-//! experiments 18 and 20, and the benchmark's async probe — needs a way
-//! to drive futures to completion. This module provides the two smallest
-//! correct shapes:
+//! [`AsyncNameService`](crate::AsyncNameService) — examples, tests, the
+//! `service_throughput` and `oracle_churn` experiments, and the
+//! benchmark's async probe — needs a way to drive futures to completion.
+//! This module provides the two smallest correct shapes:
 //!
 //! * [`block_on`] — park the calling thread until one future resolves:
 //!   the "one request at a time" handler loop;
