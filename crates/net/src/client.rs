@@ -5,7 +5,7 @@
 //! connection drops. Calls are synchronous request/response except
 //! [`Client::acquire_many`], which pipelines a batch of acquires in one
 //! flush (the server reads them as one batch and answers them with one
-//! flush).
+//! write).
 
 use std::fmt;
 use std::io::{BufReader, BufWriter, Write};
@@ -14,7 +14,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use serde_json::Value;
 
 use crate::protocol::{
-    read_frame, write_frame, Request, Response, Status, WireError, MAX_FRAME_LEN,
+    read_frame_into, write_frame, Request, Response, Status, WireError, MAX_FRAME_LEN,
 };
 
 /// Why a client call failed.
@@ -81,6 +81,10 @@ impl From<std::io::Error> for ClientError {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// One payload buffer, reused by every request encoded and every
+    /// response read, so `Acquire` and `Release` calls allocate nothing
+    /// per frame.
+    payload: Vec<u8>,
 }
 
 impl Client {
@@ -96,19 +100,22 @@ impl Client {
         Ok(Client {
             reader,
             writer: BufWriter::new(stream),
+            payload: Vec::new(),
         })
     }
 
     fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        write_frame(&mut self.writer, &request.encode())?;
+        self.payload.clear();
+        request.encode_into(&mut self.payload);
+        write_frame(&mut self.writer, &self.payload)?;
         Ok(())
     }
 
     fn recv(&mut self) -> Result<Response, ClientError> {
-        match read_frame(&mut self.reader, MAX_FRAME_LEN)? {
-            Some(payload) => Ok(Response::decode(&payload).map_err(WireError::Protocol)?),
-            None => Err(ClientError::Closed),
+        if !read_frame_into(&mut self.reader, MAX_FRAME_LEN, &mut self.payload)? {
+            return Err(ClientError::Closed);
         }
+        Ok(Response::decode(&self.payload).map_err(WireError::Protocol)?)
     }
 
     /// One synchronous round trip: send, flush, read one response.
@@ -142,7 +149,7 @@ impl Client {
 
     /// Pipelines `count` acquires: writes every request, flushes once,
     /// then reads every response. The server answers the whole batch
-    /// in request order and flushes the responses once.
+    /// in request order and writes the responses once.
     ///
     /// # Errors
     ///

@@ -32,7 +32,7 @@ pub struct LoadConfig {
     pub ops_per_connection: usize,
     /// Pipeline depth: `1` issues serial round trips (highest latency
     /// fidelity); `d > 1` batches `d` acquires per flush, which the
-    /// server answers with one flush (throughput shape).
+    /// server answers with one write (throughput shape).
     pub pipeline: usize,
     /// Churn window: how many names a connection holds before it starts
     /// releasing the oldest. Small = hot recycle churn; large = high

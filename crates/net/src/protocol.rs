@@ -91,8 +91,9 @@ pub enum Status {
     Malformed = 64,
     /// A `Release` named a name this connection does not hold.
     NotHeld = 65,
-    /// The per-connection in-flight cap or another server-side resource
-    /// bound rejected the request.
+    /// Reserved for a server that sheds load by refusing requests. This
+    /// server never sends it: its in-flight cap (`max_pipeline`) applies
+    /// TCP backpressure instead of rejecting anything.
     Overloaded = 66,
     /// The server is shutting down and will not serve the request.
     ShuttingDown = 67,
@@ -176,17 +177,22 @@ impl Request {
     /// Encodes the request payload (frame the result with
     /// [`write_frame`]).
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(10);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the request payload to `out`; allocates only if `out`
+    /// lacks the capacity.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Request::Acquire => vec![PROTOCOL_VERSION, OP_ACQUIRE],
+            Request::Acquire => out.extend_from_slice(&[PROTOCOL_VERSION, OP_ACQUIRE]),
             Request::Release { name } => {
-                let mut out = Vec::with_capacity(10);
-                out.push(PROTOCOL_VERSION);
-                out.push(OP_RELEASE);
+                out.extend_from_slice(&[PROTOCOL_VERSION, OP_RELEASE]);
                 out.extend_from_slice(&name.to_le_bytes());
-                out
             }
-            Request::Stats => vec![PROTOCOL_VERSION, OP_STATS],
-            Request::Shutdown => vec![PROTOCOL_VERSION, OP_SHUTDOWN],
+            Request::Stats => out.extend_from_slice(&[PROTOCOL_VERSION, OP_STATS]),
+            Request::Shutdown => out.extend_from_slice(&[PROTOCOL_VERSION, OP_SHUTDOWN]),
         }
     }
 
@@ -239,25 +245,56 @@ impl Response {
     /// Encodes the response payload (frame the result with
     /// [`write_frame`]).
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(10);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends this response to `out` as one whole frame — length prefix,
+    /// then payload — the bytes [`write_frame`] writes for
+    /// [`encode`](Self::encode)'s payload. `Name`, `Released` and
+    /// `ShuttingDown` allocate only if `out` lacks the capacity.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Oversized`] if the payload exceeds
+    /// [`MAX_FRAME_LEN`]; `out` is then left as it was.
+    pub(crate) fn encode_frame_into(&self, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
+        let start = out.len();
+        out.extend_from_slice(&[0; 4]);
+        self.encode_into(out);
+        match frame_prefix(out.len() - start - 4) {
+            Ok(prefix) => {
+                out[start..start + 4].copy_from_slice(&prefix);
+                Ok(())
+            }
+            Err(error) => {
+                out.truncate(start);
+                Err(error)
+            }
+        }
+    }
+
+    /// Appends the response payload to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Name(name) => {
-                let mut out = Vec::with_capacity(10);
-                out.push(PROTOCOL_VERSION);
-                out.push(RESPONSE_OK_BIT | OP_ACQUIRE);
+                out.extend_from_slice(&[PROTOCOL_VERSION, RESPONSE_OK_BIT | OP_ACQUIRE]);
                 out.extend_from_slice(&name.to_le_bytes());
-                out
             }
-            Response::Released => vec![PROTOCOL_VERSION, RESPONSE_OK_BIT | OP_RELEASE],
+            Response::Released => {
+                out.extend_from_slice(&[PROTOCOL_VERSION, RESPONSE_OK_BIT | OP_RELEASE]);
+            }
             Response::Stats(value) => {
-                let mut out = vec![PROTOCOL_VERSION, RESPONSE_OK_BIT | OP_STATS];
+                out.extend_from_slice(&[PROTOCOL_VERSION, RESPONSE_OK_BIT | OP_STATS]);
                 out.extend_from_slice(value.to_string().as_bytes());
-                out
             }
-            Response::ShuttingDown => vec![PROTOCOL_VERSION, RESPONSE_OK_BIT | OP_SHUTDOWN],
+            Response::ShuttingDown => {
+                out.extend_from_slice(&[PROTOCOL_VERSION, RESPONSE_OK_BIT | OP_SHUTDOWN]);
+            }
             Response::Error { status, detail } => {
-                let mut out = vec![PROTOCOL_VERSION, RESPONSE_ERR, *status as u8];
+                out.extend_from_slice(&[PROTOCOL_VERSION, RESPONSE_ERR, *status as u8]);
                 out.extend_from_slice(detail.as_bytes());
-                out
             }
         }
     }
@@ -442,7 +479,14 @@ impl From<ProtocolError> for WireError {
 /// [`WireError::Protocol`] ([`ProtocolError::Oversized`]) if `payload`
 /// exceeds [`MAX_FRAME_LEN`]; otherwise propagates I/O errors.
 pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(), WireError> {
-    let len = u32::try_from(payload.len()).map_err(|_| ProtocolError::Oversized {
+    writer.write_all(&frame_prefix(payload.len())?)?;
+    writer.write_all(payload)?;
+    Ok(())
+}
+
+/// The length prefix of a `len`-byte payload.
+fn frame_prefix(len: usize) -> Result<[u8; 4], ProtocolError> {
+    let len = u32::try_from(len).map_err(|_| ProtocolError::Oversized {
         len: u32::MAX,
         max: MAX_FRAME_LEN,
     })?;
@@ -450,12 +494,9 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(), WireE
         return Err(ProtocolError::Oversized {
             len,
             max: MAX_FRAME_LEN,
-        }
-        .into());
+        });
     }
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(payload)?;
-    Ok(())
+    Ok(len.to_le_bytes())
 }
 
 /// Reads one frame's payload. Returns `Ok(None)` on a clean EOF (the
@@ -467,9 +508,27 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(), WireE
 /// (checked before allocating), [`ProtocolError::Truncated`] for EOF
 /// inside a frame, [`WireError::Io`] for transport failures.
 pub fn read_frame<R: Read>(reader: &mut R, max_len: u32) -> Result<Option<Vec<u8>>, WireError> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(reader, max_len, &mut payload)?.then_some(payload))
+}
+
+/// [`read_frame`] into a caller-owned buffer: on `Ok(true)` `payload`
+/// holds exactly the frame's payload; `Ok(false)` is a clean EOF. The
+/// buffer keeps its capacity, so a reused one allocates only to grow
+/// past the largest frame it has held (at most `max_len` bytes).
+///
+/// # Errors
+///
+/// As for [`read_frame`]; an oversized prefix is rejected before
+/// `payload` is resized.
+pub(crate) fn read_frame_into<R: Read>(
+    reader: &mut R,
+    max_len: u32,
+    payload: &mut Vec<u8>,
+) -> Result<bool, WireError> {
     let mut prefix = [0u8; 4];
     match read_exact_or_eof(reader, &mut prefix)? {
-        ReadOutcome::CleanEof => return Ok(None),
+        ReadOutcome::CleanEof => return Ok(false),
         ReadOutcome::Truncated => return Err(ProtocolError::Truncated.into()),
         ReadOutcome::Full => {}
     }
@@ -477,9 +536,10 @@ pub fn read_frame<R: Read>(reader: &mut R, max_len: u32) -> Result<Option<Vec<u8
     if len > max_len {
         return Err(ProtocolError::Oversized { len, max: max_len }.into());
     }
-    let mut payload = vec![0u8; len as usize];
-    match read_exact_or_eof(reader, &mut payload)? {
-        ReadOutcome::Full => Ok(Some(payload)),
+    payload.clear();
+    payload.resize(len as usize, 0);
+    match read_exact_or_eof(reader, payload)? {
+        ReadOutcome::Full => Ok(true),
         // A length prefix with no (complete) payload behind it.
         ReadOutcome::CleanEof | ReadOutcome::Truncated => Err(ProtocolError::Truncated.into()),
     }
@@ -515,6 +575,8 @@ fn read_exact_or_eof<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<Read
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn roundtrip_request(request: Request) {
@@ -636,6 +698,104 @@ mod tests {
             write_frame(&mut Vec::new(), &big),
             Err(WireError::Protocol(ProtocolError::Oversized { .. }))
         ));
+    }
+
+    #[test]
+    fn read_frame_into_reuses_one_buffer_and_checks_the_cap_first() {
+        let mut wire = Vec::new();
+        for payload in [&b"hello"[..], b"", b"hi"] {
+            write_frame(&mut wire, payload).expect("write");
+        }
+        wire.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut reader = io::Cursor::new(wire);
+        let mut payload = Vec::new();
+        for expected in [&b"hello"[..], b"", b"hi"] {
+            assert!(read_frame_into(&mut reader, MAX_FRAME_LEN, &mut payload).expect("frame"));
+            assert_eq!(payload, expected, "a shorter frame leaves no stale bytes");
+        }
+        let capacity = payload.capacity();
+        assert!(matches!(
+            read_frame_into(&mut reader, MAX_FRAME_LEN, &mut payload),
+            Err(WireError::Protocol(ProtocolError::Oversized { len: u32::MAX, .. }))
+        ));
+        assert_eq!(
+            (payload.as_slice(), payload.capacity()),
+            (&b"hi"[..], capacity),
+            "an oversized prefix is rejected before the buffer is touched"
+        );
+        assert!(!read_frame_into(&mut io::Cursor::new(Vec::new()), MAX_FRAME_LEN, &mut payload)
+            .expect("clean eof"));
+    }
+
+    #[test]
+    fn encode_frame_into_rejects_an_oversized_payload_and_leaves_out_alone() {
+        let mut out = b"kept".to_vec();
+        let huge = Response::Error {
+            status: Status::Malformed,
+            detail: "x".repeat(MAX_FRAME_LEN as usize),
+        };
+        assert!(matches!(
+            huge.encode_frame_into(&mut out),
+            Err(ProtocolError::Oversized { .. })
+        ));
+        assert_eq!(out, b"kept");
+    }
+
+    const STATUSES: [Status; 10] = [
+        Status::Ok,
+        Status::InvalidEpsilon,
+        Status::InvalidBeta,
+        Status::TooFewProcesses,
+        Status::Exhausted,
+        Status::ReleaseUnsupported,
+        Status::Malformed,
+        Status::NotHeld,
+        Status::Overloaded,
+        Status::ShuttingDown,
+    ];
+
+    /// Every response kind: any name, any status, details and JSON
+    /// bodies from arbitrary (possibly non-ASCII) bytes.
+    fn arb_response() -> impl Strategy<Value = Response> {
+        (
+            (0u8..5, any::<u64>()),
+            0..STATUSES.len(),
+            prop::collection::vec(any::<u8>(), 0..40),
+        )
+            .prop_map(|((kind, name), status, bytes)| {
+                let detail = String::from_utf8_lossy(&bytes).into_owned();
+                match kind {
+                    0 => Response::Name(name),
+                    1 => Response::Released,
+                    2 => Response::Stats(serde_json::json!({ "name": name, "detail": detail })),
+                    3 => Response::ShuttingDown,
+                    _ => Response::Error {
+                        status: STATUSES[status],
+                        detail,
+                    },
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The server's framing path puts the same bytes on the wire as
+        /// `write_frame` over `encode`, appended after whatever `out`
+        /// already holds.
+        #[test]
+        fn encode_frame_into_matches_write_frame_of_encode(
+            first in arb_response(),
+            second in arb_response(),
+        ) {
+            let mut expected = Vec::new();
+            write_frame(&mut expected, &first.encode()).expect("write");
+            write_frame(&mut expected, &second.encode()).expect("write");
+            let mut out = Vec::new();
+            first.encode_frame_into(&mut out).expect("legal size");
+            second.encode_frame_into(&mut out).expect("legal size");
+            prop_assert_eq!(out, expected);
+        }
     }
 
     #[test]

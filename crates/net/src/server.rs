@@ -7,12 +7,14 @@
 //! accept thread ──sync_channel(pending)──▶ handler pool (N threads)
 //!                                            │ one connection at a time
 //!                                            ▼
-//!                      ┌─ read a batch of ≤ max_pipeline frames
-//!                      │  (first blocks with a timeout so shutdown is
-//!                      │   noticed; the rest only if already buffered)
-//!                      ├─ decode and answer each request in order,
-//!                      │  one sync NameService call apiece
-//!                      ├─ write all responses, in request order; flush
+//!                      ┌─ read and decode a batch of ≤ max_pipeline
+//!                      │  frames (first blocks with a timeout so
+//!                      │  shutdown is noticed; the rest only if
+//!                      │  already buffered); count it
+//!                      ├─ answer each request in order, one sync
+//!                      │  NameService call apiece, appending each
+//!                      │  framed response to the output buffer
+//!                      ├─ one write_all of the whole batch's responses
 //!                      └─ repeat until EOF / Shutdown / framing error
 //!                               │
 //!                               ▼
@@ -34,6 +36,17 @@
 //!    fills, the accept thread blocks and the listen backlog (and then
 //!    the clients' `connect`) absorbs the rest.
 //!
+//! # No allocation per frame
+//!
+//! A connection owns three buffers for its whole life — the payload
+//! buffer frames are read into, the batch of decoded requests, and the
+//! output buffer responses are framed into — and every batch reuses
+//! them. Once they have grown to the connection's largest batch, an
+//! `Acquire` or `Release` frame allocates nothing on the server; only
+//! error details and `Stats` bodies do. The payload buffer keeps the
+//! capacity of the largest frame read (at most [`MAX_FRAME_LEN`])
+//! until the connection ends.
+//!
 //! # RAII over the wire
 //!
 //! A connection's acquired names live in a per-connection session.
@@ -43,7 +56,7 @@
 //! [`NameGuard`](renaming_service::NameGuard) drops; network callers
 //! get it from their socket closing.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
@@ -54,7 +67,7 @@ use renaming_service::{Name, NameService};
 use serde_json::{json, Value};
 
 use crate::protocol::{
-    read_frame, write_frame, Request, Response, Status, WireError, MAX_FRAME_LEN,
+    read_frame_into, ProtocolError, Request, Response, Status, WireError, MAX_FRAME_LEN,
 };
 
 /// Tuning knobs for a [`NameServer`]. `Default` is sized for tests and
@@ -68,7 +81,7 @@ pub struct ServerConfig {
     pub handlers: usize,
     /// Per-connection in-flight request cap: the most frames a handler
     /// reads before answering them; their responses go out in one
-    /// flush.
+    /// write.
     pub max_pipeline: usize,
     /// Bound of the accepted-but-unserved connection queue.
     pub pending_connections: usize,
@@ -363,7 +376,10 @@ fn serve(shared: &Shared, stream: TcpStream, session: &mut Vec<Name>) -> Result<
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(shared.config.read_timeout))?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = stream;
+    let mut payload = Vec::new();
+    let mut batch: Vec<Result<Request, ProtocolError>> = Vec::new();
+    let mut out = Vec::new();
     loop {
         match wait_for_data(&mut reader) {
             Wait::Data => {}
@@ -377,23 +393,36 @@ fn serve(shared: &Shared, stream: TcpStream, session: &mut Vec<Name>) -> Result<
             Wait::Err(e) => return Err(e.into()),
         }
         // Drain what is already buffered, up to the in-flight cap —
-        // this cap is the innermost backpressure layer.
-        let mut batch: Vec<Vec<u8>> = Vec::new();
+        // this cap is the innermost backpressure layer. A framing error
+        // returns before any of the batch is answered.
+        batch.clear();
         loop {
-            match read_frame(&mut reader, MAX_FRAME_LEN)? {
-                Some(payload) => batch.push(payload),
-                None => return Ok(()),
+            if !read_frame_into(&mut reader, MAX_FRAME_LEN, &mut payload)? {
+                return Ok(());
             }
+            batch.push(Request::decode(&payload));
             if batch.len() >= shared.config.max_pipeline || reader.buffer().is_empty() {
                 break;
             }
         }
+        // Counted before any answer, so a `Stats` body includes its own
+        // frame and the rest of its batch.
         shared.requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        let (responses, shutdown_now) = answer_batch(shared, session, &batch);
-        for response in &responses {
-            write_frame(&mut writer, &response.encode())?;
+        out.clear();
+        let mut shutdown_now = false;
+        for request in &batch {
+            let response = if shutdown_now {
+                Response::Error {
+                    status: Status::ShuttingDown,
+                    detail: "server is shutting down".to_string(),
+                }
+            } else {
+                shutdown_now = matches!(request, Ok(Request::Shutdown));
+                answer(shared, session, request)
+            };
+            response.encode_frame_into(&mut out)?;
         }
-        writer.flush()?;
+        writer.write_all(&out)?;
         if shutdown_now {
             shared.begin_shutdown();
             return Ok(());
@@ -401,61 +430,44 @@ fn serve(shared: &Shared, stream: TcpStream, session: &mut Vec<Name>) -> Result<
     }
 }
 
-/// Decodes and answers one batch of request payloads, in order, with
-/// one sync service call per request.
-fn answer_batch(
+/// Answers one decoded request with one sync service call.
+fn answer(
     shared: &Shared,
     session: &mut Vec<Name>,
-    batch: &[Vec<u8>],
-) -> (Vec<Response>, bool) {
-    let mut responses = Vec::with_capacity(batch.len());
-    let mut shutdown_now = false;
-    for payload in batch {
-        if shutdown_now {
-            responses.push(Response::Error {
-                status: Status::ShuttingDown,
-                detail: "server is shutting down".to_string(),
-            });
-            continue;
-        }
-        let response = match Request::decode(payload) {
-            Ok(Request::Acquire) => match shared.service.acquire_name() {
-                Ok(name) => {
-                    session.push(name);
-                    Response::Name(name.value() as u64)
-                }
-                Err(error) => Response::from_error(&error),
-            },
-            Ok(Request::Release { name }) => {
-                match session.iter().position(|held| held.value() as u64 == name) {
-                    Some(pos) => {
-                        let held = session.swap_remove(pos);
-                        match shared.service.release_name(held) {
-                            Ok(()) => Response::Released,
-                            Err(error) => Response::from_error(&error),
-                        }
+    request: &Result<Request, ProtocolError>,
+) -> Response {
+    match request {
+        Ok(Request::Acquire) => match shared.service.acquire_name() {
+            Ok(name) => {
+                session.push(name);
+                Response::Name(name.value() as u64)
+            }
+            Err(error) => Response::from_error(&error),
+        },
+        Ok(Request::Release { name }) => {
+            match session.iter().position(|held| held.value() as u64 == *name) {
+                Some(pos) => {
+                    let held = session.swap_remove(pos);
+                    match shared.service.release_name(held) {
+                        Ok(()) => Response::Released,
+                        Err(error) => Response::from_error(&error),
                     }
-                    None => Response::Error {
-                        status: Status::NotHeld,
-                        detail: format!("name {name} is not held by this connection"),
-                    },
                 }
+                None => Response::Error {
+                    status: Status::NotHeld,
+                    detail: format!("name {name} is not held by this connection"),
+                },
             }
-            Ok(Request::Stats) => Response::Stats(stats_json(shared, session.len())),
-            Ok(Request::Shutdown) => {
-                shutdown_now = true;
-                Response::ShuttingDown
-            }
-            // The frame boundary held, so the stream can resync: answer
-            // Malformed and keep the connection.
-            Err(error) => Response::Error {
-                status: Status::Malformed,
-                detail: error.to_string(),
-            },
-        };
-        responses.push(response);
+        }
+        Ok(Request::Stats) => Response::Stats(stats_json(shared, session.len())),
+        Ok(Request::Shutdown) => Response::ShuttingDown,
+        // The frame boundary held, so the stream can resync: answer
+        // Malformed and keep the connection.
+        Err(error) => Response::Error {
+            status: Status::Malformed,
+            detail: error.to_string(),
+        },
     }
-    (responses, shutdown_now)
 }
 
 /// One latency histogram as JSON: count, mean, interpolated p50/p99,

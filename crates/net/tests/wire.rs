@@ -8,8 +8,8 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use renaming_net::{
-    loadgen, write_frame, Client, ClientError, LoadConfig, NameServer, Request, ServerConfig,
-    ServerHandle, Status,
+    loadgen, read_frame, write_frame, Client, ClientError, LoadConfig, NameServer, Request,
+    Response, ServerConfig, ServerHandle, Status, WireError, MAX_FRAME_LEN,
 };
 use renaming_service::{Algorithm, NameService, SeedPolicy};
 use serde_json::Value;
@@ -27,16 +27,37 @@ const PAPER_ALGORITHMS: [Algorithm; 3] = [
 /// the tests' connection counts. With the oracle enabled, every test
 /// in this file doubles as a wire-level history check.
 fn spawn_server(algorithm: Algorithm, capacity: usize) -> ServerHandle {
+    spawn_server_with(algorithm, capacity, ServerConfig::default())
+}
+
+/// [`spawn_server`] with a non-default server configuration.
+fn spawn_server_with(algorithm: Algorithm, capacity: usize, config: ServerConfig) -> ServerHandle {
     let service = NameService::builder(algorithm, capacity)
         .metrics(true)
         .oracle(true)
         .seed_policy(SeedPolicy::Fixed(7))
         .build()
         .expect("service builds");
-    NameServer::bind("127.0.0.1:0", service, ServerConfig::default())
+    NameServer::bind("127.0.0.1:0", service, config)
         .expect("bind loopback")
         .spawn()
         .expect("spawn server")
+}
+
+fn server_counter(stats: &Value, key: &str) -> u64 {
+    stats
+        .get("server")
+        .and_then(|s| s.get(key))
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("stats carry server.{key}: {stats}"))
+}
+
+/// Reads one response frame off a raw connection.
+fn read_response(reader: &mut impl std::io::Read) -> Response {
+    let payload = read_frame(reader, MAX_FRAME_LEN)
+        .expect("response")
+        .expect("still open");
+    Response::decode(&payload).expect("decodes")
 }
 
 fn occupancy(stats: &Value) -> u64 {
@@ -161,6 +182,90 @@ fn pipeline_mixes_names_and_exhaustion_in_order() {
     handle.stop().expect("stop");
 }
 
+/// A pipeline longer than the server's in-flight cap is read in several
+/// batches and still answered in request order: linear scan hands out
+/// the lowest free name, so ten acquires over a cap of four answer
+/// names 0 to 9 in turn.
+#[test]
+fn pipeline_longer_than_the_cap_answers_in_request_order() {
+    let config = ServerConfig {
+        max_pipeline: 4,
+        ..ServerConfig::default()
+    };
+    let handle = spawn_server_with(Algorithm::LinearScan, 16, config);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let names: Vec<u64> = client
+        .acquire_many(10)
+        .expect("pipeline")
+        .into_iter()
+        .map(|outcome| outcome.expect("within capacity"))
+        .collect();
+    assert_eq!(names, (0..10).collect::<Vec<u64>>());
+    let stats = client.stats().expect("stats");
+    assert_eq!(occupancy(&stats), 10);
+    assert_eq!(server_counter(&stats, "requests"), 11, "10 acquires + this stats");
+    handle.stop().expect("stop");
+}
+
+/// A framing error ends the connection: a raw connection holding three
+/// names sends a `u32::MAX` length prefix, the server closes it, counts
+/// one protocol error and drains the session through the recorded
+/// release path.
+#[test]
+fn framing_error_closes_the_connection_and_drains_its_names() {
+    let handle = spawn_server(Algorithm::Rebatching, 16);
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut raw = stream.try_clone().expect("clone");
+    let mut reader = std::io::BufReader::new(stream);
+    for _ in 0..3 {
+        write_frame(&mut raw, &Request::Acquire.encode()).expect("frame");
+    }
+    raw.flush().expect("flush");
+    for _ in 0..3 {
+        assert!(matches!(read_response(&mut reader), Response::Name(_)));
+    }
+    raw.write_all(&u32::MAX.to_le_bytes()).expect("hostile prefix");
+    raw.flush().expect("flush");
+    let closed = read_frame(&mut reader, MAX_FRAME_LEN);
+    assert!(
+        matches!(closed, Ok(None) | Err(WireError::Io(_))),
+        "the server must close the connection, got {closed:?}"
+    );
+
+    let mut observer = Client::connect(handle.addr()).expect("connect");
+    let stats = poll_stats(&mut observer, |s| {
+        occupancy(s) == 0 && server_counter(s, "protocol_errors") == 1
+    });
+    assert_eq!(occupancy(&stats), 0, "session drained: {stats}");
+    assert_eq!(server_counter(&stats, "protocol_errors"), 1);
+    let oracle = stats.get("oracle").expect("oracle section");
+    assert_eq!(oracle.get("wins").and_then(Value::as_u64), Some(3));
+    assert_eq!(oracle.get("released").and_then(Value::as_u64), Some(3));
+    handle.stop().expect("stop");
+}
+
+/// A `Shutdown` in the middle of a batch is answered in place; the rest
+/// of the batch is refused with `ShuttingDown`, and the server stops.
+#[test]
+fn shutdown_mid_batch_refuses_the_rest_of_the_batch() {
+    let handle = spawn_server(Algorithm::Rebatching, 16);
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut raw = stream.try_clone().expect("clone");
+    let mut window = Vec::new();
+    for request in [Request::Acquire, Request::Shutdown, Request::Acquire] {
+        write_frame(&mut window, &request.encode()).expect("frame");
+    }
+    raw.write_all(&window).expect("one write, so one batch");
+    let mut reader = std::io::BufReader::new(stream);
+    assert!(matches!(read_response(&mut reader), Response::Name(_)));
+    assert_eq!(read_response(&mut reader), Response::ShuttingDown);
+    match read_response(&mut reader) {
+        Response::Error { status, .. } => assert_eq!(status, Status::ShuttingDown),
+        other => panic!("expected a ShuttingDown error, got {other:?}"),
+    }
+    handle.join().expect("server stopped on its own");
+}
+
 /// Payload-level garbage (unknown opcode, wrong version) answers
 /// `Malformed` and keeps the connection usable; the `NotHeld` guard
 /// rejects releasing a name this connection never acquired.
@@ -231,7 +336,8 @@ fn stats_shape_is_complete() {
 
     let server = stats.get("server").expect("server section");
     assert!(server.get("connections_live").and_then(Value::as_u64) >= Some(1));
-    assert!(server.get("requests").and_then(Value::as_u64) >= Some(3));
+    // Every frame sent, the `Stats` frame included: 1 + 1 + 2 + 2 + 1.
+    assert_eq!(server.get("requests").and_then(Value::as_u64), Some(7));
     let service = stats.get("service").expect("service section");
     assert_eq!(service.get("capacity").and_then(Value::as_u64), Some(8));
     let workers = service.get("workers").expect("workers section");
