@@ -99,7 +99,8 @@ fn experiments_md_matches_the_registry() {
 /// The `BENCH_*.json` files at the repository root are exactly the
 /// catalog's artifact cells, and each opens with the header every
 /// tooling experiment writes: `experiment` (its id), `mode`, `seed`,
-/// `available_parallelism` and the `reproduce` command line.
+/// `available_parallelism` and the `reproduce` command line. Each comes
+/// from a full run: CI's quick runs write to a scratch directory.
 #[test]
 fn committed_artifacts_match_the_catalog() {
     let artifacts: BTreeMap<String, String> = read_catalog_table()
@@ -133,9 +134,10 @@ fn committed_artifacts_match_the_catalog() {
                 .unwrap_or_else(|| panic!("{file} has no `{key}`"))
         };
         assert_eq!(field("experiment").as_str(), Some(id.as_str()), "{file}");
-        assert!(
-            matches!(field("mode").as_str(), Some("quick" | "full")),
-            "{file}: bad mode"
+        assert_eq!(
+            field("mode").as_str(),
+            Some("full"),
+            "{file}: a committed artifact must come from a full run, not --quick"
         );
         assert!(field("seed").as_u64().is_some(), "{file}: bad seed");
         assert!(

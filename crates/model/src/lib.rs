@@ -5,9 +5,10 @@
 //! # What it does
 //!
 //! [`Checker::check`] runs a closure many times, each time under a
-//! different thread interleaving, with every atomic operation,
-//! park/unpark, mutex operation, and yield acting as a scheduling
-//! point. Interleavings are explored by depth-first replay of
+//! different thread interleaving, with every atomic operation, spawn,
+//! join, and yield acting as a scheduling point. The code it checks is
+//! lock-free, so a model thread can block only in `join`.
+//! Interleavings are explored by depth-first replay of
 //! scheduling decisions under a **preemption bound** (exhaustive for
 //! small bounds — the CHESS result is that almost all concurrency bugs
 //! need very few preemptions), with a seeded-random fallback beyond
@@ -15,8 +16,8 @@
 //!
 //! * **panics** — any assertion failing in any explored interleaving,
 //!   reported with the decision schedule that reproduces it;
-//! * **deadlock** — every unfinished thread parked (with no pending
-//!   unpark), joining, or waiting on a mutex;
+//! * **deadlock** — every unfinished thread joining another unfinished
+//!   thread (a join cycle);
 //! * **livelock** — an interleaving exceeding the step budget.
 //!
 //! Orthogonally, a **vector-clock detector** checks the memory-ordering
@@ -30,8 +31,8 @@
 //! # Using it
 //!
 //! Write the concurrent scenario against [`sync`], [`thread`] and
-//! [`hint`] (drop-in mirrors of the std APIs), then hand it to the
-//! checker:
+//! [`hint`] (drop-in mirrors of the std atomics, `spawn`/`join`,
+//! `yield_now` and `spin_loop`), then hand it to the checker:
 //!
 //! ```
 //! use renaming_model::{model, sync::atomic::{AtomicUsize, Ordering}, sync::Arc, thread};
@@ -70,18 +71,14 @@ pub mod thread;
 pub use clock::VClock;
 pub use report::{Access, RaceReport, Report, Violation};
 
-/// Model `std::sync`: atomics (under [`sync::atomic`]), [`sync::Mutex`],
-/// and re-exported [`sync::Arc`].
+/// Model `std::sync`: atomics (under [`sync::atomic`]) and re-exported
+/// [`sync::Arc`].
 pub mod sync {
     pub use std::sync::Arc;
 
-    pub use crate::sync_impl::{Mutex, MutexGuard};
-
     /// Model `std::sync::atomic`.
     pub mod atomic {
-        pub use crate::sync_impl::{
-            AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
-        };
+        pub use crate::sync_impl::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
     }
 }
 

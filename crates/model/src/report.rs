@@ -63,9 +63,8 @@ pub enum Violation {
         /// The decision trace reproducing the failing interleaving.
         schedule: Vec<usize>,
     },
-    /// Every unfinished thread is blocked (parked with no pending
-    /// unpark, joining an unfinished thread, or waiting on a held
-    /// model mutex) — a lost wakeup or a lock cycle.
+    /// Every unfinished thread is blocked joining an unfinished thread
+    /// — a join cycle, the only way a model thread can block.
     Deadlock {
         /// `(thread id, status, last yield-point location)` for every
         /// unfinished thread.

@@ -2,8 +2,8 @@
 //!
 //! One *execution* runs the model closure with every model thread backed
 //! by a pooled OS thread, but only one thread ever runs user code at a
-//! time: each instrumented operation (atomic access, mutex, park/unpark,
-//! spawn/join, yield) is a **yield point** that hands a baton back to the
+//! time: each instrumented operation (atomic access, spawn/join, yield)
+//! is a **yield point** that hands a baton back to the
 //! controller, which consults the exploration state and hands it to the
 //! next thread. Interleavings are therefore exactly the sequences of
 //! controller decisions, and the checker explores them by depth-first
@@ -20,13 +20,10 @@
 //!   not schedulable again until some other thread has taken a step.
 //!   This is the fair-yield rule that makes bounded spin loops
 //!   explorable without livelock reports.
-//! * A thread in `park_timeout` is **timeout-parked**: it is woken by
-//!   `unpark` like any parked thread, but when nothing else can run the
-//!   scheduler may also wake it spuriously — modeling timeout expiry.
-//! * If every unfinished thread is parked (no timeout), joining, or
-//!   waiting on a model mutex, the execution **deadlocks** and the
-//!   schedule is reported. If an execution exceeds the step budget it
-//!   is reported as a **livelock**.
+//! * If every unfinished thread is joining an unfinished thread (a join
+//!   cycle), the execution **deadlocks** and the schedule is reported.
+//!   If an execution exceeds the step budget it is reported as a
+//!   **livelock**.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -66,10 +63,7 @@ enum Status {
     Runnable,
     /// Called `yield_now`: not schedulable until another thread ran.
     Yielded,
-    /// Blocked in `park`; `timeout` permits a spurious scheduler wake.
-    Parked { timeout: bool },
     BlockedJoin(usize),
-    BlockedMutex(u64),
     Finished,
 }
 
@@ -78,10 +72,7 @@ impl Status {
         match self {
             Status::Runnable => "runnable".into(),
             Status::Yielded => "yielded".into(),
-            Status::Parked { timeout: false } => "parked".into(),
-            Status::Parked { timeout: true } => "parked (timeout)".into(),
             Status::BlockedJoin(t) => format!("joining thread {t}"),
-            Status::BlockedMutex(_) => "waiting on a model mutex".into(),
             Status::Finished => "finished".into(),
         }
     }
@@ -90,9 +81,6 @@ impl Status {
 struct ThreadState {
     status: Status,
     clock: VClock,
-    park_token: bool,
-    /// Clock carried by a pending unpark token (joined when consumed).
-    token_clock: VClock,
     last_op: Option<&'static Location<'static>>,
     result: Option<Box<dyn Any + Send>>,
 }
@@ -102,8 +90,6 @@ impl ThreadState {
         Self {
             status: Status::Runnable,
             clock,
-            park_token: false,
-            token_clock: VClock::new(),
             last_op: None,
             result: None,
         }
@@ -134,7 +120,7 @@ impl SchedState {
 
 /// The state shared by one execution's controller and model threads.
 pub(crate) struct ExecShared {
-    pub(crate) id: u64,
+    id: u64,
     state: Mutex<SchedState>,
     cv: Condvar,
     pool: Arc<WorkerPool>,
@@ -151,7 +137,7 @@ struct AbortToken;
 #[derive(Clone)]
 pub(crate) struct Ctx {
     exec: Arc<ExecShared>,
-    pub(crate) tid: usize,
+    tid: usize,
 }
 
 thread_local! {
@@ -164,11 +150,6 @@ thread_local! {
 
 pub(crate) fn current_ctx() -> Option<Ctx> {
     CTX.with(|ctx| ctx.borrow().clone())
-}
-
-/// The execution a context belongs to (for stamping thread handles).
-pub(crate) fn ctx_exec_id(ctx: &Ctx) -> u64 {
-    ctx.exec.id
 }
 
 /// The current model execution id, or [`NO_EXEC`] outside a check.
@@ -455,153 +436,7 @@ pub(crate) fn record_creation(meta: &mut AtomicMeta, loc: &'static Location<'sta
     }
 }
 
-// -- mutex ------------------------------------------------------------
-
-/// Per-model-mutex scheduler state.
-#[derive(Debug, Default)]
-pub(crate) struct MutexMeta {
-    pub(crate) exec_id: u64,
-    pub(crate) uid: u64,
-    holder: Option<usize>,
-    clock: VClock,
-}
-
-static NEXT_MUTEX_UID: AtomicU64 = AtomicU64::new(1);
-
-impl MutexMeta {
-    /// Fresh metadata stamped with the current model execution (if any).
-    pub(crate) fn for_current_exec() -> Self {
-        Self {
-            exec_id: current_exec_id(),
-            uid: NEXT_MUTEX_UID.fetch_add(1, StdOrdering::Relaxed),
-            holder: None,
-            clock: VClock::new(),
-        }
-    }
-}
-
-/// Scheduled mutex acquisition. Returns `false` when the caller is not
-/// on the model (fall back to the plain lock).
-pub(crate) fn mutex_lock(meta_cell: &Mutex<MutexMeta>, loc: &'static Location<'static>) -> bool {
-    let exec_id = lock(meta_cell).exec_id;
-    if !participates(exec_id) {
-        return false;
-    }
-    let ctx = current_ctx().expect("participates implies a context");
-    loop {
-        {
-            let mut st = lock(&ctx.exec.state);
-            st.threads[ctx.tid].last_op = Some(loc);
-        }
-        ctx.yield_baton();
-        let mut st = lock(&ctx.exec.state);
-        let mut meta = lock(meta_cell);
-        if meta.holder.is_none() {
-            meta.holder = Some(ctx.tid);
-            let edge = meta.clock.clone();
-            let clock = &mut st.threads[ctx.tid].clock;
-            clock.join(&edge);
-            clock.tick(ctx.tid);
-            return true;
-        }
-        st.threads[ctx.tid].status = Status::BlockedMutex(meta.uid);
-    }
-}
-
-/// Scheduled mutex release (guard drop). No-op off the model.
-pub(crate) fn mutex_unlock(meta_cell: &Mutex<MutexMeta>, loc: &'static Location<'static>) {
-    let exec_id = lock(meta_cell).exec_id;
-    if !participates(exec_id) {
-        let mut meta = lock(meta_cell);
-        meta.holder = None;
-        return;
-    }
-    let ctx = current_ctx().expect("participates implies a context");
-    {
-        let mut st = lock(&ctx.exec.state);
-        st.threads[ctx.tid].last_op = Some(loc);
-    }
-    ctx.yield_baton();
-    let mut st = lock(&ctx.exec.state);
-    let mut meta = lock(meta_cell);
-    debug_assert_eq!(meta.holder, Some(ctx.tid), "unlock by a non-holder");
-    meta.holder = None;
-    st.threads[ctx.tid].clock.tick(ctx.tid);
-    let release = st.threads[ctx.tid].clock.clone();
-    meta.clock.join(&release);
-    let uid = meta.uid;
-    for thread in &mut st.threads {
-        if thread.status == Status::BlockedMutex(uid) {
-            thread.status = Status::Runnable;
-        }
-    }
-}
-
-// -- park / unpark / yield --------------------------------------------
-
-/// Scheduled `thread::park` (or `park_timeout` when `timeout`).
-/// Consumes a pending unpark token, or blocks until one arrives (or,
-/// with `timeout`, until the scheduler spuriously wakes the thread).
-pub(crate) fn park(timeout: bool, loc: &'static Location<'static>) {
-    let Some(ctx) = current_ctx() else {
-        // Fallback: a real thread outside the model.
-        if timeout {
-            std::thread::park_timeout(std::time::Duration::from_micros(100));
-        } else {
-            std::thread::park();
-        }
-        return;
-    };
-    if std::thread::panicking() {
-        return;
-    }
-    {
-        let mut st = lock(&ctx.exec.state);
-        st.threads[ctx.tid].last_op = Some(loc);
-    }
-    ctx.yield_baton();
-    {
-        let mut st = lock(&ctx.exec.state);
-        let thread = &mut st.threads[ctx.tid];
-        thread.clock.tick(ctx.tid);
-        if thread.park_token {
-            thread.park_token = false;
-            let token = thread.token_clock.clone();
-            thread.clock.join(&token);
-            return;
-        }
-        thread.status = Status::Parked { timeout };
-    }
-    // Blocked: wait to be woken (unpark flips us Runnable and the
-    // controller schedules us; on a timeout-park the controller may
-    // also wake us spuriously).
-    ctx.yield_baton();
-}
-
-/// Scheduled `Thread::unpark` of model thread `target`.
-pub(crate) fn unpark(exec_id: u64, target: usize, loc: &'static Location<'static>) {
-    if !participates(exec_id) {
-        return; // stale handle from a finished execution: nothing to wake
-    }
-    let ctx = current_ctx().expect("participates implies a context");
-    {
-        let mut st = lock(&ctx.exec.state);
-        st.threads[ctx.tid].last_op = Some(loc);
-    }
-    ctx.yield_baton();
-    let mut st = lock(&ctx.exec.state);
-    st.threads[ctx.tid].clock.tick(ctx.tid);
-    let waker_clock = st.threads[ctx.tid].clock.clone();
-    let target_state = &mut st.threads[target];
-    if matches!(target_state.status, Status::Parked { .. }) {
-        // The unpark happens-before the park's return.
-        target_state.status = Status::Runnable;
-        target_state.clock.join(&waker_clock);
-    } else if target_state.status != Status::Finished {
-        target_state.park_token = true;
-        target_state.token_clock.join(&waker_clock);
-    }
-}
+// -- yield ------------------------------------------------------------
 
 /// Scheduled `yield_now` / `spin_loop`: deschedules the thread until
 /// some other thread has run (the fair-yield rule).
@@ -965,9 +800,8 @@ pub(crate) fn run_one(
             }
         }
 
-        // Candidate set: runnable threads (previous thread first so the
-        // default descent is preemption-free), else spuriously wake a
-        // timeout-parked thread, else deadlock.
+        // Candidate set: runnable threads, the previous thread first so
+        // the default descent is preemption-free.
         let runnable: Vec<usize> = {
             let mut list: Vec<usize> = Vec::new();
             if let Some(p) = prev {
@@ -982,47 +816,33 @@ pub(crate) fn run_one(
             }
             list
         };
-        let mut timeout_wake = false;
-        let candidates: Vec<usize> = if !runnable.is_empty() {
-            let prev_runnable =
-                prev.is_some_and(|p| st.threads[p].status == Status::Runnable);
-            if prev_runnable && preemptions >= preemption_bound {
-                vec![prev.expect("prev_runnable implies prev")]
-            } else {
-                runnable
-            }
-        } else {
-            let timeouts: Vec<usize> = st
+        if runnable.is_empty() {
+            // Deadlock: no thread can make progress.
+            let waiting = st
                 .threads
                 .iter()
                 .enumerate()
-                .filter(|(_, t)| t.status == Status::Parked { timeout: true })
-                .map(|(tid, _)| tid)
+                .filter(|(_, t)| t.status != Status::Finished)
+                .map(|(tid, t)| {
+                    (
+                        tid,
+                        t.status.describe(),
+                        t.last_op.map_or_else(|| "<start>".into(), render_location),
+                    )
+                })
                 .collect();
-            if timeouts.is_empty() {
-                // Deadlock: no thread can make progress.
-                let waiting = st
-                    .threads
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.status != Status::Finished)
-                    .map(|(tid, t)| {
-                        (
-                            tid,
-                            t.status.describe(),
-                            t.last_op.map_or_else(|| "<start>".into(), render_location),
-                        )
-                    })
-                    .collect();
-                violation = Some(Violation::Deadlock {
-                    waiting,
-                    schedule: schedule.clone(),
-                });
-                teardown_and_drain(&exec, st);
-                break;
-            }
-            timeout_wake = true;
-            timeouts
+            violation = Some(Violation::Deadlock {
+                waiting,
+                schedule: schedule.clone(),
+            });
+            teardown_and_drain(&exec, st);
+            break;
+        }
+        let prev_runnable = prev.is_some_and(|p| st.threads[p].status == Status::Runnable);
+        let candidates = if prev_runnable && preemptions >= preemption_bound {
+            vec![prev.expect("prev_runnable implies prev")]
+        } else {
+            runnable
         };
 
         if trace.len() >= max_steps {
@@ -1060,10 +880,6 @@ pub(crate) fn run_one(
             }
         }
         prev = Some(chosen);
-        if timeout_wake {
-            // Spurious wake: the park timeout fired; no clock edge.
-            st.threads[chosen].status = Status::Runnable;
-        }
         st.active = Some(chosen);
         exec.cv.notify_all();
     }
@@ -1313,12 +1129,30 @@ mod tests {
     }
 
     #[test]
-    fn park_with_no_unpark_is_a_deadlock() {
-        let report = Checker::new().check(|| thread::park());
+    fn a_join_cycle_is_a_deadlock() {
+        let report = Checker::new().check(|| {
+            // B spins until A's handle appears, then joins A; A joins B.
+            let slot: Arc<Mutex<Option<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(None));
+            let published = Arc::clone(&slot);
+            let b = thread::spawn(move || {
+                let a = loop {
+                    if let Some(a) = lock(&published).take() {
+                        break a;
+                    }
+                    thread::yield_now();
+                };
+                a.join().unwrap();
+            });
+            let a = thread::spawn(move || b.join().unwrap());
+            *lock(&slot) = Some(a);
+        });
         match report.violation {
             Some(Violation::Deadlock { ref waiting, .. }) => {
-                assert_eq!(waiting.len(), 1);
-                assert_eq!(waiting[0].0, 0, "thread 0 is the parked one");
+                let statuses: Vec<(usize, &str)> = waiting
+                    .iter()
+                    .map(|(tid, status, _)| (*tid, status.as_str()))
+                    .collect();
+                assert_eq!(statuses, [(1, "joining thread 2"), (2, "joining thread 1")]);
             }
             ref other => panic!("expected deadlock, got {other:?}"),
         }
@@ -1341,36 +1175,6 @@ mod tests {
             }
             ref other => panic!("expected a panic violation, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn unpark_before_park_banks_the_token() {
-        let report = Checker::new().check(|| {
-            let main = thread::current();
-            let worker = thread::spawn(move || main.unpark());
-            // Whether the unpark lands before or after we park, we must
-            // not deadlock: the token is banked.
-            thread::park();
-            worker.join().unwrap();
-        });
-        report.assert_clean();
-        assert!(report.complete);
-    }
-
-    #[test]
-    fn model_mutex_provides_exclusion_and_ordering() {
-        let report = Checker::new().check(|| {
-            let shared = Arc::new(crate::sync::Mutex::new(0u32));
-            let clone = Arc::clone(&shared);
-            let worker = thread::spawn(move || {
-                *clone.lock().expect("model mutex never poisons") += 1;
-            });
-            *shared.lock().expect("model mutex never poisons") += 1;
-            worker.join().unwrap();
-            assert_eq!(*shared.lock().expect("model mutex never poisons"), 2);
-        });
-        report.assert_clean();
-        assert!(report.complete);
     }
 
     #[test]

@@ -1,4 +1,8 @@
-//! Model replacements for the `std::sync` primitives the service uses.
+//! Model replacements for the `std::sync::atomic` types the service
+//! uses: `AtomicBool`, `AtomicU64`, `AtomicUsize` and `AtomicPtr`, with
+//! `load`, `store`, `swap`, compare-exchange and, on the integers,
+//! `fetch_add`/`fetch_sub`. There is no model mutex: the code under
+//! check is lock-free.
 //!
 //! Each type mirrors the std API exactly, so the service's
 //! `sync_shim` module can re-export either this module or `std` under
@@ -20,7 +24,7 @@ use std::sync::Mutex as StdMutex;
 pub use std::sync::atomic::Ordering;
 
 use crate::report::render_location;
-use crate::scheduler::{self, AtomicMeta, MutexMeta};
+use crate::scheduler::{self, AtomicMeta};
 
 /// The shared core of every model atomic: detector metadata plus the
 /// current value, each under its own lock (the scheduler serializes
@@ -34,7 +38,7 @@ struct AtomicCell<T> {
     created: String,
 }
 
-fn lock<T: ?Sized>(mutex: &StdMutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock<T>(mutex: &StdMutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -228,24 +232,6 @@ macro_rules! int_atomic {
             pub fn fetch_sub(&self, value: $ty, order: Ordering) -> $ty {
                 self.0.rmw(order, |old| old.wrapping_sub(value))
             }
-
-            /// Bitwise or, returning the previous value.
-            #[track_caller]
-            pub fn fetch_or(&self, value: $ty, order: Ordering) -> $ty {
-                self.0.rmw(order, |old| old | value)
-            }
-
-            /// Bitwise and, returning the previous value.
-            #[track_caller]
-            pub fn fetch_and(&self, value: $ty, order: Ordering) -> $ty {
-                self.0.rmw(order, |old| old & value)
-            }
-
-            /// Maximum, returning the previous value.
-            #[track_caller]
-            pub fn fetch_max(&self, value: $ty, order: Ordering) -> $ty {
-                self.0.rmw(order, |old| old.max(value))
-            }
         }
     };
 }
@@ -259,11 +245,6 @@ int_atomic!(
     /// Model stand-in for [`std::sync::atomic::AtomicU64`].
     AtomicU64,
     u64
-);
-int_atomic!(
-    /// Model stand-in for [`std::sync::atomic::AtomicU32`].
-    AtomicU32,
-    u32
 );
 
 /// Model stand-in for [`std::sync::atomic::AtomicBool`].
@@ -303,86 +284,4 @@ impl<T> AtomicPtr<T> {
     }
 
     delegate_common!(*mut T);
-}
-
-// ---------------------------------------------------------------------
-// Mutex
-// ---------------------------------------------------------------------
-
-/// Model stand-in for [`std::sync::Mutex`]: on a model thread, lock
-/// acquisition and release are scheduling points and the lock
-/// establishes a release/acquire clock edge; off the model it behaves
-/// as a plain mutex. Never poisons (`lock` always returns `Ok`).
-#[derive(Debug)]
-pub struct Mutex<T: ?Sized> {
-    meta: StdMutex<MutexMeta>,
-    data: StdMutex<T>,
-}
-
-impl<T> Mutex<T> {
-    /// Creates the mutex, stamping the current model execution if any.
-    pub fn new(data: T) -> Self {
-        Self {
-            meta: StdMutex::new(MutexMeta::for_current_exec()),
-            data: StdMutex::new(data),
-        }
-    }
-
-    /// Consumes the mutex, returning the data — mirror of
-    /// [`std::sync::Mutex::into_inner`]. Never poisoned (the model
-    /// swallows inner poisoning); no scheduling point (ownership proves
-    /// exclusivity).
-    pub fn into_inner(self) -> std::sync::LockResult<T> {
-        Ok(self
-            .data
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner))
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquires the mutex. On a model thread the scheduler blocks this
-    /// model thread (not the OS thread pool) until the holder releases.
-    #[track_caller]
-    pub fn lock(&self) -> std::sync::LockResult<MutexGuard<'_, T>> {
-        let modeled = scheduler::mutex_lock(&self.meta, Location::caller());
-        let inner = lock(&self.data);
-        Ok(MutexGuard { inner: Some(inner), owner: self, modeled })
-    }
-}
-
-/// Guard for [`Mutex`]; releasing it is a scheduling point on a model
-/// thread.
-#[derive(Debug)]
-pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<std::sync::MutexGuard<'a, T>>,
-    owner: &'a Mutex<T>,
-    modeled: bool,
-}
-
-impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard data present until drop")
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard data present until drop")
-    }
-}
-
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    #[track_caller]
-    fn drop(&mut self) {
-        // Release the data before the model-level release, so that once
-        // another model thread is told the lock is free the data lock
-        // really is.
-        self.inner = None;
-        if self.modeled {
-            scheduler::mutex_unlock(&self.owner.meta, Location::caller());
-        }
-    }
 }

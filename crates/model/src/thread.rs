@@ -1,84 +1,12 @@
-//! Model replacements for the `std::thread` APIs the service uses:
-//! `spawn`/`join`, `current`, `park`/`park_timeout`/`unpark`, and
-//! `yield_now`. On a model thread these are scheduling points with the
-//! same happens-before edges std guarantees (spawn edge, join edge,
-//! unpark-synchronizes-with-park); off the model they delegate to std.
+//! Model replacements for the `std::thread` APIs the checked code uses:
+//! `spawn`/`join` and `yield_now`. On a model thread these are
+//! scheduling points with the happens-before edges std guarantees (the
+//! spawn edge and the join edge); off the model they delegate to std.
 
 use std::any::Any;
 use std::panic::Location;
-use std::time::Duration;
 
 use crate::scheduler;
-
-/// A handle to a thread, like [`std::thread::Thread`]: either a real
-/// one, or a model thread of the current checker execution.
-#[derive(Debug, Clone)]
-pub enum Thread {
-    /// A real OS thread (off-model fallback).
-    Std(std::thread::Thread),
-    /// A model thread of one checker execution.
-    Model {
-        /// The execution the thread belongs to; unparks from later
-        /// executions (stale handles) are ignored.
-        exec_id: u64,
-        /// The model thread id.
-        tid: usize,
-    },
-}
-
-/// A thread identifier, like [`std::thread::ThreadId`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ThreadId {
-    /// Identifier of a real OS thread.
-    Std(std::thread::ThreadId),
-    /// Identifier of a model thread: (execution id, thread id).
-    Model(u64, usize),
-}
-
-impl Thread {
-    /// Wakes the thread from `park`, or banks the token — with the std
-    /// guarantee that the unpark happens-before the park's return.
-    #[track_caller]
-    pub fn unpark(&self) {
-        match self {
-            Thread::Std(thread) => thread.unpark(),
-            Thread::Model { exec_id, tid } => {
-                scheduler::unpark(*exec_id, *tid, Location::caller());
-            }
-        }
-    }
-
-    /// The thread's identifier.
-    pub fn id(&self) -> ThreadId {
-        match self {
-            Thread::Std(thread) => ThreadId::Std(thread.id()),
-            Thread::Model { exec_id, tid } => ThreadId::Model(*exec_id, *tid),
-        }
-    }
-}
-
-/// The handle of the calling thread (model thread when inside a check).
-pub fn current() -> Thread {
-    match scheduler::current_ctx() {
-        Some(ctx) => Thread::Model { exec_id: scheduler::ctx_exec_id(&ctx), tid: ctx.tid },
-        None => Thread::Std(std::thread::current()),
-    }
-}
-
-/// Blocks the calling thread until its token is made available.
-#[track_caller]
-pub fn park() {
-    scheduler::park(false, Location::caller());
-}
-
-/// Parks with a timeout. In the model the duration is irrelevant: the
-/// scheduler explores both the woken-by-unpark and the timed-out
-/// resumption, which is exactly the set of behaviors a real timeout
-/// can produce.
-#[track_caller]
-pub fn park_timeout(_duration: Duration) {
-    scheduler::park(true, Location::caller());
-}
 
 /// Cooperatively gives up the scheduling slot. In the model this is the
 /// fair-yield point: the thread is not rescheduled until another thread

@@ -59,7 +59,7 @@
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -314,21 +314,13 @@ impl Drop for ServerHandle {
 }
 
 /// One handler thread: take a connection, serve it to completion,
-/// repeat until shutdown drains the channel.
+/// repeat until shutdown. An idle handler blocks in `recv` without
+/// waking; the accept loop drops the sender at shutdown, which ends it.
 fn handler_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
-    loop {
-        if shared.shutting_down() {
-            return;
-        }
-        let next = {
-            let rx = rx.lock().expect("receiver lock never poisoned");
-            rx.recv_timeout(shared.config.read_timeout)
-        };
-        match next {
-            Ok(stream) => serve_connection(shared, stream),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
+    while !shared.shutting_down() {
+        let next = rx.lock().expect("receiver lock never poisoned").recv();
+        let Ok(stream) = next else { return };
+        serve_connection(shared, stream);
     }
 }
 

@@ -244,6 +244,81 @@ fn framing_error_closes_the_connection_and_drains_its_names() {
     handle.stop().expect("stop");
 }
 
+/// A frame that arrives in two parts 50 ms apart, split inside its
+/// length prefix, is reassembled and answered.
+#[test]
+fn a_frame_split_across_two_writes_is_answered() {
+    let handle = spawn_server(Algorithm::Rebatching, 16);
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut raw = stream.try_clone().expect("clone");
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &Request::Acquire.encode()).expect("frame");
+    let (head, tail) = frame.split_at(3);
+    raw.write_all(head).expect("first part");
+    std::thread::sleep(Duration::from_millis(50));
+    raw.write_all(tail).expect("second part");
+    let mut reader = std::io::BufReader::new(stream);
+    assert!(matches!(read_response(&mut reader), Response::Name(_)));
+    handle.stop().expect("stop");
+}
+
+/// `read_timeout` bounds a mid-frame stall: a connection that holds two
+/// names, then sends a length prefix and only part of the payload, is
+/// disconnected and its names come back. The server's only handler then
+/// serves the next client.
+#[test]
+fn a_mid_frame_stall_is_disconnected_and_its_names_released() {
+    let config = ServerConfig {
+        handlers: 1,
+        read_timeout: Duration::from_millis(100),
+        ..ServerConfig::default()
+    };
+    let handle = spawn_server_with(Algorithm::Rebatching, 16, config);
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    // Bounds the test, not the server: a stall the server never ends
+    // fails as a timeout below instead of hanging.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("client timeout");
+    let mut raw = stream.try_clone().expect("clone");
+    let mut reader = std::io::BufReader::new(stream);
+    for _ in 0..2 {
+        write_frame(&mut raw, &Request::Acquire.encode()).expect("frame");
+    }
+    raw.flush().expect("flush");
+    for _ in 0..2 {
+        assert!(matches!(read_response(&mut reader), Response::Name(_)));
+    }
+
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &Request::Acquire.encode()).expect("frame");
+    raw.write_all(&frame[..frame.len() - 1])
+        .expect("a length prefix and all but the last payload byte");
+    let closed = read_frame(&mut reader, MAX_FRAME_LEN);
+    assert!(
+        match &closed {
+            Ok(None) => true,
+            Err(WireError::Io(e)) => !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            _ => false,
+        },
+        "the server must close the stalled connection, got {closed:?}"
+    );
+
+    let mut next = Client::connect(handle.addr()).expect("connect");
+    let stats = poll_stats(&mut next, |s| occupancy(s) == 0);
+    assert_eq!(occupancy(&stats), 0, "stalled session drained: {stats}");
+    let oracle = stats.get("oracle").expect("oracle section");
+    assert_eq!(oracle.get("wins").and_then(Value::as_u64), Some(2));
+    assert_eq!(oracle.get("released").and_then(Value::as_u64), Some(2));
+    let name = next.acquire().expect("the next client is served");
+    next.release(name).expect("release");
+    handle.stop().expect("stop");
+}
+
 /// A `Shutdown` in the middle of a batch is answered in place; the rest
 /// of the batch is refused with `ShuttingDown`, and the server stops.
 #[test]

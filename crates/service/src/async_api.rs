@@ -71,11 +71,6 @@ impl AsyncNameService {
         }
     }
 
-    /// Wraps an already-shared service.
-    pub fn from_arc(service: Arc<NameService>) -> Self {
-        Self { inner: service }
-    }
-
     /// The wrapped service (also reachable through `Deref`).
     pub fn service(&self) -> &NameService {
         &self.inner

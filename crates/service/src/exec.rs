@@ -19,6 +19,7 @@
 //! real runtime should drive the facade from that instead; these exist
 //! so that *not having one* is never a blocker.
 
+use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -31,6 +32,28 @@ use std::thread::Thread;
 struct ThreadWaker {
     thread: Thread,
     notified: AtomicBool,
+}
+
+thread_local! {
+    /// This thread's waker, while no executor call has it lent out.
+    static IDLE_WAKER: Cell<Option<(Arc<ThreadWaker>, Waker)>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with this thread's waker, built once per thread and reused
+/// by every [`block_on`] and [`drive_all`] call on it. It is taken out
+/// for the call and put back afterwards, so a nested call finds the slot
+/// empty and builds its own. A clone that outlives its call and wakes
+/// later leaves a stale notification, which costs the thread's next
+/// call at most one extra poll.
+fn with_thread_waker<R>(f: impl FnOnce(&ThreadWaker, &mut Context<'_>) -> R) -> R {
+    let (state, waker) = IDLE_WAKER.take().unwrap_or_else(|| {
+        let state = ThreadWaker::current();
+        let waker = Waker::from(Arc::clone(&state));
+        (state, waker)
+    });
+    let output = f(&state, &mut Context::from_waker(&waker));
+    IDLE_WAKER.set(Some((state, waker)));
+    output
 }
 
 impl ThreadWaker {
@@ -80,15 +103,12 @@ impl Wake for ThreadWaker {
 /// ```
 pub fn block_on<F: Future>(future: F) -> F::Output {
     let mut future = std::pin::pin!(future);
-    let state = ThreadWaker::current();
-    let waker = Waker::from(Arc::clone(&state));
-    let mut cx = Context::from_waker(&waker);
-    loop {
-        match future.as_mut().poll(&mut cx) {
+    with_thread_waker(|state, cx| loop {
+        match future.as_mut().poll(cx) {
             Poll::Ready(output) => return output,
             Poll::Pending => state.wait(),
         }
-    }
+    })
 }
 
 /// Drives a batch of futures to completion on the calling thread,
@@ -126,14 +146,11 @@ pub fn drive_all<F: Future>(futures: impl IntoIterator<Item = F>) -> Vec<F::Outp
         .into_iter()
         .map(|future| (Some(Box::pin(future)), None))
         .collect();
-    let state = ThreadWaker::current();
-    let waker = Waker::from(Arc::clone(&state));
-    let mut cx = Context::from_waker(&waker);
-    loop {
+    with_thread_waker(|state, cx| loop {
         let mut live = 0usize;
         for (future, output) in &mut slots {
             let Some(pinned) = future else { continue };
-            match pinned.as_mut().poll(&mut cx) {
+            match pinned.as_mut().poll(cx) {
                 Poll::Ready(value) => {
                     *output = Some(value);
                     *future = None;
@@ -145,7 +162,7 @@ pub fn drive_all<F: Future>(futures: impl IntoIterator<Item = F>) -> Vec<F::Outp
             break;
         }
         state.wait();
-    }
+    });
     slots
         .into_iter()
         .map(|(_, output)| output.expect("every future resolved"))
@@ -227,6 +244,37 @@ mod tests {
             spawned: false,
             done: Arc::new(AtomicBool::new(false)),
         });
+    }
+
+    #[test]
+    fn calls_on_one_thread_share_a_waker_and_nested_calls_get_their_own() {
+        let mut first = None;
+        block_on(std::future::poll_fn(|cx| {
+            first = Some(cx.waker().clone());
+            Poll::Ready(())
+        }));
+        let first = first.expect("captured");
+        block_on(std::future::poll_fn(|cx| {
+            assert!(cx.waker().will_wake(&first), "the thread's waker is reused");
+            Poll::Ready(())
+        }));
+        let nested = block_on(std::future::poll_fn(|cx| {
+            let outer = cx.waker().clone();
+            let inner = block_on(std::future::poll_fn(|cx| {
+                assert!(
+                    !cx.waker().will_wake(&outer),
+                    "a nested call builds its own"
+                );
+                Poll::Ready(5)
+            }));
+            Poll::Ready(inner + 1)
+        }));
+        assert_eq!(nested, 6);
+        // The clone outlived its call; waking it now leaves a stale
+        // notification, and the next calls still complete.
+        first.wake();
+        assert_eq!(block_on(YieldThen { yields: 2, value: 9 }), 9);
+        assert_eq!(drive_all((0..3).map(|i| YieldThen { yields: i, value: i })), [0, 1, 2]);
     }
 
     #[test]
