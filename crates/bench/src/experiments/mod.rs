@@ -63,7 +63,7 @@ pub fn catalog() -> Vec<ExperimentInfo> {
         ExperimentInfo { id: "a1", claim: "Ablation: geometric batches vs same budget without geometry", runner: ablations::a1_geometry },
         ExperimentInfo { id: "a2", claim: "Ablation: the t0 = 17 ln(8e/eps)/eps constant", runner: ablations::a2_t0 },
         ExperimentInfo { id: "throughput", claim: "Engine: monomorphic fast path >= 5x the seed engine's steps/sec (tooling)", runner: throughput::throughput },
-        ExperimentInfo { id: "service_throughput", claim: "Service: NameService acquire/release ops/sec per backend, sync/async caller, TAS substrate (tooling)", runner: service_throughput::service_throughput },
+        ExperimentInfo { id: "service_throughput", claim: "Service: NameService acquire/release ops/sec per backend and sync/async caller (tooling)", runner: service_throughput::service_throughput },
         ExperimentInfo { id: "oracle_churn", claim: "Oracle: vector-clock history checking passes under churn for every backend, sync and async (tooling)", runner: oracle_churn::oracle_churn },
     ]
 }

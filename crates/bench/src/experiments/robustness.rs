@@ -163,7 +163,8 @@ pub fn e14_rw_tas(h: &mut Harness) -> String {
                     std::thread::spawn(move || {
                         use rand::SeedableRng;
                         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                        let (_res, count) = tas.test_and_set_counted(pid, &mut rng);
+                        let mut count = 0;
+                        tas.test_and_set_in_epoch(pid, 0, &mut rng, &mut count);
                         count
                     })
                 })

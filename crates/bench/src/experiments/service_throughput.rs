@@ -1,6 +1,6 @@
 //! Service throughput: acquire/release operations per second through the
-//! `NameService` front-end, across backends, sync and async callers, TAS
-//! substrates and thread counts.
+//! `NameService` front-end, across backends, sync and async callers and
+//! thread counts.
 //!
 //! Not a paper claim — this experiment tracks the service layer the API
 //! redesign introduced: real OS threads hammer one `NameService` with
@@ -16,22 +16,13 @@
 //! and the async/direct ratio in the artifact's `mode_comparison`
 //! section.
 //!
-//! Since the register substrate became long-lived, the run also sweeps
-//! the **tournament backend under acquire/release churn** for the
-//! paper's three algorithms — every cycle recycles its name through the
-//! epoch-stamped tree reset — and proves the O(1) reset claim directly:
-//! using the tournament's register-operation instrumentation, it asserts
-//! that a reset performs *zero* node register operations (an epoch bump,
-//! not an `O(node_count)` rebuild).
-//!
 //! Beyond raw ops/sec, the run is a correctness soak: every cycle must
 //! succeed within capacity, and every namespace must drain to zero held
 //! names at the end.
 //!
 //! Results land in the harness records and in `BENCH_service.json` — the
 //! CI artifact tracking the service's perf trajectory across PRs,
-//! including the sync and async curves side by side and the tournament
-//! churn curves.
+//! including the sync and async curves side by side.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -39,9 +30,7 @@ use std::time::Instant;
 use serde_json::{json, Value};
 
 use renaming_analysis::Table;
-use renaming_service::{exec, Algorithm, AsyncNameService, NameService, SeedPolicy, TasBackend};
-use renaming_tas::rwtas::TournamentTas;
-use renaming_tas::{ResettableTas, Tas, TicketTas};
+use renaming_service::{exec, Algorithm, AsyncNameService, NameService, SeedPolicy};
 
 use crate::experiments::{verdict, write_artifact};
 use crate::Harness;
@@ -53,20 +42,12 @@ pub const ARTIFACT_PATH: &str = "BENCH_service.json";
 /// counts stay below it so each acquire must succeed.
 const CAPACITY: usize = 64;
 
-/// Capacity for the tournament-backend churn cells. Smaller: every slot
-/// carries an `O(capacity)`-node register tree and each probe costs
-/// `Θ(log capacity)` register operations.
-const TOURNAMENT_CAPACITY: usize = 16;
-
 /// Timed repetitions per (backend, mode, threads) point; the best
 /// ops/sec is reported, as in the engine throughput experiment, so a
 /// descheduled rep does not masquerade as a slow path. The two modes
 /// are measured back-to-back within each (backend, threads) cell so
 /// slow machine-wide drift cancels out of their ratio.
 const REPS: usize = 9;
-
-/// Repetitions for the (much slower) tournament churn cells.
-const TOURNAMENT_REPS: usize = 3;
 
 /// One timed run of the hammer.
 pub(super) struct Measurement {
@@ -158,10 +139,8 @@ pub(super) fn best_of(
 
 /// The `service_throughput` experiment: acquire/release ops/sec through
 /// `NameService` for every atomic-backend algorithm from sync and async
-/// callers and for the paper algorithms on the long-lived tournament
-/// substrate, across a `--threads`-driven sweep, plus a post-run drain
-/// check, a per-backend mode comparison and an O(1)-reset proof for the
-/// register trees. Writes `BENCH_service.json`.
+/// callers, across a `--threads`-driven sweep, plus a post-run drain
+/// check and a per-backend mode comparison. Writes `BENCH_service.json`.
 pub fn service_throughput(h: &mut Harness) -> String {
     let mut out = String::new();
     let ops_per_thread = if h.quick() { 10_000 } else { 60_000 };
@@ -210,7 +189,6 @@ pub fn service_throughput(h: &mut Harness) -> String {
                 ]);
                 mode_rows.push(json!({
                     "backend": backend_label,
-                    "tas": "atomic",
                     "mode": mode_label,
                     "threads": threads,
                     "ops": best.ops,
@@ -221,7 +199,6 @@ pub fn service_throughput(h: &mut Harness) -> String {
                     "service_throughput",
                     json!({
                         "backend": backend_label,
-                        "tas": "atomic",
                         "mode": mode_label,
                         "threads": threads,
                         "capacity": CAPACITY
@@ -248,116 +225,24 @@ pub fn service_throughput(h: &mut Harness) -> String {
         );
     }
 
-    // ---- Tournament substrate: acquire/release churn curves. ----
-    //
-    // Every cycle recycles its name through the slot's epoch-stamped
-    // reset; total cycles dwarf both the namespace and every slot's
-    // per-epoch ticket window, so these cells double as the long-lived
-    // soak for the register substrate.
-    let tournament_ops = if h.quick() { 1_000 } else { 8_000 };
-    let tournament_threads: Vec<usize> = thread_counts
-        .iter()
-        .copied()
-        .filter(|&t| t <= TOURNAMENT_CAPACITY)
-        .collect();
-    let mut table = Table::new(["backend", "tas", "threads", "ops", "Kops/s", "drained"]);
-    let mut tournament_rows: Vec<Value> = Vec::new();
-    for algorithm in [Algorithm::Rebatching, Algorithm::Adaptive, Algorithm::FastAdaptive] {
-        let mut curve = Vec::new();
-        for &threads in &tournament_threads {
-            let service = NameService::builder(algorithm, TOURNAMENT_CAPACITY)
-                .tas_backend(TasBackend::Tournament)
-                .seed_policy(SeedPolicy::Fixed(h.seed()))
-                .build()
-                .expect("tournament service builds");
-            assert!(service.supports_release(), "tournament must be long-lived");
-            let best = best_of(|| direct_cycle(&service), threads, tournament_ops, TOURNAMENT_REPS);
-            let drained = service.held() == 0;
-            all_drained &= drained;
-            curve.push(best.ops_per_sec());
-            table.row([
-                service.algorithm().to_string(),
-                "tournament".to_string(),
-                threads.to_string(),
-                best.ops.to_string(),
-                format!("{:.0}", best.ops_per_sec() / 1e3),
-                if drained { "yes".into() } else { "NO".to_string() },
-            ]);
-            tournament_rows.push(json!({
-                "backend": service.algorithm(),
-                "tas": "tournament",
-                "threads": threads,
-                "capacity": TOURNAMENT_CAPACITY,
-                "ops": best.ops,
-                "ops_per_sec": best.ops_per_sec(),
-                "drained": drained
-            }));
-            h.record(
-                "service_throughput",
-                json!({
-                    "backend": service.algorithm(),
-                    "tas": "tournament",
-                    "threads": threads,
-                    "capacity": TOURNAMENT_CAPACITY
-                }),
-                json!({"ops": best.ops, "ops_per_sec": best.ops_per_sec(), "drained": drained}),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{algorithm:?} over the tournament substrate: {:.0} .. {:.0} Kops/s across {:?} threads (every cycle epoch-resets its slot)",
-            curve.first().copied().unwrap_or(0.0) / 1e3,
-            curve.last().copied().unwrap_or(0.0) / 1e3,
-            tournament_threads,
-        );
-    }
-
-    // ---- O(1) reset proof, via the counting instrumentation. ----
-    //
-    // A reset must be a pure epoch bump: win a slot, reset it, and
-    // assert the register-operation counters across all of the tree's
-    // nodes did not move — i.e. the cost is independent of node_count()
-    // — and that the slot is immediately winnable again.
-    let slot = TicketTas::new(TournamentTas::new(TOURNAMENT_CAPACITY));
-    assert!(slot.test_and_set().won(), "fresh slot must be winnable");
-    let ops_before_reset = slot.inner().register_ops();
-    slot.reset();
-    let reset_register_ops = slot.inner().register_ops() - ops_before_reset;
-    let reset_is_epoch_bump = reset_register_ops == 0;
-    let reacquired = slot.test_and_set().won();
-    let _ = writeln!(
-        out,
-        "tournament reset: {reset_register_ops} register ops across {} nodes (epoch bump), slot winnable again: {reacquired}",
-        slot.inner().node_count(),
-    );
-
     write_artifact(
         h,
         "service_throughput",
         ARTIFACT_PATH,
         json!({
             "capacity": CAPACITY,
-            "tournament_capacity": TOURNAMENT_CAPACITY,
             "reps": REPS,
             "threads_sweep": thread_counts,
             "mode_rows": mode_rows,
-            "mode_comparison": mode_comparison,
-            "tournament_churn": tournament_rows,
-            "tournament_reset": {
-                "register_ops": reset_register_ops,
-                "node_count": slot.inner().node_count(),
-                "is_epoch_bump": reset_is_epoch_bump,
-                "reacquired_after_reset": reacquired
-            }
+            "mode_comparison": mode_comparison
         }),
         &mut out,
     );
 
     let _ = writeln!(out, "{mode_table}");
-    let _ = writeln!(out, "{table}");
     out.push_str(&verdict(
-        all_drained && reset_is_epoch_bump && reacquired,
-        "every backend (incl. tournament churn) completed all acquire/release cycles, drained to 0 held names, and reset cost 0 register ops",
+        all_drained,
+        "every backend completed all acquire/release cycles and drained to 0 held names",
     ));
     out
 }
@@ -389,11 +274,9 @@ mod tests {
             "linear-scan",
             "single-batch",
             "doubling-uniform",
-            " tournament ",
             " direct ",
             " async ",
             "async/direct",
-            "epoch bump",
         ] {
             assert!(report.contains(label), "missing {label} in:\n{report}");
         }

@@ -32,7 +32,7 @@
 //! 2. **Handler pool** (`handlers` threads): at most this many
 //!    connections are *served* concurrently; the rest wait accepted
 //!    but unserved in the channel.
-//! 3. **Pending-connection channel** (`pending_connections`): when it
+//! 3. **Pending-connection channel** (`PENDING_CONNECTIONS`, 16): when it
 //!    fills, the accept thread blocks and the listen backlog (and then
 //!    the clients' `connect`) absorbs the rest.
 //!
@@ -70,8 +70,13 @@ use crate::protocol::{
     read_frame_into, ProtocolError, Request, Response, Status, WireError, MAX_FRAME_LEN,
 };
 
+/// Bound of the accepted-but-unserved connection queue: a full queue
+/// blocks the accept thread.
+const PENDING_CONNECTIONS: usize = 16;
+
 /// Tuning knobs for a [`NameServer`]. `Default` is sized for tests and
-/// small deployments; the bins expose every field as a flag.
+/// small deployments; `renaming-server` exposes `handlers` and
+/// `max_pipeline` as flags.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Handler threads — the bound on concurrently *served*
@@ -83,8 +88,6 @@ pub struct ServerConfig {
     /// reads before answering them; their responses go out in one
     /// write.
     pub max_pipeline: usize,
-    /// Bound of the accepted-but-unserved connection queue.
-    pub pending_connections: usize,
     /// How long a handler blocks waiting for a connection's next frame
     /// before re-checking the shutdown flag. Also bounds how long a
     /// mid-frame stall (a peer that sent a length prefix and nothing
@@ -97,7 +100,6 @@ impl Default for ServerConfig {
         Self {
             handlers: 8,
             max_pipeline: 32,
-            pending_connections: 16,
             read_timeout: Duration::from_millis(200),
         }
     }
@@ -144,7 +146,8 @@ pub struct NameServer {
 
 impl NameServer {
     /// Binds a listener and wraps `service` for serving. The service is
-    /// consumed: the server owns it for its lifetime.
+    /// consumed: the server owns it for its lifetime. A `handlers` or
+    /// `max_pipeline` of 0 is served as 1.
     ///
     /// # Errors
     ///
@@ -159,7 +162,6 @@ impl NameServer {
         let config = ServerConfig {
             handlers: config.handlers.max(1),
             max_pipeline: config.max_pipeline.max(1),
-            pending_connections: config.pending_connections.max(1),
             ..config
         };
         Ok(NameServer {
@@ -199,7 +201,7 @@ impl NameServer {
     pub fn run(self) -> io::Result<()> {
         let config = self.shared.config.clone();
         let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) =
-            std::sync::mpsc::sync_channel(config.pending_connections);
+            std::sync::mpsc::sync_channel(PENDING_CONNECTIONS);
         let rx = Arc::new(Mutex::new(rx));
         let mut handlers = Vec::with_capacity(config.handlers);
         for i in 0..config.handlers {

@@ -207,6 +207,45 @@ fn pipeline_longer_than_the_cap_answers_in_request_order() {
     handle.stop().expect("stop");
 }
 
+/// `bind` serves a `handlers` or `max_pipeline` of 0 as 1: `Stats`
+/// reports both as 1, a three-deep pipeline (one frame per batch) is
+/// answered in request order, and every frame is counted.
+#[test]
+fn zero_handlers_and_pipeline_are_served_as_one() {
+    let config = ServerConfig {
+        handlers: 0,
+        max_pipeline: 0,
+        ..ServerConfig::default()
+    };
+    let handle = spawn_server_with(Algorithm::LinearScan, 8, config);
+    let addr = handle.addr();
+    let (done, served) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        let names: Vec<u64> = client
+            .acquire_many(3)
+            .expect("pipeline")
+            .into_iter()
+            .map(|outcome| outcome.expect("within capacity"))
+            .collect();
+        let _ = done.send((names, client.stats().expect("stats")));
+    });
+    // With no handler thread nothing would answer: fail, do not hang.
+    let (names, stats) = served
+        .recv_timeout(Duration::from_secs(10))
+        .expect("served within 10 s");
+    client.join().expect("client thread");
+    assert_eq!(names, vec![0, 1, 2]);
+    assert_eq!(server_counter(&stats, "handlers"), 1);
+    assert_eq!(server_counter(&stats, "max_pipeline"), 1);
+    assert_eq!(
+        server_counter(&stats, "requests"),
+        4,
+        "3 acquires + this stats"
+    );
+    handle.stop().expect("stop");
+}
+
 /// A framing error ends the connection: a raw connection holding three
 /// names sends a `u32::MAX` length prefix, the server closes it, counts
 /// one protocol error and drains the session through the recorded

@@ -33,16 +33,6 @@ impl AtomicTas {
         }
     }
 
-    /// Creates a TAS object in the already-won state.
-    ///
-    /// Useful for tests and for pre-claiming slots when embedding the array
-    /// in larger structures.
-    pub fn new_set() -> Self {
-        Self {
-            flag: AtomicBool::new(true),
-        }
-    }
-
     /// Resets the object to the unset state.
     ///
     /// The renaming algorithms are one-shot; `reset` exists so arrays can be
@@ -80,13 +70,6 @@ mod tests {
         for _ in 0..10 {
             assert!(t.test_and_set().lost());
         }
-    }
-
-    #[test]
-    fn new_set_starts_won() {
-        let t = AtomicTas::new_set();
-        assert!(t.is_set());
-        assert!(t.test_and_set().lost());
     }
 
     #[test]

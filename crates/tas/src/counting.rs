@@ -1,16 +1,17 @@
-//! Instrumentation wrapper counting TAS operations.
+//! Instrumentation wrapper counting test-and-set operations.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::{Tas, TasResult};
 
-/// A [`Tas`] wrapper that counts operations.
+/// A [`Tas`] wrapper that counts `test_and_set` calls.
 ///
 /// The paper's complexity measures are *step complexity* (maximum number of
-/// shared-memory steps by any process) and *total step complexity* (work).
-/// On real hardware we cannot intercept process scheduling, but we can count
-/// shared-memory operations; `CountingTas` is how the benchmark harness
-/// measures steps of the threaded implementations.
+/// shared-memory steps by any process) and *total step complexity* (work),
+/// and the renaming algorithms' steps are TAS probes. On real hardware we
+/// cannot intercept process scheduling, but we can count those probes;
+/// `CountingTas` is how the benchmark harness measures steps of the
+/// threaded implementations. Reads ([`Tas::is_set`]) are not counted.
 ///
 /// # Example
 ///
@@ -22,22 +23,19 @@ use crate::{Tas, TasResult};
 /// t.test_and_set();
 /// t.is_set();
 /// assert_eq!(t.tas_ops(), 2);
-/// assert_eq!(t.read_ops(), 1);
 /// ```
 #[derive(Debug, Default)]
 pub struct CountingTas<T> {
     inner: T,
     tas_ops: AtomicU64,
-    read_ops: AtomicU64,
 }
 
 impl<T: Tas> CountingTas<T> {
-    /// Wraps `inner`, starting all counters at zero.
+    /// Wraps `inner`, starting the counter at zero.
     pub fn new(inner: T) -> Self {
         Self {
             inner,
             tas_ops: AtomicU64::new(0),
-            read_ops: AtomicU64::new(0),
         }
     }
 
@@ -46,30 +44,9 @@ impl<T: Tas> CountingTas<T> {
         self.tas_ops.load(Ordering::Relaxed)
     }
 
-    /// Number of `is_set` calls so far.
-    pub fn read_ops(&self) -> u64 {
-        self.read_ops.load(Ordering::Relaxed)
-    }
-
-    /// Total shared-memory operations (`test_and_set` + `is_set`).
-    pub fn total_ops(&self) -> u64 {
-        self.tas_ops() + self.read_ops()
-    }
-
-    /// Resets all counters to zero (the wrapped object is untouched).
-    pub fn reset_counters(&self) {
-        self.tas_ops.store(0, Ordering::Relaxed);
-        self.read_ops.store(0, Ordering::Relaxed);
-    }
-
     /// Borrows the wrapped TAS object.
     pub fn inner(&self) -> &T {
         &self.inner
-    }
-
-    /// Consumes the wrapper, returning the wrapped TAS object.
-    pub fn into_inner(self) -> T {
-        self.inner
     }
 }
 
@@ -80,7 +57,6 @@ impl<T: Tas> Tas for CountingTas<T> {
     }
 
     fn is_set(&self) -> bool {
-        self.read_ops.fetch_add(1, Ordering::Relaxed);
         self.inner.is_set()
     }
 }
@@ -93,30 +69,10 @@ mod tests {
     #[test]
     fn counts_operations() {
         let t = CountingTas::new(AtomicTas::new());
-        assert_eq!(t.total_ops(), 0);
+        assert_eq!(t.tas_ops(), 0);
         assert!(t.test_and_set().won());
         assert!(t.test_and_set().lost());
         assert!(t.is_set());
-        assert_eq!(t.tas_ops(), 2);
-        assert_eq!(t.read_ops(), 1);
-        assert_eq!(t.total_ops(), 3);
-    }
-
-    #[test]
-    fn reset_counters_keeps_state() {
-        let t = CountingTas::new(AtomicTas::new());
-        assert!(t.test_and_set().won());
-        t.reset_counters();
-        assert_eq!(t.total_ops(), 0);
-        // The underlying object is still won.
-        assert!(t.test_and_set().lost());
-    }
-
-    #[test]
-    fn into_inner_returns_wrapped_object() {
-        let t = CountingTas::new(AtomicTas::new());
-        assert!(t.test_and_set().won());
-        let inner = t.into_inner();
-        assert!(inner.is_set());
+        assert_eq!(t.tas_ops(), 2, "reads are not counted");
     }
 }

@@ -9,9 +9,9 @@
 //!   hardware implementation backed by [`core::sync::atomic::AtomicBool`].
 //! * [`TasArray`] — a cache-padded array of TAS objects, the shared-memory
 //!   layout used by every renaming algorithm in the companion crates.
-//! * [`CountingTas`] — an instrumentation wrapper that counts operations,
-//!   used by the experiment harness to measure step complexity on real
-//!   hardware.
+//! * [`CountingTas`] — an instrumentation wrapper that counts TAS
+//!   operations, used by the experiment harness to measure step complexity
+//!   on real hardware.
 //! * [`rwtas`] — a randomized test-and-set built from read/write registers
 //!   only (a reproduction of the substitute the paper references in §2 and
 //!   footnote 1: leader-election-grade TAS in the spirit of refs [6, 22]).
@@ -147,8 +147,7 @@ impl<T: ResettableTas> ResettableTas for CountingTas<T> {
 ///
 /// The register-based [`rwtas::TournamentTas`] routes each contender through
 /// a per-process leaf, so the caller must supply a process id in
-/// `0..capacity`. Every [`Tas`] is trivially an [`IdTas`] that ignores the
-/// id.
+/// `0..capacity`. [`TicketTas`] adapts an `IdTas` into an anonymous [`Tas`].
 pub trait IdTas: Send + Sync {
     /// Performs the test-and-set operation on behalf of process `pid`.
     ///
@@ -167,13 +166,9 @@ pub trait IdTas: Send + Sync {
     /// Adapters that hand out per-epoch identities ([`TicketTas`]) call
     /// this so the identity and the epoch it was drawn in travel
     /// together — re-reading the object's epoch inside the call would
-    /// race with a concurrent reset. One-shot implementations keep the
-    /// default, which lives entirely in epoch 0; [`ResettableIdTas`]
-    /// implementations override it.
-    fn test_and_set_as_in_epoch(&self, pid: usize, epoch: u64) -> TasResult {
-        debug_assert_eq!(epoch, 0, "one-shot IdTas objects live entirely in epoch 0");
-        self.test_and_set_as(pid)
-    }
+    /// race with a concurrent reset. An object that is never reset lives
+    /// entirely in epoch 0.
+    fn test_and_set_as_in_epoch(&self, pid: usize, epoch: u64) -> TasResult;
 }
 
 /// An identity-keyed TAS whose lifetime is divided into reset epochs.
@@ -198,16 +193,6 @@ pub trait ResettableIdTas: IdTas {
     fn advance_epoch(&self);
 }
 
-impl<T: Tas> IdTas for T {
-    fn test_and_set_as(&self, _pid: usize) -> TasResult {
-        self.test_and_set()
-    }
-
-    fn is_set(&self) -> bool {
-        Tas::is_set(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,14 +205,6 @@ mod tests {
         assert!(TasResult::Lost.lost());
         assert!(!TasResult::Won.lost());
         assert!(!TasResult::Lost.won());
-    }
-
-    #[test]
-    fn id_tas_blanket_impl_ignores_pid() {
-        let t = AtomicTas::new();
-        assert!(t.test_and_set_as(7).won());
-        assert!(t.test_and_set_as(7).lost());
-        assert!(IdTas::is_set(&t));
     }
 
     #[test]
@@ -244,7 +221,7 @@ mod tests {
     fn traits_are_object_safe() {
         let t: Box<dyn Tas> = Box::new(AtomicTas::new());
         assert!(t.test_and_set().won());
-        let i: Box<dyn IdTas> = Box::new(AtomicTas::new());
+        let i: Box<dyn IdTas> = Box::new(rwtas::TournamentTas::new(2));
         assert!(i.test_and_set_as(0).won());
     }
 }

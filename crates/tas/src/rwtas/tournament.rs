@@ -156,14 +156,6 @@ impl TournamentTas {
         });
     }
 
-    /// Total register operations performed across all two-process nodes.
-    ///
-    /// O(`node_count`) to read — instrumentation for tests and
-    /// experiments (e.g. proving [`reset`](Self::reset) performs none).
-    pub fn register_ops(&self) -> u64 {
-        self.nodes.iter().map(TwoProcessTas::register_ops).sum()
-    }
-
     /// Performs the test-and-set on behalf of `pid` as a contender of the
     /// tournament's current epoch, drawing coins from `rng`.
     ///
@@ -171,11 +163,13 @@ impl TournamentTas {
     ///
     /// Panics if `pid >= self.capacity()`.
     pub fn test_and_set_with<R: Rng + ?Sized>(&self, pid: usize, rng: &mut R) -> TasResult {
-        self.test_and_set_counted(pid, rng).0
+        self.test_and_set_in_epoch(pid, self.epoch(), rng, &mut 0)
     }
 
     /// Performs the test-and-set on behalf of `pid` as a contender of
-    /// `epoch`. A call whose epoch is already (or becomes) stale loses.
+    /// `epoch`, adding the register operations this call performs on
+    /// the nodes it touches to `ops`. A call whose epoch is already (or
+    /// becomes) stale loses.
     ///
     /// This is the entry point for adapters that couple the epoch to
     /// another per-epoch resource ([`crate::TicketTas`] couples it to the
@@ -190,29 +184,8 @@ impl TournamentTas {
         pid: usize,
         epoch: u64,
         rng: &mut R,
+        ops: &mut u64,
     ) -> TasResult {
-        self.test_and_set_counted_in_epoch(pid, epoch, rng).0
-    }
-
-    /// Like [`Self::test_and_set_with`] but also reports how many register
-    /// operations the call performed across all nodes it touched.
-    pub fn test_and_set_counted<R: Rng + ?Sized>(
-        &self,
-        pid: usize,
-        rng: &mut R,
-    ) -> (TasResult, u64) {
-        let epoch = self.epoch();
-        self.test_and_set_counted_in_epoch(pid, epoch, rng)
-    }
-
-    /// Like [`Self::test_and_set_in_epoch`] but also reports how many
-    /// register operations the call performed.
-    pub fn test_and_set_counted_in_epoch<R: Rng + ?Sized>(
-        &self,
-        pid: usize,
-        epoch: u64,
-        rng: &mut R,
-    ) -> (TasResult, u64) {
         assert!(
             pid < self.capacity,
             "pid {pid} out of range 0..{}",
@@ -228,10 +201,10 @@ impl TournamentTas {
                     .solo_set
                     .compare_exchange(cur, epoch + 1, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok();
-            return (TasResult::from_won(won), 2);
+            *ops += 2;
+            return TasResult::from_won(won);
         }
 
-        let mut ops = 0u64;
         let mut node = self.leaf_base + pid;
         while node > 1 {
             let parent = node / 2;
@@ -240,15 +213,15 @@ impl TournamentTas {
             } else {
                 Side::Right
             };
-            let (result, node_ops) =
-                self.nodes[parent].test_and_set_counted_in_epoch(side, epoch, &self.epoch, rng);
-            ops += node_ops;
-            if result.lost() {
-                return (TasResult::Lost, ops);
+            if self.nodes[parent]
+                .test_and_set_in_epoch(side, epoch, &self.epoch, rng, ops)
+                .lost()
+            {
+                return TasResult::Lost;
             }
             node = parent;
         }
-        (TasResult::Won, ops)
+        TasResult::Won
     }
 
     /// Advisory: `true` once the current epoch's winner has been decided
@@ -266,13 +239,11 @@ impl TournamentTas {
 
 impl crate::IdTas for TournamentTas {
     fn test_and_set_as(&self, pid: usize) -> TasResult {
-        let mut rng = rand::thread_rng();
-        self.test_and_set_with(pid, &mut rng)
+        self.test_and_set_with(pid, &mut rand::thread_rng())
     }
 
     fn test_and_set_as_in_epoch(&self, pid: usize, epoch: u64) -> TasResult {
-        let mut rng = rand::thread_rng();
-        self.test_and_set_in_epoch(pid, epoch, &mut rng)
+        self.test_and_set_in_epoch(pid, epoch, &mut rand::thread_rng(), &mut 0)
     }
 
     fn is_set(&self) -> bool {
@@ -367,7 +338,8 @@ mod tests {
     fn op_count_scales_with_depth() {
         let mut rng = StdRng::seed_from_u64(5);
         let t16 = TournamentTas::new(16);
-        let (_, ops16) = t16.test_and_set_counted(0, &mut rng);
+        let mut ops16 = 0;
+        assert!(t16.test_and_set_in_epoch(0, 0, &mut rng, &mut ops16).won());
         // Solo walk to the root of a 16-leaf tree: 4 fast-path matches, 3
         // register ops each.
         assert_eq!(ops16, 12);
@@ -378,16 +350,23 @@ mod tests {
         let t = TournamentTas::new(16);
         let mut rng = StdRng::seed_from_u64(6);
         assert!(t.test_and_set_with(3, &mut rng).won());
-        let ops_before = t.register_ops();
+        let node_words = |t: &TournamentTas| {
+            t.nodes
+                .iter()
+                .map(TwoProcessTas::raw_words)
+                .collect::<Vec<_>>()
+        };
+        let words_before = node_words(&t);
         let epoch_before = t.epoch();
         t.reset();
         assert_eq!(
-            t.register_ops(),
-            ops_before,
-            "reset must not perform register operations on any node"
+            node_words(&t),
+            words_before,
+            "reset must not write any node register"
         );
         assert_eq!(t.epoch(), epoch_before + 1);
         assert!(!t.is_decided(), "epoch bump reopens the tournament");
+        assert!(t.test_and_set_with(5, &mut rng).won(), "winnable again");
     }
 
     #[test]
@@ -409,14 +388,18 @@ mod tests {
         let t = TournamentTas::new(8);
         let mut rng = StdRng::seed_from_u64(8);
         let old_epoch = t.epoch();
-        assert!(t.test_and_set_in_epoch(2, old_epoch, &mut rng).won());
+        assert!(t
+            .test_and_set_in_epoch(2, old_epoch, &mut rng, &mut 0)
+            .won());
         t.reset();
         // The new epoch's race is open...
         assert!(t.test_and_set_with(5, &mut rng).won());
         // ...but a straggler still carrying the dead epoch must lose,
         // even on a leaf path the old winner never touched.
         for pid in [0, 3, 7] {
-            assert!(t.test_and_set_in_epoch(pid, old_epoch, &mut rng).lost());
+            assert!(t
+                .test_and_set_in_epoch(pid, old_epoch, &mut rng, &mut 0)
+                .lost());
         }
     }
 

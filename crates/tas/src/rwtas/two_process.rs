@@ -136,17 +136,21 @@ fn decode(raw: u64, epoch: u64) -> Reg {
 /// spinning on a peer that already conceded.
 ///
 /// The stamp CAS and the reset-counter probe are bookkeeping of the
-/// long-lived extension, not protocol steps: [`register_ops`] counts one
-/// operation per logical load/store, keeping experiment E14 comparable
-/// to the paper's one-shot register model.
-///
-/// [`register_ops`]: Self::register_ops
+/// long-lived extension, not protocol steps: a call adds one to its
+/// caller's `ops` per logical load/store of its own, keeping experiment
+/// E14 comparable to the paper's one-shot register model.
 ///
 /// # Safety argument (at most one winner per epoch, in every execution)
 ///
 /// * Two fast-path wins are impossible: if both read the other's door as
 ///   down, each read preceded the other's door write, which precedes that
-///   side's door read — a cycle.
+///   side's door read — a cycle. This is the store-buffering pattern, so
+///   "preceded" must be one order over both doors' stores and loads: the
+///   door store's successful CAS and the door load are `SeqCst`. With a
+///   `Release` store and an `Acquire` load both sides may read the other's
+///   door as down (an RCpc acquire load, such as aarch64's `ldapr`, can
+///   pass the earlier store); on x86 both orderings compile to the same
+///   instructions.
 /// * In the race, a contender quits only after observing the opponent at a
 ///   strictly larger round. Rounds are monotone and a quitter stops
 ///   advancing, so if `L` quit after seeing `R` ahead, `R` can never
@@ -183,7 +187,6 @@ fn decode(raw: u64, epoch: u64) -> Reg {
 pub struct TwoProcessTas {
     door: [AtomicU64; 2],
     state: [AtomicU64; 2],
-    register_ops: AtomicU64,
 }
 
 impl TwoProcessTas {
@@ -192,20 +195,11 @@ impl TwoProcessTas {
         Self::default()
     }
 
-    /// Total register operations (loads + stores) performed on this object.
-    ///
-    /// Used by experiment E14 to compare the register substrate against
-    /// hardware TAS, and by the service experiment to prove resets touch
-    /// no node. The counter itself uses an atomic add, which is
-    /// instrumentation, not part of the protocol.
-    pub fn register_ops(&self) -> u64 {
-        self.register_ops.load(Ordering::Relaxed)
-    }
-
     /// Publishes `value` stamped with `epoch` unless the register already
     /// carries a newer stamp (then the writer's epoch is over: `false`).
     /// The monotone-stamp CAS is what keeps stale stragglers from
-    /// clobbering a later epoch's single-writer register.
+    /// clobbering a later epoch's single-writer register. Its success
+    /// ordering is `SeqCst` for the doorway (see the safety argument).
     fn stamped_store(cell: &AtomicU64, epoch: u64, value: u64) -> bool {
         let new = pack(epoch, value);
         let mut cur = cell.load(Ordering::Relaxed);
@@ -213,7 +207,7 @@ impl TwoProcessTas {
             if (cur >> STAMP_SHIFT) > epoch {
                 return false;
             }
-            match cell.compare_exchange_weak(cur, new, Ordering::Release, Ordering::Relaxed) {
+            match cell.compare_exchange_weak(cur, new, Ordering::SeqCst, Ordering::Relaxed) {
                 Ok(_) => return true,
                 Err(seen) => cur = seen,
             }
@@ -221,35 +215,44 @@ impl TwoProcessTas {
     }
 
     #[inline]
-    fn load_state(&self, side: Side, epoch: u64) -> Reg {
-        self.register_ops.fetch_add(1, Ordering::Relaxed);
+    fn load_state(&self, side: Side, epoch: u64, ops: &mut u64) -> Reg {
+        *ops += 1;
         decode(self.state[side.index()].load(Ordering::Acquire), epoch)
     }
 
     #[inline]
-    fn store_state(&self, side: Side, epoch: u64, value: u64) -> bool {
-        self.register_ops.fetch_add(1, Ordering::Relaxed);
+    fn store_state(&self, side: Side, epoch: u64, value: u64, ops: &mut u64) -> bool {
+        *ops += 1;
         Self::stamped_store(&self.state[side.index()], epoch, value)
     }
 
+    /// `SeqCst`, pairing with the door store's `SeqCst` CAS (see the
+    /// safety argument).
     #[inline]
-    fn load_door(&self, side: Side, epoch: u64) -> Reg {
-        self.register_ops.fetch_add(1, Ordering::Relaxed);
-        decode(self.door[side.index()].load(Ordering::Acquire), epoch)
+    fn load_door(&self, side: Side, epoch: u64, ops: &mut u64) -> Reg {
+        *ops += 1;
+        decode(self.door[side.index()].load(Ordering::SeqCst), epoch)
     }
 
     #[inline]
-    fn store_door(&self, side: Side, epoch: u64) -> bool {
-        self.register_ops.fetch_add(1, Ordering::Relaxed);
+    fn store_door(&self, side: Side, epoch: u64, ops: &mut u64) -> bool {
+        *ops += 1;
         Self::stamped_store(&self.door[side.index()], epoch, DOOR_UP)
+    }
+
+    /// Every register's raw word (both doors, then both states).
+    #[cfg(test)]
+    pub(super) fn raw_words(&self) -> [u64; 4] {
+        [&self.door[0], &self.door[1], &self.state[0], &self.state[1]]
+            .map(|cell| cell.load(Ordering::Relaxed))
     }
 
     /// Abandons a call whose epoch turned stale: best-effort publishes
     /// `Quit` (so a same-epoch peer still racing us can win and move on)
     /// and loses. Losing is always sound for a TAS contender, and a
     /// contender of a dead epoch in particular can never be owed the win.
-    fn concede(&self, side: Side, epoch: u64) -> TasResult {
-        let _ = self.store_state(side, epoch, STATE_QUIT);
+    fn concede(&self, side: Side, epoch: u64, ops: &mut u64) -> TasResult {
+        let _ = self.store_state(side, epoch, STATE_QUIT, ops);
         TasResult::Lost
     }
 
@@ -261,10 +264,11 @@ impl TwoProcessTas {
         // A pinned, never-advancing epoch cell: standalone objects are
         // exactly the paper's one-shot register TAS.
         let epoch = AtomicU64::new(0);
-        self.test_and_set_in_epoch(side, 0, &epoch, rng)
+        self.test_and_set_in_epoch(side, 0, &epoch, rng, &mut 0)
     }
 
-    /// Runs the protocol for `side` as a contender of `epoch`.
+    /// Runs the protocol for `side` as a contender of `epoch`, adding
+    /// the register operations this call performs to `ops`.
     ///
     /// `reset_epoch` is the shared counter the owning object bumps to
     /// reset; the call re-checks it while waiting and concedes once it
@@ -277,6 +281,7 @@ impl TwoProcessTas {
         epoch: u64,
         reset_epoch: &AtomicU64,
         rng: &mut R,
+        ops: &mut u64,
     ) -> TasResult {
         // Idempotent re-entry within the epoch (an uncounted peek: no
         // protocol step has happened yet).
@@ -291,16 +296,16 @@ impl TwoProcessTas {
         let peer = side.other();
 
         // Doorway.
-        if !self.store_door(me, epoch) {
-            return self.concede(me, epoch);
+        if !self.store_door(me, epoch, ops) {
+            return self.concede(me, epoch, ops);
         }
-        match self.load_door(peer, epoch) {
-            Reg::Stale => return self.concede(me, epoch),
+        match self.load_door(peer, epoch, ops) {
+            Reg::Stale => return self.concede(me, epoch, ops),
             Reg::Val(0) => {
-                return if self.store_state(me, epoch, STATE_WON_FAST) {
+                return if self.store_state(me, epoch, STATE_WON_FAST, ops) {
                     TasResult::Won
                 } else {
-                    self.concede(me, epoch)
+                    self.concede(me, epoch, ops)
                 };
             }
             Reg::Val(_) => {}
@@ -308,8 +313,8 @@ impl TwoProcessTas {
 
         // Round race.
         let mut my_round = 0u64;
-        if !self.store_state(me, epoch, racing(my_round)) {
-            return self.concede(me, epoch);
+        if !self.store_state(me, epoch, racing(my_round), ops) {
+            return self.concede(me, epoch, ops);
         }
         let mut spins = 0u32;
         loop {
@@ -319,20 +324,20 @@ impl TwoProcessTas {
             // spinning on a peer that already conceded and will never
             // publish again. Reset detection, not a protocol register op.
             if reset_epoch.load(Ordering::Acquire) != epoch {
-                return self.concede(me, epoch);
+                return self.concede(me, epoch, ops);
             }
-            match self.load_state(peer, epoch) {
-                Reg::Stale => return self.concede(me, epoch),
+            match self.load_state(peer, epoch, ops) {
+                Reg::Stale => return self.concede(me, epoch, ops),
                 Reg::Val(peer_state) => match peer_state {
                     STATE_WON_FAST | STATE_WON_SLOW => {
-                        let _ = self.store_state(me, epoch, STATE_QUIT);
+                        let _ = self.store_state(me, epoch, STATE_QUIT, ops);
                         return TasResult::Lost;
                     }
                     STATE_QUIT => {
-                        return if self.store_state(me, epoch, STATE_WON_SLOW) {
+                        return if self.store_state(me, epoch, STATE_WON_SLOW, ops) {
                             TasResult::Won
                         } else {
-                            self.concede(me, epoch)
+                            self.concede(me, epoch, ops)
                         };
                     }
                     STATE_NONE => {
@@ -344,7 +349,7 @@ impl TwoProcessTas {
                         let peer_round = racing_state - STATE_RACING_BASE;
                         match peer_round.cmp(&my_round) {
                             std::cmp::Ordering::Greater => {
-                                let _ = self.store_state(me, epoch, STATE_QUIT);
+                                let _ = self.store_state(me, epoch, STATE_QUIT, ops);
                                 return TasResult::Lost;
                             }
                             std::cmp::Ordering::Equal if my_round >= MAX_ROUND => {
@@ -356,7 +361,7 @@ impl TwoProcessTas {
                                 // quit and win. One quitter, one winner
                                 // — the safety argument is unchanged.
                                 if me == Side::Right {
-                                    let _ = self.store_state(me, epoch, STATE_QUIT);
+                                    let _ = self.store_state(me, epoch, STATE_QUIT, ops);
                                     return TasResult::Lost;
                                 }
                                 Self::pause(&mut spins);
@@ -364,8 +369,8 @@ impl TwoProcessTas {
                             std::cmp::Ordering::Equal => {
                                 if rng.gen::<bool>() {
                                     my_round += 1;
-                                    if !self.store_state(me, epoch, racing(my_round)) {
-                                        return self.concede(me, epoch);
+                                    if !self.store_state(me, epoch, racing(my_round), ops) {
+                                        return self.concede(me, epoch, ops);
                                     }
                                 }
                             }
@@ -379,32 +384,6 @@ impl TwoProcessTas {
                 },
             }
         }
-    }
-
-    /// Like [`Self::test_and_set_on`] but also reports the number of
-    /// register operations this call performed.
-    pub fn test_and_set_counted<R: Rng + ?Sized>(
-        &self,
-        side: Side,
-        rng: &mut R,
-    ) -> (TasResult, u64) {
-        let before = self.register_ops();
-        let result = self.test_and_set_on(side, rng);
-        (result, self.register_ops().saturating_sub(before))
-    }
-
-    /// Like [`Self::test_and_set_in_epoch`] but also reports the number
-    /// of register operations this call performed.
-    pub fn test_and_set_counted_in_epoch<R: Rng + ?Sized>(
-        &self,
-        side: Side,
-        epoch: u64,
-        reset_epoch: &AtomicU64,
-        rng: &mut R,
-    ) -> (TasResult, u64) {
-        let before = self.register_ops();
-        let result = self.test_and_set_in_epoch(side, epoch, reset_epoch, rng);
-        (result, self.register_ops().saturating_sub(before))
     }
 
     /// Returns the winning side of `epoch` once that epoch is decided.
@@ -497,13 +476,22 @@ mod tests {
     }
 
     #[test]
-    fn counts_register_ops() {
+    fn each_call_counts_its_own_register_steps() {
         let t = TwoProcessTas::new();
         let mut rng = StdRng::seed_from_u64(4);
-        let (res, ops) = t.test_and_set_counted(Side::Left, &mut rng);
-        assert!(res.won());
+        let epoch = AtomicU64::new(0);
+        let (mut left_ops, mut right_ops) = (0, 0);
+        assert!(t
+            .test_and_set_in_epoch(Side::Left, 0, &epoch, &mut rng, &mut left_ops)
+            .won());
         // Fast path: door store, door load, state store.
-        assert_eq!(ops, 3);
+        assert_eq!(left_ops, 3);
+        assert!(t
+            .test_and_set_in_epoch(Side::Right, 0, &epoch, &mut rng, &mut right_ops)
+            .lost());
+        // Door store, door load, race-state store, peer-state load, quit
+        // store; the winner's count is untouched.
+        assert_eq!((left_ops, right_ops), (3, 5));
     }
 
     #[test]
@@ -518,16 +506,22 @@ mod tests {
         let epoch = AtomicU64::new(0);
         let t = TwoProcessTas::new();
         let mut rng = StdRng::seed_from_u64(9);
-        assert!(t.test_and_set_in_epoch(Side::Left, 0, &epoch, &mut rng).won());
-        assert!(t.test_and_set_in_epoch(Side::Right, 0, &epoch, &mut rng).lost());
+        assert!(t
+            .test_and_set_in_epoch(Side::Left, 0, &epoch, &mut rng, &mut 0)
+            .won());
+        assert!(t
+            .test_and_set_in_epoch(Side::Right, 0, &epoch, &mut rng, &mut 0)
+            .lost());
         // Reset = bump the shared counter; no register of `t` is touched.
-        let ops_before = t.register_ops();
+        let words_before = t.raw_words();
         epoch.store(1, Ordering::Release);
-        assert_eq!(t.register_ops(), ops_before);
+        assert_eq!(t.raw_words(), words_before);
         // Epoch 1 races from a pristine state: the old decision reads as
         // default, and the other side can now win.
         assert!(!t.is_decided_in_epoch(1));
-        assert!(t.test_and_set_in_epoch(Side::Right, 1, &epoch, &mut rng).won());
+        assert!(t
+            .test_and_set_in_epoch(Side::Right, 1, &epoch, &mut rng, &mut 0)
+            .won());
         assert_eq!(t.winner_in_epoch(1), Some(Side::Right));
         // Epoch 0 still remembers its own winner.
         assert_eq!(t.winner_in_epoch(0), Some(Side::Left));
@@ -538,12 +532,18 @@ mod tests {
         let epoch = AtomicU64::new(0);
         let t = TwoProcessTas::new();
         let mut rng = StdRng::seed_from_u64(10);
-        assert!(t.test_and_set_in_epoch(Side::Left, 0, &epoch, &mut rng).won());
+        assert!(t
+            .test_and_set_in_epoch(Side::Left, 0, &epoch, &mut rng, &mut 0)
+            .won());
         epoch.store(1, Ordering::Release);
-        assert!(t.test_and_set_in_epoch(Side::Left, 1, &epoch, &mut rng).won());
+        assert!(t
+            .test_and_set_in_epoch(Side::Left, 1, &epoch, &mut rng, &mut 0)
+            .won());
         // A straggler still carrying epoch 0 observes epoch-1 stamps and
         // must concede — it can never elect a second winner.
-        assert!(t.test_and_set_in_epoch(Side::Right, 0, &epoch, &mut rng).lost());
+        assert!(t
+            .test_and_set_in_epoch(Side::Right, 0, &epoch, &mut rng, &mut 0)
+            .lost());
     }
 
     #[test]
@@ -567,13 +567,19 @@ mod tests {
         let epoch_cell = AtomicU64::new(e);
         let t = TwoProcessTas::new();
         let mut rng = StdRng::seed_from_u64(11);
-        assert!(t.test_and_set_in_epoch(Side::Left, e, &epoch_cell, &mut rng).won());
-        assert!(t.test_and_set_in_epoch(Side::Right, e, &epoch_cell, &mut rng).lost());
+        assert!(t
+            .test_and_set_in_epoch(Side::Left, e, &epoch_cell, &mut rng, &mut 0)
+            .won());
+        assert!(t
+            .test_and_set_in_epoch(Side::Right, e, &epoch_cell, &mut rng, &mut 0)
+            .lost());
         assert_eq!(t.winner_in_epoch(e), Some(Side::Left));
         // The next epoch past the bound reads as pristine again.
         epoch_cell.store(e + 1, Ordering::Release);
         assert!(!t.is_decided_in_epoch(e + 1));
-        assert!(t.test_and_set_in_epoch(Side::Right, e + 1, &epoch_cell, &mut rng).won());
+        assert!(t
+            .test_and_set_in_epoch(Side::Right, e + 1, &epoch_cell, &mut rng, &mut 0)
+            .won());
     }
 
     #[test]
@@ -642,7 +648,8 @@ mod tests {
                     let (t, epoch) = (Arc::clone(&t), Arc::clone(&epoch));
                     std::thread::spawn(move || {
                         let mut rng = StdRng::seed_from_u64(e * 31 + k as u64);
-                        t.test_and_set_in_epoch(side, e, &epoch, &mut rng).won()
+                        t.test_and_set_in_epoch(side, e, &epoch, &mut rng, &mut 0)
+                            .won()
                     })
                 })
                 .collect();

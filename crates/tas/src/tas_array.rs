@@ -105,35 +105,17 @@ impl<T: Tas> TasArray<T> {
     }
 
     /// Number of slots won so far (O(1): a relaxed counter maintained by
-    /// [`test_and_set`](Self::test_and_set) and the reset methods).
+    /// [`test_and_set`](Self::test_and_set) and
+    /// [`reset_slot`](Self::reset_slot)).
     ///
     /// Wins through [`slot`](Self::slot)'s direct object access bypass the
     /// counter; use the array's own operations when the count matters.
     pub fn set_count(&self) -> usize {
         self.wins.load(Ordering::Relaxed)
     }
-
-    /// Iterates over the indices of won slots.
-    pub fn set_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_set())
-            .map(|(i, _)| i)
-    }
 }
 
 impl<T: ResettableTas> TasArray<T> {
-    /// Resets every slot to the unset state.
-    ///
-    /// The caller must guarantee quiescence; see [`ResettableTas::reset`].
-    pub fn reset_all(&self) {
-        for s in self.slots.iter() {
-            s.reset();
-        }
-        self.wins.store(0, Ordering::Relaxed);
-    }
-
     /// Resets one slot, keeping the win counter consistent. Returns `true`
     /// if the slot was set (and is now released), `false` if it was
     /// already unset.
@@ -194,18 +176,7 @@ mod tests {
         assert!(a.test_and_set(1).won());
         assert!(a.test_and_set(0).lost());
         assert_eq!(a.set_count(), 2);
-        assert_eq!(a.set_indices().collect::<Vec<_>>(), vec![0, 1]);
-    }
-
-    #[test]
-    fn reset_all_reopens_every_slot() {
-        let a: TasArray<AtomicTas> = TasArray::new(4);
-        for i in 0..4 {
-            assert!(a.test_and_set(i).won());
-        }
-        a.reset_all();
-        assert_eq!(a.set_count(), 0);
-        assert!(a.test_and_set(2).won());
+        assert!(a.is_set(0) && a.is_set(1) && !a.is_set(2));
     }
 
     #[test]

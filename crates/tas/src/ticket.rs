@@ -12,12 +12,6 @@ use crate::{IdTas, ResettableIdTas, ResettableTas, Tas, TasResult};
 const EPOCH_SHIFT: u32 = 16;
 const TICKET_MASK: u64 = (1 << EPOCH_SHIFT) - 1;
 
-/// Once the ticket half has overshot capacity by this much, losing calls
-/// CAS the counter back down so a pathological loss storm can never
-/// carry into the epoch bits. Sized so `capacity + slack` stays far
-/// below the 16-bit ticket field (see the `with_capacity` assert).
-const TICKET_CLAMP_SLACK: u64 = 1 << 12;
-
 /// Adapts an [`IdTas`] (which needs caller identities, like the
 /// register-based [`crate::rwtas::TournamentTas`]) into an anonymous
 /// [`Tas`] by handing each arriving call a fresh ticket id.
@@ -27,7 +21,7 @@ const TICKET_CLAMP_SLACK: u64 = 1 << 12;
 /// every slot's tournament in a `TicketTas` and plug the array into
 /// [`crate::TasArray`].
 ///
-/// The ticket counter itself is a fetch-and-add, i.e. *not* a plain
+/// The ticket counter itself is a read-modify-write, i.e. *not* a plain
 /// register operation. The paper's reduction does not need it (there,
 /// process ids are known a priori and each process calls a TAS object at
 /// most once per identity); the counter is an artifact of exposing the
@@ -36,11 +30,14 @@ const TICKET_CLAMP_SLACK: u64 = 1 << 12;
 /// # Tickets are an epoch-scoped resource
 ///
 /// Each ticket is drawn together with the epoch it belongs to, from one
-/// packed counter — a single fetch-and-add couples the two, so a ticket
-/// can never be used under a different epoch than it was issued in.
-/// Calls beyond the wrapped object's capacity **within one epoch** lose
-/// without racing — by then the object is guaranteed decided, so this
-/// preserves TAS semantics. When the wrapped object is resettable
+/// packed counter — a single read-modify-write couples the two, so a
+/// ticket can never be used under a different epoch than it was issued
+/// in. The draw is bounded: once an epoch has issued `capacity` tickets
+/// it refuses, writing nothing, so the ticket half never passes
+/// `capacity` and never carries into the epoch bits. Calls beyond the
+/// wrapped object's capacity **within one epoch** lose without racing —
+/// by then the object is guaranteed decided, so this preserves TAS
+/// semantics. When the wrapped object is resettable
 /// ([`ResettableIdTas`]), [`ResettableTas::reset`] advances its epoch
 /// and reopens a full ticket window: under long-lived churn the pid
 /// space is replenished on every release instead of draining away (the
@@ -67,9 +64,10 @@ const TICKET_CLAMP_SLACK: u64 = 1 << 12;
 pub struct TicketTas<T> {
     inner: T,
     capacity: usize,
-    /// Packed `(epoch << 16) | next_ticket`. One fetch-and-add draws a
-    /// ticket *and* observes the epoch it belongs to; `reset` rewrites
-    /// the word to `(new_epoch << 16) | 0`, reopening the window.
+    /// Packed `(epoch << 16) | next_ticket`, with `next_ticket` at most
+    /// `capacity`. One read-modify-write draws a ticket *and* observes
+    /// the epoch it belongs to; `reset` rewrites the word to
+    /// `(new_epoch << 16) | 0`, reopening the window.
     grants: AtomicU64,
 }
 
@@ -86,16 +84,12 @@ impl<T: IdTas> TicketTas<T> {
     ///
     /// # Panics
     ///
-    /// If `capacity + 2 * TICKET_CLAMP_SLACK` would not fit the 16-bit
-    /// ticket field (capacities this large are far beyond any per-slot
-    /// tournament the workspace builds). The second slack's worth is
-    /// headroom *above* the clamp threshold: between a loser crossing
-    /// the threshold and its clamp CAS landing, other losers keep
-    /// fetch-adding, and those in-flight increments must never reach
-    /// the epoch bits.
+    /// If `capacity` does not fit the 16-bit ticket field (capacities
+    /// this large are far beyond any per-slot tournament the workspace
+    /// builds).
     pub fn with_capacity(inner: T, capacity: usize) -> Self {
         assert!(
-            (capacity as u64) + 2 * TICKET_CLAMP_SLACK <= TICKET_MASK,
+            capacity as u64 <= TICKET_MASK,
             "TicketTas capacity {capacity} overflows the 16-bit ticket field"
         );
         Self {
@@ -107,8 +101,7 @@ impl<T: IdTas> TicketTas<T> {
 
     /// Tickets handed out so far in the current epoch.
     pub fn tickets_issued(&self) -> usize {
-        let tickets = (self.grants.load(Ordering::Relaxed) & TICKET_MASK) as usize;
-        tickets.min(self.capacity)
+        (self.grants.load(Ordering::Relaxed) & TICKET_MASK) as usize
     }
 
     /// The epoch the next ticket will be drawn in (0 until the first
@@ -125,27 +118,21 @@ impl<T: IdTas> TicketTas<T> {
 
 impl<T: IdTas> Tas for TicketTas<T> {
     fn test_and_set(&self) -> TasResult {
-        let grant = self.grants.fetch_add(1, Ordering::AcqRel);
-        let epoch = grant >> EPOCH_SHIFT;
-        let ticket = grant & TICKET_MASK;
-        if ticket >= self.capacity as u64 {
+        let capacity = self.capacity as u64;
+        let drawn = self
+            .grants
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |grant| {
+                (grant & TICKET_MASK < capacity).then_some(grant + 1)
+            });
+        match drawn {
+            Ok(grant) => self
+                .inner
+                .test_and_set_as_in_epoch((grant & TICKET_MASK) as usize, grant >> EPOCH_SHIFT),
             // The object saw `capacity` contenders this epoch already; it
             // is decided (or will be, by contenders that entered before
             // us), and we were not the first — losing is sound.
-            if ticket >= self.capacity as u64 + TICKET_CLAMP_SLACK {
-                // Safety valve: stop a loss storm from ever carrying the
-                // ticket half into the epoch bits. Failure is fine — some
-                // other loser (or a reset) moved the counter.
-                let _ = self.grants.compare_exchange(
-                    grant + 1,
-                    (epoch << EPOCH_SHIFT) | self.capacity as u64,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                );
-            }
-            return TasResult::Lost;
+            Err(_) => TasResult::Lost,
         }
-        self.inner.test_and_set_as_in_epoch(ticket as usize, epoch)
     }
 
     fn is_set(&self) -> bool {
@@ -192,7 +179,7 @@ mod tests {
             assert!(t.test_and_set().lost());
         }
         assert!(Tas::is_set(&t));
-        assert_eq!(t.tickets_issued(), 4); // clamped at capacity
+        assert_eq!(t.tickets_issued(), 4); // the draw stops at capacity
     }
 
     #[test]
@@ -327,28 +314,36 @@ mod tests {
     }
 
     #[test]
+    fn contended_draws_stop_at_capacity() {
+        // Sixteen callers race for four tickets: one wins, and the twelve
+        // refused draws leave the ticket half at capacity.
+        let t = TicketTas::new(TournamentTas::new(4));
+        let wins = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..16)
+                .map(|_| scope.spawn(|| t.test_and_set().won()))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("join"))
+                .filter(|won| *won)
+                .count()
+        });
+        assert_eq!(wins, 1);
+        assert_eq!(t.grants.load(Ordering::Relaxed) & TICKET_MASK, 4);
+    }
+
+    #[test]
+    fn the_whole_ticket_field_is_usable_capacity() {
+        let t = TicketTas::with_capacity(SaturatingTas::new(), TICKET_MASK as usize);
+        assert!(t.test_and_set().won());
+        assert_eq!(t.tickets_issued(), 1);
+    }
+
+    #[test]
     #[should_panic]
     fn oversized_capacity_is_rejected() {
-        // The 16-bit ticket field cannot hold capacity + clamp slack.
+        // The 16-bit ticket field cannot hold a capacity of 2^16.
         TicketTas::with_capacity(SaturatingTas::new(), 1 << 16);
-    }
-
-    #[test]
-    fn max_capacity_leaves_clamp_headroom() {
-        // The largest accepted capacity still leaves a full clamp-slack
-        // of ticket values between the clamp threshold and the field
-        // limit, so losers fetch-adding while a clamp CAS is in flight
-        // cannot carry into the epoch bits.
-        let max = (TICKET_MASK - 2 * TICKET_CLAMP_SLACK) as usize;
-        let t = TicketTas::with_capacity(SaturatingTas::new(), max);
-        assert_eq!(t.tickets_issued(), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn capacity_just_past_the_headroom_bound_is_rejected() {
-        let max = (TICKET_MASK - 2 * TICKET_CLAMP_SLACK) as usize;
-        TicketTas::with_capacity(SaturatingTas::new(), max + 1);
     }
 
     #[test]
