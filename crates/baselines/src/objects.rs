@@ -85,19 +85,6 @@ macro_rules! common_object_impls {
         }
 
         impl<T: ResettableTas> $object<T> {
-            /// Acquires a unique name; identical to
-            /// [`get_name`](Self::get_name) (baselines never supersede a
-            /// win), provided so long-lived callers can use one method
-            /// name across every renaming object in the workspace.
-            ///
-            /// # Errors
-            ///
-            /// As for [`get_name`](Self::get_name).
-            pub fn get_name_recycling<R: Rng>(&self, rng: &mut R) -> Result<Name, RenamingError> {
-                let mut machine = self.machine();
-                driver::drive_recycling(&mut machine, &self.slots, rng)
-            }
-
             /// Releases a previously acquired name, reopening its slot
             /// for future [`get_name`](Self::get_name) calls.
             ///

@@ -332,23 +332,6 @@ impl AdaptiveRebatching<AtomicTas> {
 }
 
 impl<T: ResettableTas> AdaptiveRebatching<T> {
-    /// Acquires a unique name like [`get_name`](Self::get_name), and
-    /// additionally reopens the surplus TAS wins the search phase
-    /// superseded along the way.
-    ///
-    /// Use this (and the sessions' `get_name_recycling`) for long-lived
-    /// workloads: the one-shot `get_name` leaves superseded wins set —
-    /// exactly what the paper's `O(k)` namespace accounting expects, but
-    /// a slot leak per operation under acquire/release churn.
-    ///
-    /// # Errors
-    ///
-    /// As for [`get_name`](Self::get_name).
-    pub fn get_name_recycling<R: Rng>(&self, rng: &mut R) -> Result<Name, RenamingError> {
-        let mut machine = AdaptiveMachine::new(Arc::clone(&self.layout));
-        driver::drive_recycling(&mut machine, &self.slots, rng)
-    }
-
     /// Releases a previously acquired name, reopening its TAS slot for
     /// future [`get_name`](Self::get_name) calls — the long-lived
     /// extension, on any resettable TAS substrate.
@@ -428,6 +411,13 @@ impl<T: Tas> AdaptiveRebatching<T> {
 
     /// A per-thread session reusing one machine across
     /// [`get_name`](Self::get_name)-equivalent calls.
+    ///
+    /// Long-lived callers acquire through the session's
+    /// [`get_name_recycling`](driver::NameSession::get_name_recycling),
+    /// which also reopens the surplus TAS wins the search phase
+    /// superseded. The one-shot `get_name` leaves them set — exactly what
+    /// the paper's `O(k)` namespace accounting expects, but a slot leak
+    /// per operation under acquire/release churn.
     pub fn session(&self) -> driver::NameSession<AdaptiveMachine, T> {
         driver::NameSession::new(self.machine(), Arc::clone(&self.slots))
     }

@@ -119,42 +119,6 @@ impl<M: ResetMachine, T: Tas> NameSession<M, T> {
     }
 }
 
-impl<M: BatchAcquire, T: Tas> NameSession<M, T> {
-    /// Acquires `count` unique names in one batched sweep, appending
-    /// them to `out`.
-    ///
-    /// The machine is reset once at the start; between wins it is
-    /// *rearmed* ([`BatchAcquire::rearm_after_win`]) rather than reset,
-    /// so machines with batch structure amortize their probe work across
-    /// the whole batch — a request starts probing where the previous win
-    /// left off instead of rewinding to the (already crowded) front.
-    /// `acquire_batch(1, ..)` behaves exactly like
-    /// [`get_name`](Self::get_name).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RenamingError::NamespaceExhausted`] if the namespace
-    /// cannot satisfy the whole batch; names already won stay acquired
-    /// and are left in `out` (the caller distributes them or releases
-    /// them).
-    pub fn acquire_batch<R: Rng>(
-        &mut self,
-        count: usize,
-        rng: &mut R,
-        out: &mut Vec<Name>,
-    ) -> Result<(), RenamingError> {
-        self.machine.reset();
-        for served in 0..count {
-            if served > 0 {
-                self.machine.rearm_after_win();
-            }
-            let name = drive(&mut self.machine, &self.slots, rng)?;
-            out.push(name);
-        }
-        Ok(())
-    }
-}
-
 impl<M, T> NameSession<M, T>
 where
     M: ResetMachine + AbandonedNames,
@@ -178,13 +142,24 @@ where
     M: BatchAcquire + AbandonedNames,
     T: ResettableTas,
 {
-    /// Like [`acquire_batch`](Self::acquire_batch), but reopens each
-    /// request's superseded TAS wins as it completes (the long-lived
-    /// mode for the adaptive algorithms; see [`AbandonedNames`]).
+    /// Acquires `count` unique names in one batched sweep, appending
+    /// them to `out`, and reopens each request's superseded TAS wins as
+    /// it completes (see [`AbandonedNames`]).
+    ///
+    /// The machine is reset once at the start; between wins it is
+    /// *rearmed* ([`BatchAcquire::rearm_after_win`]) rather than reset,
+    /// so machines with batch structure amortize their probe work across
+    /// the whole batch — a request starts probing where the previous win
+    /// left off instead of rewinding to the (already crowded) front.
+    /// `acquire_batch_recycling(1, ..)` behaves exactly like
+    /// [`get_name_recycling`](Self::get_name_recycling).
     ///
     /// # Errors
     ///
-    /// As for [`acquire_batch`](Self::acquire_batch).
+    /// Returns [`RenamingError::NamespaceExhausted`] if the namespace
+    /// cannot satisfy the whole batch; names already won stay acquired
+    /// and are left in `out` (the caller distributes them or releases
+    /// them).
     pub fn acquire_batch_recycling<R: Rng>(
         &mut self,
         count: usize,

@@ -23,11 +23,10 @@ pub enum RenamingError {
         /// The namespace size of the object.
         namespace: usize,
     },
-    /// The object's TAS substrate cannot recycle names: `release` is only
-    /// available on resettable backends (see `renaming_tas::ResettableTas`).
-    /// No built-in substrate reports this anymore — the register-based
-    /// tournament became resettable via epoch-stamped O(1) resets — but
-    /// the variant remains for custom one-shot backends.
+    /// The object's TAS substrate cannot recycle names. No built-in
+    /// backend returns it: the service implements every object over
+    /// resettable substrates only (`renaming_tas::ResettableTas`). It
+    /// remains for custom one-shot `Namespace` implementations.
     ReleaseUnsupported {
         /// The backend that rejected the release.
         backend: &'static str,

@@ -526,22 +526,6 @@ impl FastAdaptiveRebatching<AtomicTas> {
 }
 
 impl<T: ResettableTas> FastAdaptiveRebatching<T> {
-    /// Acquires a unique name like [`get_name`](Self::get_name), and
-    /// additionally reopens the surplus TAS wins the `Search` chains
-    /// superseded (Fig. 2 line 13 discards the incoming `u` whenever
-    /// `TryGetName` succeeds).
-    ///
-    /// Use this (and the sessions' `get_name_recycling`) for long-lived
-    /// workloads; the one-shot `get_name` leaves superseded wins set.
-    ///
-    /// # Errors
-    ///
-    /// As for [`get_name`](Self::get_name).
-    pub fn get_name_recycling<R: Rng>(&self, rng: &mut R) -> Result<Name, RenamingError> {
-        let mut machine = FastAdaptiveMachine::new(Arc::clone(&self.layout));
-        driver::drive_recycling(&mut machine, &self.slots, rng)
-    }
-
     /// Releases a previously acquired name, reopening its TAS slot for
     /// future [`get_name`](Self::get_name) calls — the long-lived
     /// extension, on any resettable TAS substrate.
@@ -618,6 +602,12 @@ impl<T: Tas> FastAdaptiveRebatching<T> {
 
     /// A per-thread session reusing one machine (and its search-stack
     /// buffer) across [`get_name`](Self::get_name)-equivalent calls.
+    ///
+    /// Long-lived callers acquire through the session's
+    /// [`get_name_recycling`](driver::NameSession::get_name_recycling),
+    /// which also reopens the surplus TAS wins the `Search` chains
+    /// superseded (Fig. 2 line 13 discards the incoming `u` whenever
+    /// `TryGetName` succeeds). The one-shot `get_name` leaves them set.
     pub fn session(&self) -> driver::NameSession<FastAdaptiveMachine, T> {
         driver::NameSession::new(self.machine(), Arc::clone(&self.slots))
     }

@@ -205,18 +205,6 @@ impl Rebatching<AtomicTas> {
 }
 
 impl<T: ResettableTas> Rebatching<T> {
-    /// Acquires a unique name; identical to [`get_name`](Self::get_name)
-    /// (ReBatching never supersedes a win), provided so long-lived
-    /// callers can use one method name across all three algorithms.
-    ///
-    /// # Errors
-    ///
-    /// As for [`get_name`](Self::get_name).
-    pub fn get_name_recycling<R: Rng>(&self, rng: &mut R) -> Result<Name, RenamingError> {
-        let mut machine = RebatchingMachine::new(Arc::clone(&self.layout), 0);
-        driver::drive_recycling(&mut machine, &self.slots, rng)
-    }
-
     /// Releases a previously acquired name, making it available to future
     /// [`get_name`](Self::get_name) calls — the *long-lived* renaming
     /// extension the paper's conclusion (§7) points at. Available on any

@@ -1,5 +1,5 @@
-//! Configuration surface: pick an algorithm, a TAS substrate and a seed
-//! policy, get a [`NameService`].
+//! Configuration surface: pick an algorithm, its parameters and a seed
+//! policy, get a [`NameService`] over hardware atomics.
 
 use std::sync::Arc;
 
@@ -7,13 +7,10 @@ use renaming_baselines::{
     DoublingRenaming, LinearScanRenaming, SingleBatchRenaming, UniformRenaming,
 };
 use renaming_core::{
-    AdaptiveLayout, AdaptiveRebatching, BatchLayout, Epsilon, FastAdaptiveRebatching,
-    ProbeSchedule, Rebatching, RenamingError, DEFAULT_BETA,
+    AdaptiveRebatching, Epsilon, FastAdaptiveRebatching, Rebatching, RenamingError, DEFAULT_BETA,
 };
-use renaming_tas::rwtas::TournamentTas;
-use renaming_tas::{TasArray, TicketTas};
 
-use crate::namespace::{ServiceBackend, TournamentSlot};
+use crate::namespace::ServiceBackend;
 use crate::{NameService, SeedPolicy};
 
 /// The renaming algorithm backing a [`NameService`].
@@ -74,59 +71,21 @@ impl Algorithm {
     }
 }
 
-/// The test-and-set substrate under the namespace's slots.
-///
-/// # Example
-///
-/// Both substrates are long-lived — the tournament recycles names
-/// through its epoch-stamped O(1) reset, so churn far beyond the
-/// namespace size never exhausts it:
-///
-/// ```
-/// use renaming_service::{Algorithm, NameService, TasBackend};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let service = NameService::builder(Algorithm::Rebatching, 4)
-///     .tas_backend(TasBackend::Tournament)
-///     .build()?;
-/// assert!(service.supports_release());
-/// for _ in 0..40 {
-///     let guard = service.acquire()?;
-///     assert!(guard.value() < service.namespace_size());
-/// } // each drop releases: an epoch bump on the name's register tree
-/// assert_eq!(service.held(), 0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TasBackend {
-    /// Hardware atomics ([`renaming_tas::AtomicTas`]): the paper's model,
-    /// resettable, so names recycle on guard drop. The default.
-    Atomic,
-    /// The register-based tournament ([`TournamentTas`] behind a
-    /// ticketing adapter) — the §2/footnote-1 substitute built from
-    /// read/write registers only. Long-lived like the atomic backend:
-    /// releasing a name bumps its slot's epoch (O(1), no tree rebuild)
-    /// and reissues the slot's contender tickets. Memory is
-    /// `O(capacity)` *per slot* and every probe costs `Θ(log capacity)`
-    /// register operations, so reserve it for demonstrations and small
-    /// capacities.
-    Tournament,
-}
-
-/// Builder for [`NameService`]: algorithm, capacity, slack, TAS backend
-/// and seed policy.
+/// Builder for [`NameService`]: algorithm, capacity, slack and seed
+/// policy, over hardware atomics ([`renaming_tas::AtomicTas`], the
+/// paper's model). Any other substrate — counting slots, the
+/// register-based tournament — reaches the service through the objects'
+/// `from_parts` constructors and [`NameService::with_backend`].
 ///
 /// # Example
 ///
 /// ```
-/// use renaming_service::{Algorithm, NameServiceBuilder, SeedPolicy, TasBackend};
+/// use renaming_service::{Algorithm, NameServiceBuilder, SeedPolicy};
 /// use renaming_service::Epsilon;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let service = NameServiceBuilder::new(Algorithm::Adaptive, 128)
 ///     .epsilon(Epsilon::new(0.5)?)
-///     .tas_backend(TasBackend::Atomic)
 ///     .seed_policy(SeedPolicy::Fixed(42))
 ///     .build()?;
 /// let guard = service.acquire()?;
@@ -140,7 +99,6 @@ pub struct NameServiceBuilder {
     capacity: usize,
     epsilon: Epsilon,
     beta: usize,
-    backend: TasBackend,
     seed_policy: SeedPolicy,
     metrics: bool,
     oracle: bool,
@@ -148,15 +106,14 @@ pub struct NameServiceBuilder {
 
 impl NameServiceBuilder {
     /// Starts a build for `capacity` concurrent holders on `algorithm`,
-    /// with the paper defaults everywhere else (`ε = 1`, `β = 3`, atomic
-    /// TAS, entropy seeding).
+    /// with the paper defaults everywhere else (`ε = 1`, `β = 3`,
+    /// entropy seeding).
     pub fn new(algorithm: Algorithm, capacity: usize) -> Self {
         Self {
             algorithm,
             capacity,
             epsilon: Epsilon::one(),
             beta: DEFAULT_BETA,
-            backend: TasBackend::Atomic,
             seed_policy: SeedPolicy::Entropy,
             metrics: false,
             oracle: false,
@@ -176,13 +133,6 @@ impl NameServiceBuilder {
     #[must_use]
     pub fn beta(mut self, beta: usize) -> Self {
         self.beta = beta;
-        self
-    }
-
-    /// The TAS substrate (default [`TasBackend::Atomic`]).
-    #[must_use]
-    pub fn tas_backend(mut self, backend: TasBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -228,11 +178,7 @@ impl NameServiceBuilder {
         if self.capacity == 0 {
             return Err(RenamingError::TooFewProcesses { n: 0, min: 1 });
         }
-        let backend = match self.backend {
-            TasBackend::Atomic => self.build_atomic()?,
-            TasBackend::Tournament => self.build_tournament()?,
-        };
-        let mut service = NameService::with_backend(backend, self.seed_policy);
+        let mut service = NameService::with_backend(self.build_atomic()?, self.seed_policy);
         if self.metrics {
             service.enable_metrics();
         }
@@ -259,64 +205,6 @@ impl NameServiceBuilder {
             Algorithm::Doubling => Arc::new(DoublingRenaming::new(self.capacity)),
         })
     }
-
-    fn build_tournament(self) -> Result<Arc<dyn ServiceBackend>, RenamingError> {
-        // Contenders per slot *per epoch*: every probe of a slot burns one
-        // of its current epoch's tickets, and the window is reissued on
-        // every release (the epoch bump), so the budget only has to cover
-        // the probes that land between a win and its release — bounded by
-        // the concurrent acquirers, i.e. by capacity. Provision double
-        // that (floored for tiny services). A slot that does drain an
-        // epoch keeps losing cleanly until its holder releases, which at
-        // worst surfaces as NamespaceExhausted, never as a safety
-        // violation — and the release replenishes it.
-        let contenders = (2 * self.capacity).max(8);
-        let slots = |len: usize| -> Arc<TasArray<TournamentSlot>> {
-            Arc::new(TasArray::from_slots(
-                (0..len)
-                    .map(|_| TicketTas::new(TournamentTas::new(contenders)))
-                    .collect(),
-            ))
-        };
-        let schedule = ProbeSchedule::paper(self.epsilon, self.beta)?;
-        Ok(match self.algorithm {
-            Algorithm::Rebatching => {
-                let layout = BatchLayout::shared(self.capacity, schedule)?;
-                let slots = slots(layout.namespace_size());
-                Arc::new(Rebatching::from_parts(layout, slots)?)
-            }
-            Algorithm::Adaptive => {
-                let layout = Arc::new(AdaptiveLayout::for_capacity(self.capacity, schedule)?);
-                let slots = slots(layout.total_size());
-                Arc::new(AdaptiveRebatching::from_parts(layout, slots)?)
-            }
-            Algorithm::FastAdaptive => {
-                let schedule = ProbeSchedule::paper(Epsilon::one(), self.beta)?;
-                let layout = Arc::new(AdaptiveLayout::for_capacity(self.capacity, schedule)?);
-                let slots = slots(layout.total_size());
-                Arc::new(FastAdaptiveRebatching::from_parts(layout, slots)?)
-            }
-            Algorithm::Uniform => {
-                Arc::new(UniformRenaming::from_parts(self.capacity, slots(2 * self.capacity))?)
-            }
-            Algorithm::LinearScan => {
-                Arc::new(LinearScanRenaming::from_parts(self.capacity, slots(self.capacity))?)
-            }
-            Algorithm::SingleBatch => {
-                let budget = (usize::BITS - (2 * self.capacity).leading_zeros()) as usize + 3;
-                Arc::new(SingleBatchRenaming::from_parts(
-                    self.capacity,
-                    budget,
-                    slots(2 * self.capacity),
-                )?)
-            }
-            Algorithm::Doubling => Arc::new(DoublingRenaming::from_parts(
-                self.capacity,
-                2,
-                slots(4 * self.capacity),
-            )?),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -333,31 +221,9 @@ mod tests {
             let a = service.acquire().unwrap_or_else(|e| panic!("{algorithm:?}: {e}"));
             let b = service.acquire().unwrap_or_else(|e| panic!("{algorithm:?}: {e}"));
             assert_ne!(a.value(), b.value(), "{algorithm:?}");
-            assert!(service.supports_release(), "{algorithm:?}");
             drop(a);
             drop(b);
             assert_eq!(service.held(), 0, "{algorithm:?}");
-        }
-    }
-
-    #[test]
-    fn tournament_backend_builds_and_recycles_for_every_algorithm() {
-        for algorithm in Algorithm::all() {
-            let service = NameServiceBuilder::new(algorithm, 4)
-                .tas_backend(TasBackend::Tournament)
-                .seed_policy(SeedPolicy::Fixed(5))
-                .build()
-                .unwrap_or_else(|e| panic!("{algorithm:?}: {e}"));
-            assert!(service.supports_release(), "{algorithm:?}");
-            // Churn beyond the per-epoch ticket budget: only the epoch
-            // reset on release makes this terminate successfully.
-            for _ in 0..30 {
-                let guard = service
-                    .acquire()
-                    .unwrap_or_else(|e| panic!("{algorithm:?}: {e}"));
-                assert!(guard.value() < service.namespace_size(), "{algorithm:?}");
-            }
-            assert_eq!(service.held(), 0, "{algorithm:?}: drops must recycle");
         }
     }
 

@@ -19,9 +19,8 @@ use crate::NameService;
 /// Every built-in backend recycles on drop: atomic slots reset their
 /// flag, tournament slots bump their epoch (both O(1)). Only a custom
 /// [`Namespace`](crate::Namespace) implementation without release
-/// support (see [`NameService::supports_release`]) leaks the name on
-/// drop; call [`release`](Self::release) instead of dropping to observe
-/// the backend's answer explicitly.
+/// support leaks the name on drop; call [`release`](Self::release)
+/// instead of dropping to observe the backend's answer explicitly.
 ///
 /// # Example
 ///
@@ -76,22 +75,16 @@ impl<'s> NameGuard<'s> {
     /// # Errors
     ///
     /// Returns [`RenamingError::ReleaseUnsupported`] if a custom
-    /// backend is one-shot (no built-in backend is — the register
-    /// tournament recycles through its epoch-stamped reset); the name
-    /// then stays taken.
+    /// backend is one-shot (no built-in backend is); the name then
+    /// stays taken.
     ///
     /// # Example
     ///
-    /// Explicit release works on every built-in substrate, including
-    /// the register-based tournament:
-    ///
     /// ```
-    /// use renaming_service::{Algorithm, NameService, TasBackend};
+    /// use renaming_service::{Algorithm, NameService};
     ///
     /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let service = NameService::builder(Algorithm::Rebatching, 4)
-    ///     .tas_backend(TasBackend::Tournament)
-    ///     .build()?;
+    /// let service = NameService::builder(Algorithm::Rebatching, 4).build()?;
     /// let guard = service.acquire()?;
     /// guard.release()?;
     /// assert_eq!(service.held(), 0, "the slot reopened");

@@ -7,17 +7,20 @@
 //! them into one ergonomic service, the way practical renaming
 //! front-ends (cf. the LevelArray line of work) expose the primitive:
 //!
-//! * [`Namespace`] — the interchangeable-backend trait (`acquire`,
-//!   `release`, `namespace_size`, `capacity`), implemented by
+//! * [`Namespace`] — the interchangeable-backend trait (`release`,
+//!   `namespace_size`, `capacity`, `held`, `algorithm`), with
+//!   [`ServiceBackend::open_session`] as the one acquire route: each
+//!   [`PooledSession`] drives its own reusable machine. Implemented by
 //!   `Rebatching`, `AdaptiveRebatching`, `FastAdaptiveRebatching` and
-//!   all four baselines, over hardware atomics **and** the
-//!   register-based tournament substrate;
+//!   all four baselines over any resettable TAS substrate — hardware
+//!   atomics, [`CountingSlot`], or the register-based tournament;
 //! * [`NameGuard`] — RAII ownership of an acquired name: drop it and
 //!   the name is recycled;
-//! * [`NameService`] — the thread-safe front-end, built via
-//!   [`NameServiceBuilder`]: internal per-worker session pooling and
-//!   [`renaming_core::FastRng`] streams, so callers just write
-//!   `let guard = service.acquire()?` from any thread;
+//! * [`NameService`] — the thread-safe front-end, built over atomics
+//!   via [`NameServiceBuilder`] or over any other substrate via
+//!   [`NameService::with_backend`]: internal per-worker session
+//!   pooling and [`renaming_core::FastRng`] streams, so callers just
+//!   write `let guard = service.acquire()?` from any thread;
 //! * [`AsyncNameService`] — the same service behind `acquire().await`:
 //!   a hand-rolled [`Future`](std::future::Future) (std
 //!   `Waker`/`Poll` only, no external runtime) that runs the one acquire
@@ -76,12 +79,12 @@ mod sync_shim;
 mod model_tests;
 
 pub use async_api::{AcquireFuture, AsyncNameGuard, AsyncNameService};
-pub use builder::{Algorithm, NameServiceBuilder, TasBackend};
+pub use builder::{Algorithm, NameServiceBuilder};
 pub use guard::NameGuard;
 pub use metrics::{
     HistogramSnapshot, LatencyHistogram, MetricsSnapshot, ServiceMetrics, HISTOGRAM_BUCKETS,
 };
-pub use namespace::{CountingSlot, Namespace, PooledSession, ServiceBackend, TournamentSlot};
+pub use namespace::{CountingSlot, Namespace, PooledSession, ServiceBackend};
 pub use oracle::OracleVerdict;
 pub use service::{NameService, SeedPolicy};
 

@@ -1,5 +1,5 @@
 //! The [`Namespace`] abstraction: one acquire/release surface over every
-//! renaming backend in the workspace.
+//! renaming backend in the workspace, on any resettable TAS substrate.
 
 use rand::RngCore;
 
@@ -11,36 +11,7 @@ use renaming_core::{
     AbandonedNames, AdaptiveRebatching, BatchAcquire, FastAdaptiveRebatching, Name, Rebatching,
     RenamingError,
 };
-use renaming_tas::rwtas::TournamentTas;
-use renaming_tas::{AtomicTas, CountingTas, ResettableTas, Tas, TicketTas};
-
-/// The TAS slot type of the register-based tournament backend: a
-/// [`TournamentTas`] per name, adapted to the anonymous [`Tas`] interface
-/// by ticketing.
-///
-/// Long-lived: the slot implements [`ResettableTas`] through the
-/// tournament's epoch stamps — a release is a single O(1) epoch bump
-/// that reopens the tree and reissues the ticket window, so
-/// tournament-backed namespaces recycle names exactly like the atomic
-/// ones.
-///
-/// # Example
-///
-/// The slot behaves like any resettable TAS — first caller per epoch
-/// wins:
-///
-/// ```
-/// use renaming_service::TournamentSlot;
-/// use renaming_tas::rwtas::TournamentTas;
-/// use renaming_tas::{ResettableTas, Tas, TasResult, TicketTas};
-///
-/// let slot: TournamentSlot = TicketTas::new(TournamentTas::new(4));
-/// assert_eq!(slot.test_and_set(), TasResult::Won);
-/// assert_eq!(slot.test_and_set(), TasResult::Lost);
-/// slot.reset(); // O(1) epoch bump: the slot is a name being released
-/// assert_eq!(slot.test_and_set(), TasResult::Won);
-/// ```
-pub type TournamentSlot = TicketTas<TournamentTas>;
+use renaming_tas::{AtomicTas, CountingTas, ResettableTas};
 
 /// An instrumented atomic slot: hardware TAS behind an operation counter,
 /// for measuring real steps-per-acquire through the service (build such
@@ -77,40 +48,41 @@ pub type TournamentSlot = TicketTas<TournamentTas>;
 pub type CountingSlot = CountingTas<AtomicTas>;
 
 /// A long-lived loose-renaming object: a shared namespace `0..m` from
-/// which threads acquire unique names and (on recyclable backends)
-/// release them again.
+/// which threads acquire unique names and release them again.
 ///
 /// This is the interchangeable-backend trait of the `renaming-service`
 /// crate: the paper's three algorithms and all four baselines implement
-/// it over hardware atomics *and* over the register-based tournament
-/// substrate (long-lived there too, via the tournament's epoch-stamped
+/// it over any [`ResettableTas`] substrate — hardware atomics,
+/// [`CountingSlot`], or the register-based tournament
+/// (`TicketTas<TournamentTas>`, long-lived through its epoch-stamped
 /// O(1) reset). Object-safe, so heterogeneous backends can sit behind
 /// `Arc<dyn Namespace>`.
 ///
 /// # Contract
 ///
-/// * `acquire` returns a name no other thread currently holds; at most
+/// * Names are acquired only through sessions
+///   ([`ServiceBackend::open_session`]). A session's `acquire` returns a
+///   name no other thread currently holds; at most
 ///   [`capacity`](Self::capacity) names may be held simultaneously.
-/// * `release` on a [`supports_release`](Self::supports_release) backend
-///   makes the name available to future acquires. Releasing a name that
-///   is not held is a caller bug and may panic.
+/// * `release` makes the name available to future acquires. Releasing
+///   a name that is not held is a caller bug and may panic.
 /// * `namespace_size` bounds every returned name: `name < m`.
 ///
 /// # Example
 ///
-/// Drive any backend through the trait object:
+/// Acquire through a session, release through the trait object:
 ///
 /// ```
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
-/// use renaming_service::{Epsilon, Namespace};
+/// use renaming_service::{Epsilon, Namespace, ServiceBackend};
 /// use renaming_core::Rebatching;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let object = Rebatching::with_defaults(16, Epsilon::one())?;
-/// let ns: &dyn Namespace = &object;
+/// let ns: &dyn ServiceBackend = &object;
 /// let mut rng = StdRng::seed_from_u64(1);
-/// let name = ns.acquire(&mut rng)?;
+/// let name = ns.open_session().acquire(&mut rng)?;
 /// assert!(name.value() < ns.namespace_size());
 /// ns.release(name)?;
 /// assert_eq!(ns.held(), 0);
@@ -118,23 +90,13 @@ pub type CountingSlot = CountingTas<AtomicTas>;
 /// # }
 /// ```
 pub trait Namespace: Send + Sync {
-    /// Acquires a unique name, drawing coins from `rng`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RenamingError::NamespaceExhausted`] when more names are
-    /// requested than the backend can hold.
-    fn acquire(&self, rng: &mut dyn RngCore) -> Result<Name, RenamingError>;
-
     /// Releases a held name, reopening its slot.
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::ReleaseUnsupported`] on a one-shot
-    /// backend. Every built-in backend — atomic, counting and the
-    /// epoch-resettable register tournament — supports release; the
-    /// error remains for custom `Namespace` implementations over
-    /// non-resettable substrates.
+    /// Every built-in backend accepts the release; a custom `Namespace`
+    /// over a one-shot substrate returns
+    /// [`RenamingError::ReleaseUnsupported`].
     ///
     /// # Panics
     ///
@@ -155,9 +117,6 @@ pub trait Namespace: Send + Sync {
 
     /// A short label of the backing algorithm (e.g. `"rebatching"`).
     fn algorithm(&self) -> &'static str;
-
-    /// Whether [`release`](Self::release) recycles names on this backend.
-    fn supports_release(&self) -> bool;
 }
 
 /// A pooled per-worker acquisition handle: one reusable machine bound to
@@ -165,7 +124,10 @@ pub trait Namespace: Send + Sync {
 ///
 /// [`crate::NameService`] keeps a pool of these so steady-state acquires
 /// construct no machine (and touch no `Arc` refcounts). Implemented by
-/// [`NameSession`] for every machine/backend combination.
+/// [`NameSession`] over any resettable substrate: its acquires recycle
+/// the surplus TAS wins the adaptive machines supersede (see
+/// [`renaming_core::AbandonedNames`]), so long-lived churn leaks no
+/// slots.
 ///
 /// # Example
 ///
@@ -192,7 +154,8 @@ pub trait PooledSession: Send {
     ///
     /// # Errors
     ///
-    /// As for the owning backend's [`Namespace::acquire`].
+    /// Returns [`RenamingError::NamespaceExhausted`] when the namespace
+    /// cannot hold another name.
     fn acquire(&mut self, rng: &mut dyn RngCore) -> Result<Name, RenamingError>;
 
     /// Acquires `count` unique names in one batched sweep, appending
@@ -218,39 +181,11 @@ pub trait PooledSession: Send {
 
 impl<M, T> PooledSession for NameSession<M, T>
 where
-    M: BatchAcquire + Send,
-    T: Tas,
-{
-    fn acquire(&mut self, mut rng: &mut dyn RngCore) -> Result<Name, RenamingError> {
-        self.get_name(&mut rng)
-    }
-
-    fn acquire_batch(
-        &mut self,
-        count: usize,
-        mut rng: &mut dyn RngCore,
-        out: &mut Vec<Name>,
-    ) -> Result<(), RenamingError> {
-        NameSession::acquire_batch(self, count, &mut rng, out)
-    }
-}
-
-/// A pooled session over a resettable substrate: acquires recycle the
-/// surplus TAS wins the adaptive machines supersede (see
-/// [`renaming_core::AbandonedNames`]), so long-lived churn leaks no
-/// slots.
-struct RecyclingSession<M, T>(NameSession<M, T>)
-where
-    M: BatchAcquire + AbandonedNames + Send,
-    T: ResettableTas;
-
-impl<M, T> PooledSession for RecyclingSession<M, T>
-where
     M: BatchAcquire + AbandonedNames + Send,
     T: ResettableTas,
 {
     fn acquire(&mut self, mut rng: &mut dyn RngCore) -> Result<Name, RenamingError> {
-        self.0.get_name_recycling(&mut rng)
+        self.get_name_recycling(&mut rng)
     }
 
     fn acquire_batch(
@@ -259,7 +194,7 @@ where
         mut rng: &mut dyn RngCore,
         out: &mut Vec<Name>,
     ) -> Result<(), RenamingError> {
-        self.0.acquire_batch_recycling(count, &mut rng, out)
+        self.acquire_batch_recycling(count, &mut rng, out)
     }
 }
 
@@ -293,78 +228,54 @@ pub trait ServiceBackend: Namespace {
     fn open_session(&self) -> Box<dyn PooledSession>;
 }
 
-/// Implements `Namespace` + `ServiceBackend` for a concrete object type.
-///
-/// Every backend is long-lived (`release`): releases go to the object's
-/// `release_name`, and acquires run in recycling mode so the adaptive
-/// algorithms' superseded search wins return to the namespace. The
-/// register-tournament slots joined this path when they gained the
-/// epoch-stamped reset ([`TournamentSlot`] implements [`ResettableTas`]);
-/// the former `one_shot` arm — `ReleaseUnsupported`, leak-on-drop — is
-/// gone.
+/// Implements `Namespace` + `ServiceBackend` for one algorithm's object
+/// over every resettable TAS substrate. Releases go to the object's
+/// `release_name`; sessions acquire in recycling mode, so the adaptive
+/// algorithms' superseded search wins return to the namespace.
 macro_rules! impl_namespace {
-    ($ty:ty, $label:literal, $size:ident, release) => {
-        impl ServiceBackend for $ty {
+    ($object:ident, $label:literal, $size:ident) => {
+        impl<T: ResettableTas + 'static> ServiceBackend for $object<T> {
             fn open_session(&self) -> Box<dyn PooledSession> {
-                Box::new(RecyclingSession(self.session()))
+                Box::new(self.session())
             }
         }
 
-        impl Namespace for $ty {
-            impl_namespace!(@shared $label, $size, get_name_recycling);
-
+        impl<T: ResettableTas> Namespace for $object<T> {
             fn release(&self, name: Name) -> Result<(), RenamingError> {
                 self.release_name(name);
                 Ok(())
             }
 
-            fn supports_release(&self) -> bool {
-                true
+            fn namespace_size(&self) -> usize {
+                self.$size()
             }
-        }
-    };
-    (@shared $label:literal, $size:ident, $acquire:ident) => {
-        fn acquire(&self, mut rng: &mut dyn RngCore) -> Result<Name, RenamingError> {
-            self.$acquire(&mut rng)
-        }
 
-        fn namespace_size(&self) -> usize {
-            self.$size()
-        }
+            fn capacity(&self) -> usize {
+                self.capacity()
+            }
 
-        fn capacity(&self) -> usize {
-            self.capacity()
-        }
+            fn held(&self) -> usize {
+                self.slots().set_count()
+            }
 
-        fn held(&self) -> usize {
-            self.slots().set_count()
-        }
-
-        fn algorithm(&self) -> &'static str {
-            $label
+            fn algorithm(&self) -> &'static str {
+                $label
+            }
         }
     };
 }
 
-impl_namespace!(Rebatching<AtomicTas>, "rebatching", namespace_size, release);
-impl_namespace!(AdaptiveRebatching<AtomicTas>, "adaptive-rebatching", total_size, release);
-impl_namespace!(FastAdaptiveRebatching<AtomicTas>, "fast-adaptive-rebatching", total_size, release);
-impl_namespace!(UniformRenaming<AtomicTas>, "uniform", namespace_size, release);
-impl_namespace!(LinearScanRenaming<AtomicTas>, "linear-scan", namespace_size, release);
-impl_namespace!(SingleBatchRenaming<AtomicTas>, "single-batch", namespace_size, release);
-impl_namespace!(DoublingRenaming<AtomicTas>, "doubling-uniform", namespace_size, release);
-
-impl_namespace!(Rebatching<CountingSlot>, "rebatching", namespace_size, release);
-impl_namespace!(AdaptiveRebatching<CountingSlot>, "adaptive-rebatching", total_size, release);
-impl_namespace!(FastAdaptiveRebatching<CountingSlot>, "fast-adaptive-rebatching", total_size, release);
-
-impl_namespace!(Rebatching<TournamentSlot>, "rebatching", namespace_size, release);
-impl_namespace!(AdaptiveRebatching<TournamentSlot>, "adaptive-rebatching", total_size, release);
-impl_namespace!(FastAdaptiveRebatching<TournamentSlot>, "fast-adaptive-rebatching", total_size, release);
-impl_namespace!(UniformRenaming<TournamentSlot>, "uniform", namespace_size, release);
-impl_namespace!(LinearScanRenaming<TournamentSlot>, "linear-scan", namespace_size, release);
-impl_namespace!(SingleBatchRenaming<TournamentSlot>, "single-batch", namespace_size, release);
-impl_namespace!(DoublingRenaming<TournamentSlot>, "doubling-uniform", namespace_size, release);
+impl_namespace!(Rebatching, "rebatching", namespace_size);
+impl_namespace!(AdaptiveRebatching, "adaptive-rebatching", total_size);
+impl_namespace!(
+    FastAdaptiveRebatching,
+    "fast-adaptive-rebatching",
+    total_size
+);
+impl_namespace!(UniformRenaming, "uniform", namespace_size);
+impl_namespace!(LinearScanRenaming, "linear-scan", namespace_size);
+impl_namespace!(SingleBatchRenaming, "single-batch", namespace_size);
+impl_namespace!(DoublingRenaming, "doubling-uniform", namespace_size);
 
 #[cfg(test)]
 mod tests {
@@ -376,12 +287,11 @@ mod tests {
     #[test]
     fn trait_objects_acquire_and_release() {
         let object = Rebatching::with_defaults(16, Epsilon::one()).expect("construct");
-        let ns: &dyn Namespace = &object;
+        let ns: &dyn ServiceBackend = &object;
         let mut rng = StdRng::seed_from_u64(1);
-        let name = ns.acquire(&mut rng).expect("name");
+        let name = ns.open_session().acquire(&mut rng).expect("name");
         assert!(name.value() < ns.namespace_size());
         assert_eq!(ns.held(), 1);
-        assert!(ns.supports_release());
         ns.release(name).expect("release");
         assert_eq!(ns.held(), 0);
         assert_eq!(ns.algorithm(), "rebatching");
@@ -390,7 +300,7 @@ mod tests {
 
     #[test]
     fn every_atomic_backend_exposes_the_namespace_contract() {
-        let backends: Vec<Box<dyn Namespace>> = vec![
+        let backends: Vec<Box<dyn ServiceBackend>> = vec![
             Box::new(Rebatching::with_defaults(8, Epsilon::one()).expect("rebatching")),
             Box::new(AdaptiveRebatching::with_defaults(8, Epsilon::one()).expect("adaptive")),
             Box::new(FastAdaptiveRebatching::with_defaults(8).expect("fast-adaptive")),
@@ -402,8 +312,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         for ns in &backends {
             let label = ns.algorithm();
-            let a = ns.acquire(&mut rng).unwrap_or_else(|e| panic!("{label}: {e}"));
-            let b = ns.acquire(&mut rng).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let mut session = ns.open_session();
+            let a = session
+                .acquire(&mut rng)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let b = session
+                .acquire(&mut rng)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
             assert_ne!(a, b, "{label}");
             assert!(a.value() < ns.namespace_size(), "{label}");
             assert!(b.value() < ns.namespace_size(), "{label}");
@@ -416,13 +331,16 @@ mod tests {
 
     #[test]
     fn pooled_sessions_match_backend_acquires() {
+        // A pooled session names exactly what the object's per-call
+        // `get_name` names on a twin: ReBatching supersedes no win, so
+        // recycling mode and the one-shot path agree call for call.
         let object = Rebatching::with_defaults(8, Epsilon::one()).expect("construct");
         let twin = Rebatching::with_defaults(8, Epsilon::one()).expect("construct");
         let mut session = ServiceBackend::open_session(&twin);
         let mut rng_a = StdRng::seed_from_u64(3);
         let mut rng_b = StdRng::seed_from_u64(3);
         for _ in 0..8 {
-            let direct = Namespace::acquire(&object, &mut rng_a).expect("direct");
+            let direct = object.get_name(&mut rng_a).expect("direct");
             let pooled = session.acquire(&mut rng_b).expect("pooled");
             assert_eq!(direct, pooled);
         }

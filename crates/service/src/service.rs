@@ -88,8 +88,9 @@ struct Worker {
 /// thread, get an RAII [`NameGuard`], drop it to recycle the name.
 ///
 /// The service wraps one [`ServiceBackend`] (any of the paper's
-/// algorithms or the baselines, over hardware atomics or the
-/// register-based tournament — see [`NameServiceBuilder`]) and owns a
+/// algorithms or the baselines, over hardware atomics from
+/// [`NameServiceBuilder`], or over any resettable TAS substrate through
+/// [`with_backend`](Self::with_backend)) and owns a
 /// pool of per-worker [`PooledSession`]s with private [`FastRng`]
 /// streams. An acquire checks a worker out of the pool (creating one
 /// only when the pool is empty, so the steady-state worker count tracks
@@ -138,10 +139,13 @@ impl NameService {
         NameServiceBuilder::new(algorithm, capacity)
     }
 
-    /// Wraps an explicit backend — the escape hatch for backends the
-    /// [`NameServiceBuilder`] enums do not cover (custom probe
-    /// schedules, counting instrumentation, hand-built objects), and the
-    /// builder's own `build` hook.
+    /// Wraps an explicit backend; the builder's own `build` hook. Every
+    /// object implements [`ServiceBackend`] over any
+    /// [`ResettableTas`](renaming_tas::ResettableTas), so any substrate
+    /// other than the builder's atomics comes through here: build the
+    /// object with its `from_parts` constructor (over
+    /// [`crate::CountingSlot`]s, register tournaments as
+    /// `TicketTas<TournamentTas>`, or with a custom probe schedule).
     pub fn with_backend(backend: Arc<dyn ServiceBackend>, seed_policy: SeedPolicy) -> Self {
         Self {
             backend,
@@ -185,11 +189,10 @@ impl NameService {
     }
 
     /// Attaches the concurrency oracle — the builder's `oracle(true)`
-    /// hook, public so [`with_backend`](Self::with_backend) escape-hatch
-    /// services (custom backends the builder enums do not cover) can be
-    /// instrumented too. Takes `&mut self` for the same reason as
-    /// `enable_metrics`: the enabled/disabled decision is fixed before
-    /// the service is shared.
+    /// hook, public so [`with_backend`](Self::with_backend) services
+    /// (backends the builder does not build) can be instrumented too.
+    /// Takes `&mut self` for the same reason as `enable_metrics`: the
+    /// enabled/disabled decision is fixed before the service is shared.
     pub fn enable_oracle(&mut self) {
         self.instruments.oracle = Some(Arc::new(Oracle::new(
             self.backend.namespace_size(),
@@ -294,8 +297,7 @@ impl NameService {
     /// # Errors
     ///
     /// Returns [`RenamingError::ReleaseUnsupported`] if a custom
-    /// backend is one-shot; every built-in backend (atomic and the
-    /// epoch-resettable tournament) accepts the release.
+    /// backend is one-shot; every built-in backend accepts the release.
     ///
     /// # Panics
     ///
@@ -347,31 +349,6 @@ impl NameService {
     /// The backing algorithm's label (e.g. `"rebatching"`).
     pub fn algorithm(&self) -> &'static str {
         self.backend.algorithm()
-    }
-
-    /// Whether dropping a [`NameGuard`] actually recycles the name on
-    /// this backend. `true` for every backend the builder can produce;
-    /// only a custom one-shot [`ServiceBackend`] reports `false`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use renaming_service::{Algorithm, NameService, TasBackend};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let atomic = NameService::builder(Algorithm::Rebatching, 4).build()?;
-    /// assert!(atomic.supports_release());
-    ///
-    /// // The register tournament recycles too (epoch-stamped reset).
-    /// let tournament = NameService::builder(Algorithm::Rebatching, 4)
-    ///     .tas_backend(TasBackend::Tournament)
-    ///     .build()?;
-    /// assert!(tournament.supports_release());
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn supports_release(&self) -> bool {
-        self.backend.supports_release()
     }
 
     /// Workers (sessions + RNG streams) created so far. Tracks the peak
@@ -454,7 +431,6 @@ impl fmt::Debug for NameService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TasBackend;
 
     #[test]
     fn acquire_release_cycle_recycles_names() {
@@ -519,26 +495,6 @@ mod tests {
         let name = guard.into_name();
         assert_eq!(service.held(), 1, "detached name stays held");
         service.release_name(name).expect("manual release");
-        assert_eq!(service.held(), 0);
-    }
-
-    #[test]
-    fn tournament_backend_recycles_on_guard_drop() {
-        let service = NameService::builder(Algorithm::Rebatching, 4)
-            .tas_backend(TasBackend::Tournament)
-            .build()
-            .expect("build");
-        assert!(service.supports_release());
-        let guard = service.acquire().expect("name");
-        assert!(guard.value() < service.namespace_size());
-        guard.release().expect("tournament releases via epoch reset");
-        assert_eq!(service.held(), 0);
-        // Churn far beyond the namespace (and beyond any slot's
-        // per-epoch ticket budget): only drop-recycling makes this pass.
-        for _ in 0..60 {
-            let guard = service.acquire().expect("within capacity");
-            std::hint::black_box(guard.value());
-        }
         assert_eq!(service.held(), 0);
     }
 

@@ -2,7 +2,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::{Tas, TasResult};
+use crate::{ResettableTas, Tas, TasResult};
 
 /// A [`Tas`] wrapper that counts `test_and_set` calls.
 ///
@@ -43,11 +43,6 @@ impl<T: Tas> CountingTas<T> {
     pub fn tas_ops(&self) -> u64 {
         self.tas_ops.load(Ordering::Relaxed)
     }
-
-    /// Borrows the wrapped TAS object.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
 }
 
 impl<T: Tas> Tas for CountingTas<T> {
@@ -58,6 +53,12 @@ impl<T: Tas> Tas for CountingTas<T> {
 
     fn is_set(&self) -> bool {
         self.inner.is_set()
+    }
+}
+
+impl<T: ResettableTas> ResettableTas for CountingTas<T> {
+    fn reset(&self) {
+        self.inner.reset();
     }
 }
 

@@ -137,12 +137,6 @@ impl ResettableTas for AtomicTas {
     }
 }
 
-impl<T: ResettableTas> ResettableTas for CountingTas<T> {
-    fn reset(&self) {
-        self.inner().reset();
-    }
-}
-
 /// A test-and-set object that needs to know the caller's identity.
 ///
 /// The register-based [`rwtas::TournamentTas`] routes each contender through

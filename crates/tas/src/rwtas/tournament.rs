@@ -41,7 +41,7 @@ pub const EPOCH_LIMIT: u64 = (1 << 48) - 1;
 ///
 /// The tournament is long-lived: [`reset`](Self::reset) advances a single
 /// shared epoch counter — an O(1) operation that performs **zero**
-/// register operations on the `node_count()` two-process nodes. Every
+/// register operations on the tree's two-process nodes. Every
 /// node register is stamped with the epoch it was written in; contenders
 /// of the new epoch read older stamps as pristine state (lazy
 /// invalidation), while stragglers still walking the tree under a dead
@@ -128,18 +128,13 @@ impl TournamentTas {
         self.capacity
     }
 
-    /// Number of internal (two-process) nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len().saturating_sub(1)
-    }
-
     /// The current epoch (starts at 0, advanced by [`reset`](Self::reset)).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
     /// Reopens the tournament for a fresh round of contenders: a single
-    /// epoch bump, O(1) regardless of [`node_count`](Self::node_count).
+    /// epoch bump, O(1) regardless of the number of tree nodes.
     /// Stale node state is invalidated lazily on the next read (see the
     /// type-level docs); no node register is written.
     ///
@@ -265,7 +260,7 @@ impl fmt::Debug for TournamentTas {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TournamentTas")
             .field("capacity", &self.capacity)
-            .field("nodes", &self.node_count())
+            .field("nodes", &self.nodes.len().saturating_sub(1))
             .field("epoch", &self.epoch())
             .field("decided", &self.is_decided())
             .finish()

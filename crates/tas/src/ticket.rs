@@ -109,11 +109,6 @@ impl<T: IdTas> TicketTas<T> {
     pub fn ticket_epoch(&self) -> u64 {
         self.grants.load(Ordering::Relaxed) >> EPOCH_SHIFT
     }
-
-    /// Borrows the wrapped object.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
 }
 
 impl<T: IdTas> Tas for TicketTas<T> {
@@ -344,12 +339,6 @@ mod tests {
     fn oversized_capacity_is_rejected() {
         // The 16-bit ticket field cannot hold a capacity of 2^16.
         TicketTas::with_capacity(SaturatingTas::new(), 1 << 16);
-    }
-
-    #[test]
-    fn inner_access() {
-        let t = TicketTas::new(TournamentTas::new(2));
-        assert_eq!(t.inner().capacity(), 2);
     }
 
     /// A minimal epoch TAS whose epoch saturates at [`Self::CAP`] —

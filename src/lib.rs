@@ -83,7 +83,7 @@ pub mod prelude {
     pub use renaming_core::{Epsilon, Name, RenamingError};
     pub use renaming_service::{
         AcquireFuture, Algorithm, AsyncNameGuard, AsyncNameService, HistoryReport, NameGuard,
-        NameService, NameServiceBuilder, Namespace, Oracle, OracleVerdict, SeedPolicy, TasBackend,
-        Violation, WorkerCounts,
+        NameService, NameServiceBuilder, Namespace, Oracle, OracleVerdict, SeedPolicy, Violation,
+        WorkerCounts,
     };
 }

@@ -20,8 +20,13 @@
 //!    acquires each leave exactly one latency sample and one oracle
 //!    outcome.
 
+use std::sync::Arc;
+
+use loose_renaming::core::{BatchLayout, ProbeSchedule, Rebatching, DEFAULT_BETA};
 use loose_renaming::prelude::*;
 use loose_renaming::service::exec;
+use loose_renaming::tas::rwtas::TournamentTas;
+use loose_renaming::tas::{TasArray, TicketTas};
 
 /// Builds a service wrapped for async acquisition. The concurrency
 /// oracle records every acquire/release; recording does not touch the
@@ -165,19 +170,23 @@ fn async_churn_is_unique_and_recycles_on_every_backend() {
     }
 }
 
-/// The register-based tournament substrate behind `acquire().await`:
-/// async acquires drive epoch-stamped trees exactly like sync acquires.
+/// The register-based tournament substrate behind `acquire().await`,
+/// reached through `from_parts` and `with_backend`: async acquires drive
+/// epoch-stamped trees exactly like sync acquires. Each slot holds
+/// `max(2·capacity, 8)` contender tickets per epoch.
 #[test]
 fn async_tournament_churn_is_unique_and_recycles() {
     let threads = 4;
-    let service = AsyncNameService::new(
-        NameService::builder(Algorithm::Rebatching, threads)
-            .tas_backend(TasBackend::Tournament)
-            .oracle(true)
-            .seed_policy(SeedPolicy::Fixed(0xA57D))
-            .build()
-            .expect("build"),
-    );
+    let schedule = ProbeSchedule::paper(Epsilon::one(), DEFAULT_BETA).expect("paper schedule");
+    let layout = BatchLayout::shared(threads, schedule).expect("layout");
+    let slots = (0..layout.namespace_size())
+        .map(|_| TicketTas::new(TournamentTas::new((2 * threads).max(8))))
+        .collect();
+    let backend = Rebatching::from_parts(layout, Arc::new(TasArray::from_slots(slots)))
+        .expect("tournament backend");
+    let mut service = NameService::with_backend(Arc::new(backend), SeedPolicy::Fixed(0xA57D));
+    service.enable_oracle();
+    let service = AsyncNameService::new(service);
     let iterations = (10 * service.namespace_size()).div_ceil(threads) + 5;
     async_churn(&service, threads, iterations);
 }

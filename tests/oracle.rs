@@ -45,11 +45,6 @@ impl PooledSession for FixedSession {
 }
 
 impl Namespace for DoubleIssuing {
-    fn acquire(&self, _rng: &mut dyn RngCore) -> Result<Name, CoreError> {
-        self.held.fetch_add(1, Ordering::SeqCst);
-        Ok(Name::new(0))
-    }
-
     fn release(&self, _name: Name) -> Result<(), CoreError> {
         self.held.fetch_sub(1, Ordering::SeqCst);
         Ok(())
@@ -69,10 +64,6 @@ impl Namespace for DoubleIssuing {
 
     fn algorithm(&self) -> &'static str {
         "double-issuing"
-    }
-
-    fn supports_release(&self) -> bool {
-        true
     }
 }
 

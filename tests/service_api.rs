@@ -18,13 +18,29 @@
 //! 4. **Pool integrity** — the sharded lock-free pool never hands one
 //!    session to two threads at once and never leaks workers, even with
 //!    far more threads than shards and churn far beyond capacity.
-//! 5. **Substrate parity** — the register-based tournament backend gives
-//!    the same long-lived guarantees as the atomic one: churn ≫ the
-//!    namespace size recycles names through the epoch-stamped tree
-//!    reset, and draining an epoch's per-slot ticket window surfaces a
-//!    structured error (never a panic) and heals on release.
+//! 5. **Substrate parity** — any resettable TAS substrate reaches the
+//!    service through the objects' `from_parts` constructors and
+//!    `NameService::with_backend`, with the same long-lived guarantees
+//!    as the builder's atomics. The register-based tournament recycles
+//!    names through its epoch-stamped tree reset under churn ≫ the
+//!    namespace size, and draining an epoch's per-slot ticket window
+//!    surfaces a structured error (never a panic) and heals on release.
+//!    Counted atomic and tournament slots serve every algorithm, with
+//!    one counted `test_and_set` or more per acquire.
 
+use std::sync::Arc;
+
+use loose_renaming::baselines::{
+    DoublingRenaming, LinearScanRenaming, SingleBatchRenaming, UniformRenaming,
+};
+use loose_renaming::core::{
+    AdaptiveLayout, AdaptiveRebatching, BatchLayout, FastAdaptiveRebatching, ProbeSchedule,
+    Rebatching, DEFAULT_BETA,
+};
 use loose_renaming::prelude::*;
+use loose_renaming::service::{CountingSlot, ServiceBackend};
+use loose_renaming::tas::rwtas::TournamentTas;
+use loose_renaming::tas::{AtomicTas, CountingTas, ResettableTas, TasArray, TicketTas};
 
 /// Acquire/release churn on every releasable backend: `threads` real
 /// threads, each cycling `iterations` times, with the concurrency
@@ -46,7 +62,6 @@ fn stress(algorithm: Algorithm, threads: usize, iterations: usize) {
 /// no overlapping holds, the namespace bound, release matching, and
 /// the worker conservation law in one verdict.
 fn churn(service: &NameService, threads: usize, iterations: usize) {
-    assert!(service.supports_release());
     let oracle = service.oracle().expect("churn services enable the oracle");
 
     std::thread::scope(|scope| {
@@ -283,20 +298,66 @@ fn namespace_exhaustion_is_an_error_not_a_panic() {
     assert!(service.acquire().is_ok());
 }
 
-/// Tournament-substrate churn: the mirror of `stress` on
-/// `TasBackend::Tournament`. Sized from the built namespace so the churn
-/// is always ≥ 10× its size — far beyond both the namespace and every
-/// slot's per-epoch ticket window, so this passes only if releases
-/// really reset the register trees (O(1) epoch bumps) and reissue
-/// tickets.
+/// Serves `algorithm` over `slot()`-made TAS slots: each object is
+/// built with its `from_parts` constructor at the builder's defaults
+/// (paper schedule, `ε = 1`, `β = 3`) and wrapped by
+/// `NameService::with_backend`, with the oracle on. Returns the shared
+/// slots too, so a caller can read a counting substrate.
+fn service_over<T: ResettableTas + 'static>(
+    algorithm: Algorithm,
+    capacity: usize,
+    seed: u64,
+    slot: impl Fn() -> T,
+) -> Result<(NameService, Arc<TasArray<T>>), RenamingError> {
+    let schedule = ProbeSchedule::paper(Epsilon::one(), DEFAULT_BETA)?;
+    let batch = BatchLayout::shared(capacity, schedule)?;
+    let adaptive = Arc::new(AdaptiveLayout::for_capacity(capacity, schedule)?);
+    let len = match algorithm {
+        Algorithm::Rebatching => batch.namespace_size(),
+        Algorithm::Adaptive | Algorithm::FastAdaptive => adaptive.total_size(),
+        Algorithm::Uniform | Algorithm::SingleBatch => 2 * capacity,
+        Algorithm::LinearScan => capacity,
+        Algorithm::Doubling => 4 * capacity,
+    };
+    let slots = Arc::new(TasArray::from_slots((0..len).map(|_| slot()).collect()));
+    let parts = Arc::clone(&slots);
+    let backend: Arc<dyn ServiceBackend> = match algorithm {
+        Algorithm::Rebatching => Arc::new(Rebatching::from_parts(batch, parts)?),
+        Algorithm::Adaptive => Arc::new(AdaptiveRebatching::from_parts(adaptive, parts)?),
+        Algorithm::FastAdaptive => Arc::new(FastAdaptiveRebatching::from_parts(adaptive, parts)?),
+        Algorithm::Uniform => Arc::new(UniformRenaming::from_parts(capacity, parts)?),
+        Algorithm::LinearScan => Arc::new(LinearScanRenaming::from_parts(capacity, parts)?),
+        Algorithm::SingleBatch => {
+            let budget = (usize::BITS - len.leading_zeros()) as usize + 3;
+            Arc::new(SingleBatchRenaming::from_parts(capacity, budget, parts)?)
+        }
+        Algorithm::Doubling => Arc::new(DoublingRenaming::from_parts(capacity, 2, parts)?),
+    };
+    let mut service = NameService::with_backend(backend, SeedPolicy::Fixed(seed));
+    service.enable_oracle();
+    Ok((service, slots))
+}
+
+/// The register-based tournament substrate: a `TicketTas<TournamentTas>`
+/// per name. Every probe of a slot burns one of its epoch's contender
+/// tickets and a release reissues them, so the window only has to cover
+/// the probes between a win and its release — bounded by the concurrent
+/// acquirers. It holds `max(2·capacity, 8)`.
+fn tournament_service(algorithm: Algorithm, capacity: usize, seed: u64) -> NameService {
+    let contenders = (2 * capacity).max(8);
+    let tournament = || TicketTas::new(TournamentTas::new(contenders));
+    service_over(algorithm, capacity, seed, tournament)
+        .unwrap_or_else(|e| panic!("{algorithm:?}: {e}"))
+        .0
+}
+
+/// Tournament-substrate churn: the mirror of `stress` on the register
+/// substrate. Sized from the built namespace so the churn is always
+/// ≥ 10× its size — far beyond both the namespace and every slot's
+/// per-epoch ticket window, so this passes only if releases really
+/// reset the register trees (O(1) epoch bumps) and reissue tickets.
 fn stress_tournament(algorithm: Algorithm, threads: usize) {
-    let service = NameService::builder(algorithm, threads)
-        .tas_backend(TasBackend::Tournament)
-        .oracle(true)
-        .seed_policy(SeedPolicy::Fixed(0x70AB))
-        .build()
-        .expect("build");
-    assert!(service.supports_release());
+    let service = tournament_service(algorithm, threads, 0x70AB);
     let iterations = (10 * service.namespace_size()).div_ceil(threads) + 5;
     churn(&service, threads, iterations);
     assert!(threads * iterations >= 10 * service.namespace_size());
@@ -327,11 +388,7 @@ fn tournament_ticket_exhaustion_is_an_error_and_heals_on_release() {
     // spamming acquires burns far more than that per slot; every failed
     // acquire must surface the structured exhaustion error — never a
     // panic, never a duplicate name.
-    let service = NameService::builder(Algorithm::Rebatching, 2)
-        .tas_backend(TasBackend::Tournament)
-        .seed_policy(SeedPolicy::Fixed(0xE4A))
-        .build()
-        .expect("build");
+    let service = tournament_service(Algorithm::Rebatching, 2, 0xE4A);
     let guards: Vec<_> = (0..service.namespace_size())
         .map(|_| service.acquire().expect("namespace not yet full"))
         .collect();
@@ -353,4 +410,44 @@ fn tournament_ticket_exhaustion_is_an_error_and_heals_on_release() {
         drop(guard);
     }
     assert_eq!(service.held(), 0);
+}
+
+/// Single-threaded churn to 10× the namespace size over counted slots:
+/// every name comes back, the oracle's verdict is clean, and each
+/// acquire performs at least one counted `test_and_set`.
+fn churn_counted<T: ResettableTas + 'static>(
+    algorithm: Algorithm,
+    slot: impl Fn() -> CountingTas<T>,
+) {
+    let (service, slots) =
+        service_over(algorithm, 8, 0xC0DE, slot).unwrap_or_else(|e| panic!("{algorithm:?}: {e}"));
+    let acquires = 10 * service.namespace_size();
+    for _ in 0..acquires {
+        let guard = service
+            .acquire()
+            .unwrap_or_else(|e| panic!("{algorithm:?}: {e}"));
+        assert!(guard.value() < service.namespace_size(), "{algorithm:?}");
+    }
+    assert_eq!(service.held(), 0, "{algorithm:?}: drops must recycle");
+    let verdict = service.oracle_verdict().expect("oracle enabled");
+    assert!(verdict.is_clean() && verdict.drained(), "{algorithm:?}");
+    let ops: u64 = (0..slots.len()).map(|i| slots.slot(i).tas_ops()).sum();
+    assert!(
+        ops >= acquires as u64,
+        "{algorithm:?}: {ops} counted TAS ops for {acquires} acquires"
+    );
+}
+
+/// Every algorithm, baselines included, over `CountingSlot` and over
+/// counted tournament slots, each served through `with_backend`.
+#[test]
+fn every_algorithm_serves_counting_and_tournament_slots() {
+    for algorithm in Algorithm::all() {
+        churn_counted(algorithm, || CountingSlot::new(AtomicTas::new()));
+        // max(2·8, 8) contender tickets per epoch, as `tournament_service`
+        // provisions a capacity-8 namespace.
+        churn_counted(algorithm, || {
+            CountingTas::new(TicketTas::new(TournamentTas::new(16)))
+        });
+    }
 }
