@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An ordinary least-squares fit `y ≈ intercept + slope · x` with its
 /// coefficient of determination `R²`.
 ///
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((fit.intercept() - 1.0).abs() < 1e-12);
 /// assert!((fit.r_squared() - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     slope: f64,
     intercept: f64,

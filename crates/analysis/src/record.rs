@@ -2,8 +2,7 @@
 
 use std::io::Write;
 
-use serde::{Deserialize, Serialize};
-use serde_json::Value;
+use serde_json::{json, Value};
 
 /// One recorded experiment data point: the experiment id, its parameters
 /// and its measured metrics, as free-form JSON objects.
@@ -28,7 +27,7 @@ use serde_json::Value;
 /// assert!(line.contains("\"experiment\":\"e1\""));
 /// assert!(line.ends_with('\n'));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentRecord {
     /// Experiment id (`e1`..`e14`, `a1`, `a2`, ...).
     pub experiment: String,
@@ -52,29 +51,20 @@ impl ExperimentRecord {
     ///
     /// # Errors
     ///
-    /// Propagates I/O and serialization errors.
+    /// Propagates I/O errors.
     pub fn write_jsonl<W: Write>(&self, mut w: W) -> std::io::Result<()> {
-        let line = serde_json::to_string(self)?;
+        let line = json!({
+            "experiment": &self.experiment,
+            "params": &self.params,
+            "metrics": &self.metrics,
+        });
         writeln!(w, "{line}")
-    }
-
-    /// Parses records back from JSON-lines text, skipping blank lines.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first parse error encountered.
-    pub fn read_jsonl(text: &str) -> Result<Vec<Self>, serde_json::Error> {
-        text.lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(serde_json::from_str)
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
 
     #[test]
     fn roundtrip_through_jsonl() {
@@ -87,18 +77,16 @@ mod tests {
             r.write_jsonl(&mut buf).expect("write");
         }
         let text = String::from_utf8(buf).expect("utf8");
-        let back = ExperimentRecord::read_jsonl(&text).expect("parse");
-        assert_eq!(back, records);
-    }
-
-    #[test]
-    fn blank_lines_skipped() {
-        let text = "\n\n";
-        assert!(ExperimentRecord::read_jsonl(text).expect("parse").is_empty());
-    }
-
-    #[test]
-    fn bad_json_is_an_error() {
-        assert!(ExperimentRecord::read_jsonl("{not json").is_err());
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), records.len());
+        for (line, r) in lines.iter().zip(&records) {
+            let back: Value = serde_json::from_str(line).expect("parse");
+            assert_eq!(
+                back.get("experiment").and_then(Value::as_str),
+                Some(&*r.experiment)
+            );
+            assert_eq!(back.get("params"), Some(&r.params));
+            assert_eq!(back.get("metrics"), Some(&r.metrics));
+        }
     }
 }

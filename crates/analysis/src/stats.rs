@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a sample: count, mean, standard deviation,
 /// extremes and quantiles.
 ///
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.max(), 8.0);
 /// assert_eq!(s.quantile(0.5), 6.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     sorted: Vec<f64>,
     mean: f64,
@@ -242,13 +240,5 @@ mod tests {
         for needle in ["n=3", "mean=", "sd=", "min=", "p50=", "max="] {
             assert!(text.contains(needle), "missing {needle} in {text}");
         }
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let s = Summary::from_values([1.0, 2.0]);
-        let json = serde_json::to_string(&s).expect("serialize");
-        let back: Summary = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(s, back);
     }
 }

@@ -15,7 +15,7 @@
 //!   [`EngineScratch`] and one fleet buffer ([`SweepWorker`]), so
 //!   steady-state trials perform no engine allocation.
 //! * **Parallel trials** — [`Sweep::trials`] fans trials out over
-//!   scoped threads (`crossbeam_utils::thread::scope`), one worker per
+//!   scoped threads (`std::thread::scope`), one worker per
 //!   thread. Results are **deterministic at any thread count**: each
 //!   trial's outcome depends only on its trial index (its seed is
 //!   derived from the index, never from scheduling), trials are striped
@@ -283,11 +283,11 @@ impl Sweep {
             let mut worker = SweepWorker::new();
             return (0..count).map(|trial| f(trial, &mut worker)).collect();
         }
-        let buckets: Vec<Vec<T>> = crossbeam_utils::thread::scope(|s| {
+        let buckets: Vec<Vec<T>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|w| {
                     let f = &f;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut worker = SweepWorker::new();
                         (w..count)
                             .step_by(threads)
@@ -300,8 +300,7 @@ impl Sweep {
                 .into_iter()
                 .map(|h| h.join().expect("sweep worker panicked"))
                 .collect()
-        })
-        .expect("sweep thread scope");
+        });
         // Reassemble in trial order: trial t is the (t / threads)-th
         // result of worker t % threads.
         let mut cursors: Vec<_> = buckets.into_iter().map(Vec::into_iter).collect();

@@ -82,11 +82,6 @@ impl BatchCall {
         self.batch
     }
 
-    /// Probes already performed.
-    pub fn probes_used(&self) -> usize {
-        self.used
-    }
-
     /// Chooses the next probe location (flipping coins from `rng`).
     ///
     /// Generic over the generator so the monomorphic engine tier inlines
@@ -347,7 +342,7 @@ mod tests {
         assert_eq!(call.observe(false), CallStatus::InProgress);
         call.propose(&mut rng);
         assert_eq!(call.observe(false), CallStatus::Exhausted);
-        assert_eq!(call.probes_used(), 3);
+        assert_eq!(call.used, 3);
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Epsilon, ProbeSchedule, RenamingError};
 
 /// The shared-memory layout of one ReBatching object for `n` processes:
@@ -36,7 +34,7 @@ use crate::{Epsilon, ProbeSchedule, RenamingError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchLayout {
     n: usize,
     schedule: ProbeSchedule,

@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::RenamingError;
 
 /// The namespace slack: ReBatching renames into `(1 + ε)n` names.
@@ -25,7 +23,7 @@ use crate::RenamingError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Epsilon(f64);
 
 impl Epsilon {
@@ -71,7 +69,7 @@ impl fmt::Display for Epsilon {
 /// t_i = 1                            (1 <= i <= κ-1)
 /// t_κ = β                            (last batch)
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeSchedule {
     epsilon: Epsilon,
     beta: usize,

@@ -214,9 +214,11 @@ impl<T: ResettableTas> Rebatching<T> {
     /// as long as at most `n` names are held simultaneously: a release
     /// simply reopens one TAS slot, and every acquire still wins a slot
     /// exactly once between releases. The `log log n + O(1)` w.h.p. step
-    /// bound is proven only for the one-shot case; in steady state the
-    /// empirical behaviour matches (exercised in the test suite), but it
-    /// is not covered by Theorem 4.1.
+    /// bound is proven only for the one-shot case. The long-lived step
+    /// count lies outside Theorem 4.1: it depends on occupancy and on the
+    /// order in which names are released (when every free name lies
+    /// outside batch 0, each acquire first spends batch 0's whole `t₀`
+    /// probe budget), and it is not yet measured.
     ///
     /// # Panics
     ///

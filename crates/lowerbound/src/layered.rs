@@ -24,13 +24,12 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::types::TypeTable;
 use crate::{CoupledPoisson, Poisson, RateSystem};
 
 /// Configuration of a marking simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarkingConfig {
     /// System size `n`: the initial total rate is `n/2`, as in the proof
     /// of Theorem 6.1.
@@ -44,7 +43,7 @@ pub struct MarkingConfig {
 }
 
 /// Per-layer result of the marking simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerOutcome {
     /// Layer index (0 = before any layer).
     pub layer: usize,

@@ -3,7 +3,6 @@
 use rand::seq::SliceRandom;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::ProcessId;
 
@@ -23,7 +22,7 @@ use crate::ProcessId;
 /// let plan = CrashPlan::at_steps(vec![(10, 2), (3, 0)]);
 /// assert_eq!(plan.crash_count(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CrashPlan {
     /// Sorted by step, ascending.
     crashes: Vec<(u64, ProcessId)>,

@@ -3,14 +3,13 @@
 use std::fmt;
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// A name: the index of the shared TAS location the process won.
 ///
 /// The paper's convention (§1): "a process obtains a name by performing a
 /// successful TAS on a location, returning the index of that location as
 /// its name". Names are zero-based here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Name(usize);
 
 impl Name {
@@ -59,7 +58,7 @@ pub enum Action {
 /// Algorithms fill in what applies to them; the defaults are neutral.
 /// These feed experiments E3 (per-batch survivor counts), E4 (backup-phase
 /// rate) and E5/E6 (objects visited by the adaptive algorithms).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachineStats {
     /// Shared-memory probes performed.
     pub probes: u64,
@@ -209,20 +208,5 @@ mod tests {
         assert_eq!(s.probes, 0);
         assert_eq!(s.deepest_batch, None);
         assert!(!s.entered_backup);
-    }
-
-    #[test]
-    fn stats_serde_roundtrip() {
-        let s = MachineStats {
-            probes: 5,
-            failed_calls: 1,
-            deepest_batch: Some(2),
-            objects_visited: 3,
-            entered_backup: false,
-            names_acquired: 1,
-        };
-        let json = serde_json::to_string(&s).expect("serialize");
-        let back: MachineStats = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(s, back);
     }
 }

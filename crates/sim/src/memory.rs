@@ -1,13 +1,11 @@
 //! Simulated shared memory: an indexed array of one-shot TAS locations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ProcessId;
 
 /// One TAS location's state: winner (or unset) plus its access count,
 /// co-located in a single 8-byte record so a probe touches one cache line
 /// slot instead of three parallel arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Location {
     /// Winning pid, or [`UNSET`] while the location is free. `u32` keeps
     /// the record dense; simulations are capped at `u32::MAX - 1`
@@ -39,7 +37,7 @@ const UNSET: u32 = u32::MAX;
 /// assert_eq!(mem.winner(2), Some(0));
 /// assert_eq!(mem.accesses(2), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TasMemory {
     locations: Vec<Location>,
     /// Number of won locations, maintained incrementally so
@@ -133,11 +131,6 @@ impl TasMemory {
         self.locations.iter().map(|l| l.accesses).max().unwrap_or(0)
     }
 
-    /// Total TAS operations across all locations.
-    pub fn total_accesses(&self) -> u64 {
-        self.locations.iter().map(|l| u64::from(l.accesses)).sum()
-    }
-
     /// Resets all locations and statistics (for trial reuse).
     pub fn reset(&mut self) {
         self.locations.iter_mut().for_each(|l| {
@@ -172,7 +165,7 @@ mod tests {
         assert_eq!(mem.len(), 3);
         assert!(!mem.is_empty());
         assert_eq!(mem.set_count(), 0);
-        assert_eq!(mem.total_accesses(), 0);
+        assert_eq!(mem.max_accesses(), 0);
         assert_eq!(mem.winner(0), None);
     }
 
@@ -196,7 +189,6 @@ mod tests {
         assert_eq!(mem.accesses(0), 0);
         assert_eq!(mem.set_count(), 1);
         assert_eq!(mem.max_accesses(), 3);
-        assert_eq!(mem.total_accesses(), 3);
     }
 
     #[test]
@@ -206,7 +198,7 @@ mod tests {
         mem.test_and_set(0, 2);
         mem.reset();
         assert_eq!(mem.set_count(), 0);
-        assert_eq!(mem.total_accesses(), 0);
+        assert_eq!(mem.max_accesses(), 0);
         assert_eq!(mem.winner(0), None);
         assert!(mem.test_and_set(0, 2));
     }

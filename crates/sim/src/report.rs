@@ -1,11 +1,9 @@
 //! Execution results and derived metrics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{MachineStats, Name};
 
 /// The fate of a single process in an execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcessOutcome {
     /// Terminated with a unique name after `steps` shared-memory steps.
     Named {
@@ -54,7 +52,7 @@ impl ProcessOutcome {
 ///
 /// [`max_steps`]: Self::max_steps
 /// [`total_steps`]: Self::total_steps
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionReport {
     /// Per-process outcome, indexed by process id.
     pub outcomes: Vec<ProcessOutcome>,

@@ -6,12 +6,10 @@
 //! assertions in tests (e.g. "the victim's probes all landed in batch 0
 //! while it was starved").
 
-use serde::{Deserialize, Serialize};
-
 use crate::ProcessId;
 
 /// One shared-memory step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Global step index (0-based, in execution order).
     pub step: u64,
@@ -24,7 +22,7 @@ pub struct TraceEvent {
 }
 
 /// The ordered list of steps of one execution.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutionTrace {
     events: Vec<TraceEvent>,
 }
@@ -53,11 +51,6 @@ impl ExecutionTrace {
     /// Returns `true` if nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// The probe sequence of one process, in order.
-    pub fn probes_of(&self, pid: ProcessId) -> Vec<TraceEvent> {
-        self.events.iter().copied().filter(|e| e.pid == pid).collect()
     }
 
     /// Locations ordered by how many probes they received, descending —
@@ -117,8 +110,9 @@ mod tests {
         t.push(event(1, 2, 5, false));
         t.push(event(2, 1, 6, false));
         assert_eq!(t.len(), 3);
-        assert_eq!(t.probes_of(1).len(), 2);
-        assert_eq!(t.probes_of(2).len(), 1);
+        let probes_of = |pid| t.events().iter().filter(|e| e.pid == pid).count();
+        assert_eq!(probes_of(1), 2);
+        assert_eq!(probes_of(2), 1);
         assert_eq!(t.wins().len(), 1);
     }
 
@@ -149,14 +143,5 @@ mod tests {
         t.push(event(0, 0, 1, true));
         t.push(event(1, 1, 1, true));
         assert!(!t.verify());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut t = ExecutionTrace::new();
-        t.push(event(0, 0, 3, true));
-        let json = serde_json::to_string(&t).expect("serialize");
-        let back: ExecutionTrace = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(t, back);
     }
 }

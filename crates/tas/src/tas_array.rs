@@ -3,9 +3,13 @@
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crossbeam_utils::CachePadded;
-
 use crate::{ResettableTas, Tas, TasResult};
+
+/// Pads and aligns a value to 128 bytes so that adjacent values never
+/// share a cache line (128 covers the common 64-byte line plus the
+/// adjacent-line prefetcher on x86_64, and the 128-byte lines on aarch64).
+#[repr(align(128))]
+struct CachePadded<T>(T);
 
 /// A fixed-size array of TAS objects, one per candidate name.
 ///
@@ -41,11 +45,9 @@ pub struct TasArray<T> {
 impl<T: Tas + Default> TasArray<T> {
     /// Creates an array of `len` unset TAS objects.
     pub fn new(len: usize) -> Self {
-        let slots: Vec<CachePadded<T>> =
-            (0..len).map(|_| CachePadded::new(T::default())).collect();
         Self {
-            slots: slots.into_boxed_slice(),
-            wins: CachePadded::new(AtomicUsize::new(0)),
+            slots: (0..len).map(|_| CachePadded(T::default())).collect(),
+            wins: CachePadded(AtomicUsize::new(0)),
         }
     }
 }
@@ -56,8 +58,8 @@ impl<T: Tas> TasArray<T> {
     pub fn from_slots(slots: Vec<T>) -> Self {
         let preset = slots.iter().filter(|s| s.is_set()).count();
         Self {
-            slots: slots.into_iter().map(CachePadded::new).collect(),
-            wins: CachePadded::new(AtomicUsize::new(preset)),
+            slots: slots.into_iter().map(CachePadded).collect(),
+            wins: CachePadded(AtomicUsize::new(preset)),
         }
     }
 
@@ -78,9 +80,9 @@ impl<T: Tas> TasArray<T> {
     /// Panics if `index >= self.len()`.
     #[inline]
     pub fn test_and_set(&self, index: usize) -> TasResult {
-        let result = self.slots[index].test_and_set();
+        let result = self.slots[index].0.test_and_set();
         if result.won() {
-            self.wins.fetch_add(1, Ordering::Relaxed);
+            self.wins.0.fetch_add(1, Ordering::Relaxed);
         }
         result
     }
@@ -92,7 +94,7 @@ impl<T: Tas> TasArray<T> {
     /// Panics if `index >= self.len()`.
     #[inline]
     pub fn is_set(&self, index: usize) -> bool {
-        self.slots[index].is_set()
+        self.slots[index].0.is_set()
     }
 
     /// Borrows the underlying TAS object at `index`.
@@ -101,7 +103,7 @@ impl<T: Tas> TasArray<T> {
     ///
     /// Panics if `index >= self.len()`.
     pub fn slot(&self, index: usize) -> &T {
-        &self.slots[index]
+        &self.slots[index].0
     }
 
     /// Number of slots won so far (O(1): a relaxed counter maintained by
@@ -111,7 +113,7 @@ impl<T: Tas> TasArray<T> {
     /// Wins through [`slot`](Self::slot)'s direct object access bypass the
     /// counter; use the array's own operations when the count matters.
     pub fn set_count(&self) -> usize {
-        self.wins.load(Ordering::Relaxed)
+        self.wins.0.load(Ordering::Relaxed)
     }
 }
 
@@ -127,10 +129,10 @@ impl<T: ResettableTas> TasArray<T> {
     ///
     /// Panics if `index >= self.len()`.
     pub fn reset_slot(&self, index: usize) -> bool {
-        let slot = &self.slots[index];
+        let slot = &self.slots[index].0;
         if slot.is_set() {
             slot.reset();
-            self.wins.fetch_sub(1, Ordering::Relaxed);
+            self.wins.0.fetch_sub(1, Ordering::Relaxed);
             true
         } else {
             false
@@ -150,7 +152,7 @@ impl<T: Tas> fmt::Debug for TasArray<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AtomicTas;
+    use crate::{AtomicTas, CountingTas};
     use std::sync::Arc;
 
     #[test]
@@ -177,6 +179,23 @@ mod tests {
         assert!(a.test_and_set(0).lost());
         assert_eq!(a.set_count(), 2);
         assert!(a.is_set(0) && a.is_set(1) && !a.is_set(2));
+    }
+
+    #[test]
+    fn slots_are_128_bytes_apart_and_aligned() {
+        fn check<T: Tas + Default>() {
+            let a: TasArray<T> = TasArray::new(4);
+            let addr = |i| a.slot(i) as *const T as usize;
+            for i in 0..a.len() - 1 {
+                assert_eq!(addr(i + 1) - addr(i), 128, "stride after slot {i}");
+            }
+            for i in 0..a.len() {
+                assert_eq!(addr(i) % 128, 0, "slot {i} is not 128-byte aligned");
+            }
+            assert_eq!(&a.wins as *const _ as usize % 128, 0, "win counter");
+        }
+        check::<AtomicTas>();
+        check::<CountingTas<AtomicTas>>();
     }
 
     #[test]
