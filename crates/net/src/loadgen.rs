@@ -216,11 +216,16 @@ fn worker(addr: SocketAddr, config: &LoadConfig) -> Result<WorkerStats, ClientEr
     let mut remaining = config.ops_per_connection;
     while remaining > 0 {
         let depth = config.pipeline.min(remaining);
-        if depth == 1 {
-            let start = Instant::now();
-            match client.acquire() {
+        let start = Instant::now();
+        let outcomes = client.acquire_many(depth)?;
+        // One batch round trip covers `depth` acquires; attribute the
+        // per-op share to each so pipeline depths stay comparable on
+        // the same axis (documented approximation; exact at depth 1).
+        let per_op = start.elapsed().as_nanos() as f64 / depth as f64;
+        for outcome in outcomes {
+            match outcome {
                 Ok(name) => {
-                    stats.acquire_nanos.push(start.elapsed().as_nanos() as f64);
+                    stats.acquire_nanos.push(per_op);
                     stats.ops += 1;
                     held.push(name);
                 }
@@ -228,28 +233,8 @@ fn worker(addr: SocketAddr, config: &LoadConfig) -> Result<WorkerStats, ClientEr
                 Err(ClientError::Server { .. }) => stats.errors += 1,
                 Err(e) => return Err(e),
             }
-            remaining -= 1;
-        } else {
-            let start = Instant::now();
-            let outcomes = client.acquire_many(depth)?;
-            // One batch round trip covers `depth` acquires; attribute
-            // the per-op share to each so pipeline depths stay
-            // comparable on the same axis (documented approximation).
-            let per_op = start.elapsed().as_nanos() as f64 / depth as f64;
-            for outcome in outcomes {
-                match outcome {
-                    Ok(name) => {
-                        stats.acquire_nanos.push(per_op);
-                        stats.ops += 1;
-                        held.push(name);
-                    }
-                    Err(e) if e.is_exhausted() => stats.on_exhausted(&mut client, &mut held)?,
-                    Err(ClientError::Server { .. }) => stats.errors += 1,
-                    Err(e) => return Err(e),
-                }
-            }
-            remaining -= depth;
         }
+        remaining -= depth;
         // Churn: shed oldest names beyond the hold window.
         while held.len() > config.hold {
             let name = held.remove(0);

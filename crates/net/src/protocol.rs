@@ -526,51 +526,33 @@ pub(crate) fn read_frame_into<R: Read>(
     max_len: u32,
     payload: &mut Vec<u8>,
 ) -> Result<bool, WireError> {
+    // EOF before the first byte is a clean close; EOF after it is a
+    // truncated frame.
+    let truncated = |e: io::Error| -> WireError {
+        match e.kind() {
+            io::ErrorKind::UnexpectedEof => ProtocolError::Truncated.into(),
+            _ => e.into(),
+        }
+    };
     let mut prefix = [0u8; 4];
-    match read_exact_or_eof(reader, &mut prefix)? {
-        ReadOutcome::CleanEof => return Ok(false),
-        ReadOutcome::Truncated => return Err(ProtocolError::Truncated.into()),
-        ReadOutcome::Full => {}
+    let first = loop {
+        match reader.read(&mut prefix) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            read => break read?,
+        }
+    };
+    if first == 0 {
+        return Ok(false);
     }
+    reader.read_exact(&mut prefix[first..]).map_err(truncated)?;
     let len = u32::from_le_bytes(prefix);
     if len > max_len {
         return Err(ProtocolError::Oversized { len, max: max_len }.into());
     }
     payload.clear();
     payload.resize(len as usize, 0);
-    match read_exact_or_eof(reader, payload)? {
-        ReadOutcome::Full => Ok(true),
-        // A length prefix with no (complete) payload behind it.
-        ReadOutcome::CleanEof | ReadOutcome::Truncated => Err(ProtocolError::Truncated.into()),
-    }
-}
-
-enum ReadOutcome {
-    Full,
-    CleanEof,
-    Truncated,
-}
-
-/// `read_exact`, but distinguishing "EOF before the first byte" (a
-/// clean close) from "EOF mid-buffer" (truncation). An empty buffer
-/// reads as `Full`.
-fn read_exact_or_eof<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<ReadOutcome> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    ReadOutcome::CleanEof
-                } else {
-                    ReadOutcome::Truncated
-                });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(ReadOutcome::Full)
+    reader.read_exact(payload).map_err(truncated)?;
+    Ok(true)
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
-//! The TCP server: bounded handler pool, per-connection sessions, and
-//! pipelined request batches.
+//! The TCP server: a pool of handler threads that accept connections
+//! themselves, per-connection sessions, and pipelined request batches.
 //!
 //! # Connection lifecycle
 //!
 //! ```text
-//! accept thread ──sync_channel(pending)──▶ handler pool (N threads)
+//! handler pool (N threads), each blocked in accept on one listener
 //!                                            │ one connection at a time
 //!                                            ▼
 //!                      ┌─ read and decode a batch of ≤ max_pipeline
@@ -18,23 +18,22 @@
 //!                      └─ repeat until EOF / Shutdown / framing error
 //!                               │
 //!                               ▼
-//!                 session drop: every held name released
+//!                 session drop: every held name released,
+//!                 then the handler returns to accept
 //! ```
 //!
 //! # Where backpressure lives
 //!
-//! Three bounds, innermost out:
+//! Two bounds, innermost out:
 //!
 //! 1. **Per-connection in-flight cap** (`max_pipeline`): a handler
 //!    never decodes more than this many requests before answering
 //!    them, so a client that floods the socket sees TCP flow control,
 //!    not unbounded server memory.
 //! 2. **Handler pool** (`handlers` threads): at most this many
-//!    connections are *served* concurrently; the rest wait accepted
-//!    but unserved in the channel.
-//! 3. **Pending-connection channel** (`PENDING_CONNECTIONS`, 16): when it
-//!    fills, the accept thread blocks and the listen backlog (and then
-//!    the clients' `connect`) absorbs the rest.
+//!    connections are accepted and served concurrently; the rest wait
+//!    in the kernel's listen backlog (and then in the clients'
+//!    `connect`) until a handler returns to `accept`.
 //!
 //! # No allocation per frame
 //!
@@ -59,8 +58,8 @@
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use renaming_service::{Name, NameService};
@@ -70,19 +69,16 @@ use crate::protocol::{
     read_frame_into, ProtocolError, Request, Response, Status, WireError, MAX_FRAME_LEN,
 };
 
-/// Bound of the accepted-but-unserved connection queue: a full queue
-/// blocks the accept thread.
-const PENDING_CONNECTIONS: usize = 16;
-
 /// Tuning knobs for a [`NameServer`]. `Default` is sized for tests and
 /// small deployments; `renaming-server` exposes `handlers` and
 /// `max_pipeline` as flags.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Handler threads — the bound on concurrently *served*
-    /// connections. Connections beyond it sit accepted-but-unserved in
-    /// the pending channel, so persistent-connection workloads (the
-    /// load generator) want `handlers >=` their connection count.
+    /// connections. Each idle handler blocks in `accept`; connections
+    /// beyond it wait in the kernel's listen backlog, so
+    /// persistent-connection workloads (the load generator) want
+    /// `handlers >=` their connection count.
     pub handlers: usize,
     /// Per-connection in-flight request cap: the most frames a handler
     /// reads before answering them; their responses go out in one
@@ -91,7 +87,8 @@ pub struct ServerConfig {
     /// How long a handler blocks waiting for a connection's next frame
     /// before re-checking the shutdown flag. Also bounds how long a
     /// mid-frame stall (a peer that sent a length prefix and nothing
-    /// else) can hold a handler.
+    /// else) can hold a handler. [`NameServer::bind`] serves anything
+    /// below 1 ms as 1 ms.
     pub read_timeout: Duration,
 }
 
@@ -105,11 +102,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// State shared by the accept loop, every handler, and the handle.
+/// State shared by every handler and the handle.
 #[derive(Debug)]
 struct Shared {
     service: NameService,
     config: ServerConfig,
+    listener: TcpListener,
     addr: SocketAddr,
     shutdown: AtomicBool,
     connections_live: AtomicUsize,
@@ -119,11 +117,14 @@ struct Shared {
 }
 
 impl Shared {
-    /// Flips the shutdown flag and pokes the accept loop awake with a
-    /// throwaway self-connection (idempotent).
+    /// Flips the shutdown flag and wakes every handler blocked in
+    /// `accept` with one throwaway self-connection per handler
+    /// (idempotent).
     fn begin_shutdown(&self) {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
-            drop(TcpStream::connect(self.addr));
+            for _ in 0..self.config.handlers {
+                drop(TcpStream::connect(self.addr));
+            }
         }
     }
 
@@ -136,18 +137,18 @@ impl Shared {
 ///
 /// [`bind`](Self::bind) reserves the port (so `127.0.0.1:0` callers can
 /// read [`local_addr`](Self::local_addr) before any traffic), then
-/// either [`run`](Self::run) on the current thread or
-/// [`spawn`](Self::spawn) a background [`ServerHandle`].
+/// either [`run`](Self::run) until shutdown or [`spawn`](Self::spawn)
+/// and keep a [`ServerHandle`].
 #[derive(Debug)]
 pub struct NameServer {
-    listener: TcpListener,
     shared: Arc<Shared>,
 }
 
 impl NameServer {
     /// Binds a listener and wraps `service` for serving. The service is
     /// consumed: the server owns it for its lifetime. A `handlers` or
-    /// `max_pipeline` of 0 is served as 1.
+    /// `max_pipeline` of 0 is served as 1, and a `read_timeout` below
+    /// 1 ms as 1 ms.
     ///
     /// # Errors
     ///
@@ -162,13 +163,14 @@ impl NameServer {
         let config = ServerConfig {
             handlers: config.handlers.max(1),
             max_pipeline: config.max_pipeline.max(1),
-            ..config
+            // The socket rejects a zero read timeout.
+            read_timeout: config.read_timeout.max(Duration::from_millis(1)),
         };
         Ok(NameServer {
-            listener,
             shared: Arc::new(Shared {
                 service,
                 config,
+                listener,
                 addr,
                 shutdown: AtomicBool::new(false),
                 connections_live: AtomicUsize::new(0),
@@ -189,80 +191,50 @@ impl NameServer {
         &self.shared.service
     }
 
-    /// Serves on the calling thread until a `Shutdown` request (or
-    /// [`ServerHandle::stop`]) flips the flag: spawns the handler pool,
-    /// runs the accept loop, then joins every handler — so when `run`
-    /// returns, every session has been released.
+    /// Serves until a `Shutdown` request flips the flag: [`spawn`] then
+    /// [`ServerHandle::join`], so when `run` returns every handler has
+    /// stopped and every session has been released.
+    ///
+    /// [`spawn`]: Self::spawn
     ///
     /// # Errors
     ///
-    /// Propagates handler-thread spawn failures; accept errors on
-    /// individual connections are counted, not fatal.
+    /// As for [`spawn`] and [`ServerHandle::join`]. Accept errors on
+    /// individual connections are skipped, not fatal.
     pub fn run(self) -> io::Result<()> {
-        let config = self.shared.config.clone();
-        let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) =
-            std::sync::mpsc::sync_channel(PENDING_CONNECTIONS);
-        let rx = Arc::new(Mutex::new(rx));
-        let mut handlers = Vec::with_capacity(config.handlers);
-        for i in 0..config.handlers {
-            let shared = Arc::clone(&self.shared);
-            let rx = Arc::clone(&rx);
-            handlers.push(
-                std::thread::Builder::new()
-                    .name(format!("renaming-net-handler-{i}"))
-                    .spawn(move || handler_loop(&shared, &rx))?,
-            );
-        }
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if self.shared.shutting_down() {
-                        break;
-                    }
-                    // Blocking send: the channel bound is the
-                    // outermost backpressure layer.
-                    if tx.send(stream).is_err() {
-                        break;
-                    }
-                    if self.shared.shutting_down() {
-                        break;
-                    }
-                }
-                Err(_) if self.shared.shutting_down() => break,
-                Err(_) => continue,
-            }
-        }
-        drop(tx);
-        for handle in handlers {
-            let _ = handle.join();
-        }
-        Ok(())
+        self.spawn()?.join()
     }
 
-    /// Runs the server on a background thread, returning a handle that
-    /// knows the address and can stop/join it.
+    /// Starts the handler pool, returning a handle that knows the
+    /// address and can stop/join it.
     ///
     /// # Errors
     ///
-    /// Propagates thread spawn failures.
+    /// Propagates thread spawn failures; the handlers already started
+    /// are then stopped and joined.
     pub fn spawn(self) -> io::Result<ServerHandle> {
-        let shared = Arc::clone(&self.shared);
-        let thread = std::thread::Builder::new()
-            .name("renaming-net-accept".to_string())
-            .spawn(move || self.run())?;
-        Ok(ServerHandle {
-            shared,
-            thread: Some(thread),
-        })
+        let mut handle = ServerHandle {
+            handlers: Vec::with_capacity(self.shared.config.handlers),
+            shared: self.shared,
+        };
+        for i in 0..handle.shared.config.handlers {
+            let shared = Arc::clone(&handle.shared);
+            handle.handlers.push(
+                std::thread::Builder::new()
+                    .name(format!("renaming-net-handler-{i}"))
+                    .spawn(move || handler_loop(&shared))?,
+            );
+        }
+        Ok(handle)
     }
 }
 
-/// A running background server (from [`NameServer::spawn`]). Dropping
-/// the handle stops the server and joins its threads.
+/// A running server (from [`NameServer::spawn`]). Dropping the handle
+/// stops the server and joins its threads.
 #[derive(Debug)]
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    thread: Option<std::thread::JoinHandle<io::Result<()>>>,
+    handlers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -283,46 +255,53 @@ impl ServerHandle {
     ///
     /// # Errors
     ///
-    /// Propagates the accept loop's terminal error, if any.
+    /// As for [`join`](Self::join).
     pub fn stop(mut self) -> io::Result<()> {
         self.shared.begin_shutdown();
-        self.join_inner()
+        self.join_handlers()
     }
 
     /// Waits for the server to stop on its own (a wire `Shutdown`).
     ///
     /// # Errors
     ///
-    /// As for [`stop`](Self::stop).
+    /// An error if a handler thread panicked.
     pub fn join(mut self) -> io::Result<()> {
-        self.join_inner()
+        self.join_handlers()
     }
 
-    fn join_inner(&mut self) -> io::Result<()> {
-        match self.thread.take() {
-            Some(thread) => thread.join().unwrap_or(Ok(())),
-            None => Ok(()),
+    fn join_handlers(&mut self) -> io::Result<()> {
+        let mut result = Ok(());
+        for handler in self.handlers.drain(..) {
+            if handler.join().is_err() {
+                result = Err(io::Error::other("a handler thread panicked"));
+            }
         }
+        result
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.thread.is_some() {
+        if !self.handlers.is_empty() {
             self.shared.begin_shutdown();
-            let _ = self.join_inner();
+            let _ = self.join_handlers();
         }
     }
 }
 
-/// One handler thread: take a connection, serve it to completion,
-/// repeat until shutdown. An idle handler blocks in `recv` without
-/// waking; the accept loop drops the sender at shutdown, which ends it.
-fn handler_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
+/// One handler thread: accept a connection, serve it to completion,
+/// repeat until shutdown. An idle handler blocks in `accept`;
+/// [`Shared::begin_shutdown`] wakes it with a self-connection, which is
+/// dropped unserved like any connection accepted after the flag flips.
+fn handler_loop(shared: &Shared) {
     while !shared.shutting_down() {
-        let next = rx.lock().expect("receiver lock never poisoned").recv();
-        let Ok(stream) = next else { return };
-        serve_connection(shared, stream);
+        // An accept error ends only that attempt.
+        if let Ok((stream, _)) = shared.listener.accept() {
+            if !shared.shutting_down() {
+                serve_connection(shared, stream);
+            }
+        }
     }
 }
 
@@ -355,7 +334,7 @@ enum Wait {
 /// Blocks (bounded by the socket read timeout) until the connection has
 /// at least one readable byte, hit EOF, or went idle long enough to
 /// re-check shutdown.
-fn wait_for_data(reader: &mut BufReader<TcpStream>) -> Wait {
+fn wait_for_data(reader: &mut BufReader<&TcpStream>) -> Wait {
     match reader.fill_buf() {
         Ok([]) => Wait::Eof,
         Ok(_) => Wait::Data,
@@ -369,8 +348,7 @@ fn wait_for_data(reader: &mut BufReader<TcpStream>) -> Wait {
 fn serve(shared: &Shared, stream: TcpStream, session: &mut Vec<Name>) -> Result<(), WireError> {
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(shared.config.read_timeout))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    let mut reader = BufReader::new(&stream);
     let mut payload = Vec::new();
     let mut batch: Vec<Result<Request, ProtocolError>> = Vec::new();
     let mut out = Vec::new();
@@ -416,7 +394,7 @@ fn serve(shared: &Shared, stream: TcpStream, session: &mut Vec<Name>) -> Result<
             };
             response.encode_frame_into(&mut out)?;
         }
-        writer.write_all(&out)?;
+        (&stream).write_all(&out)?;
         if shutdown_now {
             shared.begin_shutdown();
             return Ok(());

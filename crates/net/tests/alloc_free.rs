@@ -128,9 +128,7 @@ fn pipelined_acquire_and_release_frames_allocate_nothing() {
     let service = NameService::builder(Algorithm::Rebatching, 1024)
         .build()
         .expect("service builds");
-    // One handler, which serves this test's connection. An idle
-    // handler allocates once, on its first wait for a connection, at a
-    // moment no test controls.
+    // One handler, which serves this test's connection.
     let config = ServerConfig {
         handlers: 1,
         ..ServerConfig::default()

@@ -207,15 +207,16 @@ fn pipeline_longer_than_the_cap_answers_in_request_order() {
     handle.stop().expect("stop");
 }
 
-/// `bind` serves a `handlers` or `max_pipeline` of 0 as 1: `Stats`
-/// reports both as 1, a three-deep pipeline (one frame per batch) is
-/// answered in request order, and every frame is counted.
+/// `bind` serves a `handlers` or `max_pipeline` of 0 as 1, and a zero
+/// `read_timeout` as 1 ms: `Stats` reports both counts as 1, a
+/// three-deep pipeline (one frame per batch) is answered in request
+/// order, and every frame is counted.
 #[test]
 fn zero_handlers_and_pipeline_are_served_as_one() {
     let config = ServerConfig {
         handlers: 0,
         max_pipeline: 0,
-        ..ServerConfig::default()
+        read_timeout: Duration::ZERO,
     };
     let handle = spawn_server_with(Algorithm::LinearScan, 8, config);
     let addr = handle.addr();
@@ -355,6 +356,46 @@ fn a_mid_frame_stall_is_disconnected_and_its_names_released() {
     assert_eq!(oracle.get("released").and_then(Value::as_u64), Some(2));
     let name = next.acquire().expect("the next client is served");
     next.release(name).expect("release");
+    handle.stop().expect("stop");
+}
+
+/// With its only handler serving an open client, a second connection
+/// waits in the listen backlog: its `Acquire` gets no answer within
+/// 300 ms. Once the first client drops, the handler accepts the second
+/// connection and answers it.
+#[test]
+fn a_connection_beyond_the_handler_pool_waits_then_is_served() {
+    let config = ServerConfig {
+        handlers: 1,
+        ..ServerConfig::default()
+    };
+    let handle = spawn_server_with(Algorithm::Rebatching, 16, config);
+    let mut first = Client::connect(handle.addr()).expect("connect");
+    first.acquire().expect("the first client is served");
+
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(300)))
+        .expect("client timeout");
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &Request::Acquire.encode()).expect("frame");
+    (&stream).write_all(&frame).expect("send an acquire");
+    let mut reader = std::io::BufReader::new(stream);
+    match read_frame(&mut reader, MAX_FRAME_LEN) {
+        Err(WireError::Io(e))
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) => {}
+        other => panic!("a connection beyond the pool must wait unanswered, got {other:?}"),
+    }
+
+    drop(first);
+    reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("client timeout");
+    assert!(matches!(read_response(&mut reader), Response::Name(_)));
     handle.stop().expect("stop");
 }
 
@@ -583,8 +624,8 @@ fn loadgen_churn_completes_and_drains() {
     handle.stop().expect("stop");
 }
 
-/// A wire `Shutdown` is acknowledged, stops the accept loop, and joins
-/// every handler — `join` returning proves the graceful path, and a
+/// A wire `Shutdown` is acknowledged, wakes every handler, and joins
+/// them all — `join` returning proves the graceful path, and a
 /// fresh connection afterwards must not be served.
 #[test]
 fn graceful_shutdown_over_the_wire() {
