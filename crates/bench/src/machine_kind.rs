@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use rand::RngCore;
 
-use renaming_baselines::{
+use renaming_core::baselines::{
     DoublingUniformMachine, LinearScanMachine, SingleBatchMachine, UniformMachine,
 };
 use renaming_core::{

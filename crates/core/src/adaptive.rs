@@ -10,14 +10,14 @@
 
 use std::sync::Arc;
 
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use renaming_sim::{Action, MachineStats, Name, Renamer};
-use renaming_tas::{AtomicTas, ResettableTas, Tas, TasArray};
+use renaming_tas::{AtomicTas, Tas, TasArray};
 
 use crate::calls::{CallStatus, ObjectCall};
 use crate::driver;
-use crate::{AdaptiveLayout, Epsilon, ProbeSchedule, RenamingError, DEFAULT_BETA};
+use crate::{AdaptiveLayout, Epsilon, ProbeSchedule, RenamingError, RenamingObject, DEFAULT_BETA};
 
 /// Step machine for one process running AdaptiveReBatching.
 ///
@@ -264,6 +264,16 @@ impl Renamer for AdaptiveMachine {
 /// value of the returned names scale with the actual number of
 /// participating threads `k`.
 ///
+/// The one-shot [`get_name`](RenamingObject::get_name) leaves the surplus
+/// TAS wins the search phase superseded set — exactly what the paper's
+/// `O(k)` namespace accounting expects, but a slot leak per operation
+/// under acquire/release churn. Long-lived callers acquire through a
+/// [`session`](RenamingObject::session)'s
+/// [`get_name_recycling`](driver::NameSession::get_name_recycling), which
+/// reopens them. Under steady-state churn names stay small because
+/// releases refill the low objects the race phase visits first, but
+/// Theorem 5.1 covers the one-shot case only.
+///
 /// # Example
 ///
 /// ```
@@ -283,21 +293,7 @@ impl Renamer for AdaptiveMachine {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct AdaptiveRebatching<T: Tas = AtomicTas> {
-    layout: Arc<AdaptiveLayout>,
-    slots: Arc<TasArray<T>>,
-}
-
-impl<T: Tas> Clone for AdaptiveRebatching<T> {
-    /// Clones the handle; both handles share the same namespace.
-    fn clone(&self) -> Self {
-        Self {
-            layout: Arc::clone(&self.layout),
-            slots: Arc::clone(&self.slots),
-        }
-    }
-}
+pub type AdaptiveRebatching<T = AtomicTas> = RenamingObject<AdaptiveMachine, T>;
 
 impl AdaptiveRebatching<AtomicTas> {
     /// Creates a collection sized for up to `capacity` processes.
@@ -327,28 +323,7 @@ impl AdaptiveRebatching<AtomicTas> {
     pub fn with_schedule(capacity: usize, schedule: ProbeSchedule) -> Result<Self, RenamingError> {
         let layout = Arc::new(AdaptiveLayout::for_capacity(capacity, schedule)?);
         let slots = Arc::new(TasArray::new(layout.total_size()));
-        Ok(Self { layout, slots })
-    }
-}
-
-impl<T: ResettableTas> AdaptiveRebatching<T> {
-    /// Releases a previously acquired name, reopening its TAS slot for
-    /// future [`get_name`](Self::get_name) calls — the long-lived
-    /// extension, on any resettable TAS substrate.
-    ///
-    /// Uniqueness among concurrent holders is preserved exactly as for
-    /// [`crate::Rebatching::release_name`]. The *adaptivity* guarantee
-    /// (names of value `O(k)`) is proven for the one-shot case; under
-    /// steady-state churn names stay small because releases refill the
-    /// low objects the race phase visits first, but Theorem 5.1 does not
-    /// cover it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is outside the collection's namespace or not
-    /// currently held — both indicate a caller bug.
-    pub fn release_name(&self, name: Name) {
-        driver::release_checked(&self.slots, self.total_size(), name);
+        Self::from_parts(layout, slots)
     }
 }
 
@@ -358,68 +333,14 @@ impl<T: Tas> AdaptiveRebatching<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::NamespaceExhausted`] if `slots` is smaller
-    /// than the layout's total size.
+    /// Returns [`RenamingError::NamespaceExhausted`] if `slots` is not
+    /// exactly the layout's total size.
     pub fn from_parts(
         layout: Arc<AdaptiveLayout>,
         slots: Arc<TasArray<T>>,
     ) -> Result<Self, RenamingError> {
-        if slots.len() < layout.total_size() {
-            return Err(RenamingError::NamespaceExhausted {
-                namespace: layout.total_size(),
-            });
-        }
-        Ok(Self { layout, slots })
-    }
-
-    /// Acquires a unique name of value `O(k)` w.h.p., where `k` is the
-    /// number of threads actually calling.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RenamingError::NamespaceExhausted`] when called by more
-    /// threads than the configured capacity.
-    pub fn get_name<R: Rng>(&self, rng: &mut R) -> Result<Name, RenamingError> {
-        let mut machine = AdaptiveMachine::new(Arc::clone(&self.layout));
-        driver::drive(&mut machine, &self.slots, rng)
-    }
-
-    /// The global layout of the object collection.
-    pub fn layout(&self) -> &Arc<AdaptiveLayout> {
-        &self.layout
-    }
-
-    /// Total TAS locations across all objects.
-    pub fn total_size(&self) -> usize {
-        self.layout.total_size()
-    }
-
-    /// The system bound `n` the collection was provisioned for.
-    pub fn capacity(&self) -> usize {
-        self.layout.capacity()
-    }
-
-    /// The underlying slot array (shared).
-    pub fn slots(&self) -> &Arc<TasArray<T>> {
-        &self.slots
-    }
-
-    /// Builds a step machine over this collection's layout.
-    pub fn machine(&self) -> AdaptiveMachine {
-        AdaptiveMachine::new(Arc::clone(&self.layout))
-    }
-
-    /// A per-thread session reusing one machine across
-    /// [`get_name`](Self::get_name)-equivalent calls.
-    ///
-    /// Long-lived callers acquire through the session's
-    /// [`get_name_recycling`](driver::NameSession::get_name_recycling),
-    /// which also reopens the surplus TAS wins the search phase
-    /// superseded. The one-shot `get_name` leaves them set — exactly what
-    /// the paper's `O(k)` namespace accounting expects, but a slot leak
-    /// per operation under acquire/release churn.
-    pub fn session(&self) -> driver::NameSession<AdaptiveMachine, T> {
-        driver::NameSession::new(self.machine(), Arc::clone(&self.slots))
+        let (capacity, namespace) = (layout.capacity(), layout.total_size());
+        Self::from_machine(AdaptiveMachine::new(layout), capacity, namespace, slots)
     }
 }
 
@@ -568,6 +489,8 @@ mod tests {
         let layout = shared_layout(32);
         let short: Arc<TasArray<AtomicTas>> = Arc::new(TasArray::new(4));
         assert!(AdaptiveRebatching::from_parts(Arc::clone(&layout), short).is_err());
+        let longer: Arc<TasArray<AtomicTas>> = Arc::new(TasArray::new(layout.total_size() + 1));
+        assert!(AdaptiveRebatching::from_parts(Arc::clone(&layout), longer).is_err());
         let enough: Arc<TasArray<AtomicTas>> = Arc::new(TasArray::new(layout.total_size()));
         assert!(AdaptiveRebatching::from_parts(layout, enough).is_ok());
     }

@@ -74,13 +74,13 @@ impl DoublingUniformMachine {
 }
 
 /// Baselines hold at most one win at a time: nothing is superseded.
-impl renaming_core::AbandonedNames for DoublingUniformMachine {}
+impl crate::AbandonedNames for DoublingUniformMachine {}
 
 /// No batch structure to resume: each batch request reruns the
 /// baseline from scratch (the default rearm = reset).
-impl renaming_core::BatchAcquire for DoublingUniformMachine {}
+impl crate::BatchAcquire for DoublingUniformMachine {}
 
-impl renaming_core::ResetMachine for DoublingUniformMachine {
+impl crate::ResetMachine for DoublingUniformMachine {
     fn reset(&mut self) {
         *self = Self {
             give_up_after: self.give_up_after,

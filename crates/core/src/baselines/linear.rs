@@ -40,13 +40,13 @@ impl LinearScanMachine {
 }
 
 /// Baselines hold at most one win at a time: nothing is superseded.
-impl renaming_core::AbandonedNames for LinearScanMachine {}
+impl crate::AbandonedNames for LinearScanMachine {}
 
 /// No batch structure to resume: each batch request reruns the
 /// baseline from scratch (the default rearm = reset).
-impl renaming_core::BatchAcquire for LinearScanMachine {}
+impl crate::BatchAcquire for LinearScanMachine {}
 
-impl renaming_core::ResetMachine for LinearScanMachine {
+impl crate::ResetMachine for LinearScanMachine {
     fn reset(&mut self) {
         *self = Self {
             bound: self.bound,

@@ -1,13 +1,28 @@
-//! Concurrent objects over the baseline machines.
+//! Baseline renaming algorithms the paper's results are measured against.
 //!
-//! The paper's algorithms ship both as step machines and as concurrent
-//! objects; until now the baselines only existed as machines, so they
-//! could be simulated but not actually *used* (or benchmarked) from real
-//! threads. These wrappers drive the baseline machines against a shared
-//! [`TasArray`] through [`renaming_core::driver::drive`] — the same
-//! bridge the paper's objects use — so every baseline offers the same
-//! `get_name` / `release_name` / `session` surface and can back the
-//! `renaming-service` front-end.
+//! * [`UniformMachine`] — the naive strategy the paper's §4 dismisses:
+//!   "if processes do just uniform random probes among all objects, then
+//!   with probability 1 − o(1) some process will have to do Ω(log n)
+//!   probes before it acquires a name". Experiment E10 reproduces that
+//!   separation.
+//! * [`LinearScanMachine`] — deterministic left-to-right scan: optimal
+//!   namespace (`n` names), but Θ(n) worst-case steps and heavy contention.
+//! * [`SingleBatchMachine`] — ablation A1: ReBatching's total probe budget
+//!   spent uniformly over the whole namespace (no batch geometry), backup
+//!   afterwards. Isolates what the geometric batches buy.
+//! * [`DoublingUniformMachine`] — the natural adaptive strawman: uniform
+//!   probes over a window that doubles after every few failures; names are
+//!   `O(k)`-ish but probes grow like `log k`.
+//!
+//! All baselines implement [`renaming_sim::Renamer`], so they run under
+//! the same adversaries, crash plans and reports as the paper's
+//! algorithms. The machines also implement [`crate::ResetMachine`], and
+//! each has a concurrent object — [`UniformRenaming`],
+//! [`LinearScanRenaming`], [`SingleBatchRenaming`], [`DoublingRenaming`],
+//! all [`RenamingObject`]s like the paper's objects — so the baselines
+//! offer the same `get_name` / `release_name` / `session` surface and
+//! plug into the `renaming-service` front-end next to the paper's
+//! algorithms.
 //!
 //! The randomly probing objects ([`UniformRenaming`],
 //! [`DoublingRenaming`]) cap their machines at `16·m + 64` probes
@@ -19,14 +34,19 @@
 
 use std::sync::Arc;
 
-use rand::Rng;
+use renaming_tas::{AtomicTas, Tas, TasArray};
 
-use renaming_core::driver::{self, NameSession};
-use renaming_core::RenamingError;
-use renaming_sim::Name;
-use renaming_tas::{AtomicTas, ResettableTas, Tas, TasArray};
+use crate::{RenamingError, RenamingObject};
 
-use crate::{DoublingUniformMachine, LinearScanMachine, SingleBatchMachine, UniformMachine};
+mod doubling;
+mod linear;
+mod single_batch;
+mod uniform;
+
+pub use doubling::DoublingUniformMachine;
+pub use linear::LinearScanMachine;
+pub use single_batch::SingleBatchMachine;
+pub use uniform::UniformMachine;
 
 /// Probe cap for the randomly probing machines: misfires with
 /// probability at most `e^-16` per operation while a slot is free (see
@@ -35,80 +55,12 @@ fn give_up_cap(namespace: usize) -> u64 {
     16 * namespace as u64 + 64
 }
 
-macro_rules! common_object_impls {
-    ($object:ident, $machine:ident $(, $extra:ident)*) => {
-        impl<T: Tas> Clone for $object<T> {
-            /// Clones the handle; both handles share the same namespace.
-            fn clone(&self) -> Self {
-                Self {
-                    capacity: self.capacity,
-                    slots: Arc::clone(&self.slots),
-                    $($extra: self.$extra,)*
-                }
-            }
-        }
-
-        impl<T: Tas> $object<T> {
-            /// Acquires a unique name by driving a fresh machine against
-            /// the shared slots.
-            ///
-            /// # Errors
-            ///
-            /// Returns [`RenamingError::NamespaceExhausted`] if the
-            /// machine gives up (only machines with a bounded probe plan
-            /// ever do).
-            pub fn get_name<R: Rng>(&self, rng: &mut R) -> Result<Name, RenamingError> {
-                let mut machine = self.machine();
-                driver::drive(&mut machine, &self.slots, rng)
-            }
-
-            /// The number of TAS slots (names are in `0..namespace_size`).
-            pub fn namespace_size(&self) -> usize {
-                self.slots.len()
-            }
-
-            /// The intended bound on concurrently held names.
-            pub fn capacity(&self) -> usize {
-                self.capacity
-            }
-
-            /// The underlying slot array (shared).
-            pub fn slots(&self) -> &Arc<TasArray<T>> {
-                &self.slots
-            }
-
-            /// A per-thread session reusing one machine across
-            /// [`get_name`](Self::get_name)-equivalent calls.
-            pub fn session(&self) -> NameSession<$machine, T> {
-                NameSession::new(self.machine(), Arc::clone(&self.slots))
-            }
-        }
-
-        impl<T: ResettableTas> $object<T> {
-            /// Releases a previously acquired name, reopening its slot
-            /// for future [`get_name`](Self::get_name) calls.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `name` is outside the namespace or not currently
-            /// held — both indicate a caller bug.
-            pub fn release_name(&self, name: Name) {
-                driver::release_checked(&self.slots, self.namespace_size(), name);
-            }
-        }
-    };
-}
-
 /// The naive uniform-probing renamer as a concurrent object: each
 /// acquisition probes uniformly random slots until it wins one.
 ///
 /// Namespace `2n` for capacity `n` by default, mirroring the paper
 /// objects' `ε = 1`.
-#[derive(Debug)]
-pub struct UniformRenaming<T: Tas = AtomicTas> {
-    capacity: usize,
-    slots: Arc<TasArray<T>>,
-}
+pub type UniformRenaming<T = AtomicTas> = RenamingObject<UniformMachine, T>;
 
 impl UniformRenaming<AtomicTas> {
     /// Creates an object for up to `capacity` concurrent holders over a
@@ -119,10 +71,8 @@ impl UniformRenaming<AtomicTas> {
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        Self {
-            capacity,
-            slots: Arc::new(TasArray::new(2 * capacity)),
-        }
+        Self::from_parts(capacity, Arc::new(TasArray::new(2 * capacity)))
+            .expect("2n slots leave slack")
     }
 }
 
@@ -135,29 +85,19 @@ impl<T: Tas> UniformRenaming<T> {
     /// strictly larger than `capacity` (uniform probing needs slack to
     /// terminate).
     pub fn from_parts(capacity: usize, slots: Arc<TasArray<T>>) -> Result<Self, RenamingError> {
-        if slots.len() <= capacity {
-            return Err(RenamingError::NamespaceExhausted {
-                namespace: slots.len(),
-            });
+        let namespace = slots.len();
+        if namespace <= capacity {
+            return Err(RenamingError::NamespaceExhausted { namespace });
         }
-        Ok(Self { capacity, slots })
-    }
-
-    fn machine(&self) -> UniformMachine {
-        UniformMachine::with_give_up(self.slots.len(), give_up_cap(self.slots.len()))
+        let machine = UniformMachine::with_give_up(namespace, give_up_cap(namespace));
+        Self::from_machine(machine, capacity, namespace, slots)
     }
 }
-
-common_object_impls!(UniformRenaming, UniformMachine);
 
 /// The deterministic left-to-right scanner as a concurrent object:
 /// *strong* renaming (namespace exactly `capacity`), `Θ(n)` worst-case
 /// steps, heavy contention on the low slots.
-#[derive(Debug)]
-pub struct LinearScanRenaming<T: Tas = AtomicTas> {
-    capacity: usize,
-    slots: Arc<TasArray<T>>,
-}
+pub type LinearScanRenaming<T = AtomicTas> = RenamingObject<LinearScanMachine, T>;
 
 impl LinearScanRenaming<AtomicTas> {
     /// Creates an object with the optimal namespace: exactly `capacity`
@@ -168,10 +108,7 @@ impl LinearScanRenaming<AtomicTas> {
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        Self {
-            capacity,
-            slots: Arc::new(TasArray::new(capacity)),
-        }
+        Self::from_parts(capacity, Arc::new(TasArray::new(capacity))).expect("n slots hold n names")
     }
 }
 
@@ -183,29 +120,18 @@ impl<T: Tas> LinearScanRenaming<T> {
     /// Returns [`RenamingError::NamespaceExhausted`] if `slots` is
     /// smaller than `capacity`.
     pub fn from_parts(capacity: usize, slots: Arc<TasArray<T>>) -> Result<Self, RenamingError> {
-        if slots.len() < capacity {
-            return Err(RenamingError::NamespaceExhausted {
-                namespace: slots.len(),
-            });
+        let namespace = slots.len();
+        if namespace < capacity {
+            return Err(RenamingError::NamespaceExhausted { namespace });
         }
-        Ok(Self { capacity, slots })
-    }
-
-    fn machine(&self) -> LinearScanMachine {
-        LinearScanMachine::bounded(self.slots.len())
+        let machine = LinearScanMachine::bounded(namespace);
+        Self::from_machine(machine, capacity, namespace, slots)
     }
 }
-
-common_object_impls!(LinearScanRenaming, LinearScanMachine);
 
 /// Ablation A1 as a concurrent object: a fixed budget of uniform probes
 /// over the whole namespace, then the sequential backup scan.
-#[derive(Debug)]
-pub struct SingleBatchRenaming<T: Tas = AtomicTas> {
-    capacity: usize,
-    budget: usize,
-    slots: Arc<TasArray<T>>,
-}
+pub type SingleBatchRenaming<T = AtomicTas> = RenamingObject<SingleBatchMachine, T>;
 
 impl SingleBatchRenaming<AtomicTas> {
     /// Creates an object for up to `capacity` concurrent holders over a
@@ -218,11 +144,8 @@ impl SingleBatchRenaming<AtomicTas> {
         assert!(capacity > 0, "capacity must be positive");
         let namespace = 2 * capacity;
         let budget = (usize::BITS - namespace.leading_zeros()) as usize + 3;
-        Self {
-            capacity,
-            budget,
-            slots: Arc::new(TasArray::new(namespace)),
-        }
+        Self::from_parts(capacity, budget, Arc::new(TasArray::new(namespace)))
+            .expect("2n slots hold n names")
     }
 }
 
@@ -243,33 +166,18 @@ impl<T: Tas> SingleBatchRenaming<T> {
         budget: usize,
         slots: Arc<TasArray<T>>,
     ) -> Result<Self, RenamingError> {
-        if slots.len() < capacity {
-            return Err(RenamingError::NamespaceExhausted {
-                namespace: slots.len(),
-            });
+        let namespace = slots.len();
+        if namespace < capacity {
+            return Err(RenamingError::NamespaceExhausted { namespace });
         }
-        Ok(Self {
-            capacity,
-            budget,
-            slots,
-        })
-    }
-
-    fn machine(&self) -> SingleBatchMachine {
-        SingleBatchMachine::new(self.slots.len(), self.budget)
+        let machine = SingleBatchMachine::new(namespace, budget);
+        Self::from_machine(machine, capacity, namespace, slots)
     }
 }
-
-common_object_impls!(SingleBatchRenaming, SingleBatchMachine, budget);
 
 /// The doubling-window strawman as a concurrent object: adaptive-ish
 /// names, `Θ(log k)` window doublings per acquisition.
-#[derive(Debug)]
-pub struct DoublingRenaming<T: Tas = AtomicTas> {
-    capacity: usize,
-    probes_per_level: usize,
-    slots: Arc<TasArray<T>>,
-}
+pub type DoublingRenaming<T = AtomicTas> = RenamingObject<DoublingUniformMachine, T>;
 
 impl DoublingRenaming<AtomicTas> {
     /// Creates an object for up to `capacity` concurrent holders over a
@@ -281,11 +189,8 @@ impl DoublingRenaming<AtomicTas> {
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        Self {
-            capacity,
-            probes_per_level: 2,
-            slots: Arc::new(TasArray::new(4 * capacity)),
-        }
+        Self::from_parts(capacity, 2, Arc::new(TasArray::new(4 * capacity)))
+            .expect("4n slots leave slack")
     }
 }
 
@@ -307,34 +212,25 @@ impl<T: Tas> DoublingRenaming<T> {
         probes_per_level: usize,
         slots: Arc<TasArray<T>>,
     ) -> Result<Self, RenamingError> {
-        if slots.len() <= capacity {
-            return Err(RenamingError::NamespaceExhausted {
-                namespace: slots.len(),
-            });
+        let namespace = slots.len();
+        if namespace <= capacity {
+            return Err(RenamingError::NamespaceExhausted { namespace });
         }
-        Ok(Self {
-            capacity,
+        let machine = DoublingUniformMachine::with_give_up(
+            namespace,
             probes_per_level,
-            slots,
-        })
-    }
-
-    fn machine(&self) -> DoublingUniformMachine {
-        DoublingUniformMachine::with_give_up(
-            self.slots.len(),
-            self.probes_per_level,
-            give_up_cap(self.slots.len()),
-        )
+            give_up_cap(namespace),
+        );
+        Self::from_machine(machine, capacity, namespace, slots)
     }
 }
-
-common_object_impls!(DoublingRenaming, DoublingUniformMachine, probes_per_level);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use renaming_sim::Name;
 
     fn drain_unique<F: FnMut(&mut StdRng) -> Name>(count: usize, mut acquire: F) -> Vec<usize> {
         let mut rng = StdRng::seed_from_u64(99);

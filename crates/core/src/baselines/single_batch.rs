@@ -48,13 +48,13 @@ impl SingleBatchMachine {
 }
 
 /// Baselines hold at most one win at a time: nothing is superseded.
-impl renaming_core::AbandonedNames for SingleBatchMachine {}
+impl crate::AbandonedNames for SingleBatchMachine {}
 
 /// No batch structure to resume: each batch request reruns the
 /// baseline from scratch (the default rearm = reset).
-impl renaming_core::BatchAcquire for SingleBatchMachine {}
+impl crate::BatchAcquire for SingleBatchMachine {}
 
-impl renaming_core::ResetMachine for SingleBatchMachine {
+impl crate::ResetMachine for SingleBatchMachine {
     fn reset(&mut self) {
         *self = Self::new(self.namespace, self.budget);
     }

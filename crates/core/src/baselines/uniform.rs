@@ -64,13 +64,13 @@ impl UniformMachine {
 }
 
 /// Baselines hold at most one win at a time: nothing is superseded.
-impl renaming_core::AbandonedNames for UniformMachine {}
+impl crate::AbandonedNames for UniformMachine {}
 
 /// No batch structure to resume: each batch request reruns the
 /// baseline from scratch (the default rearm = reset).
-impl renaming_core::BatchAcquire for UniformMachine {}
+impl crate::BatchAcquire for UniformMachine {}
 
-impl renaming_core::ResetMachine for UniformMachine {
+impl crate::ResetMachine for UniformMachine {
     fn reset(&mut self) {
         *self = Self {
             give_up_after: self.give_up_after,

@@ -83,10 +83,9 @@ pub trait AbandonedNames {
 /// A per-thread handle onto one concurrent renaming object that reuses
 /// a single machine across operations.
 ///
-/// Obtained from the objects' `session()` constructors (e.g.
-/// [`crate::Rebatching::session`]). Each participating thread keeps its
-/// own session; the underlying slot array stays shared, so names remain
-/// unique across sessions.
+/// Obtained from [`crate::RenamingObject::session`]. Each participating
+/// thread keeps its own session; the underlying slot array stays shared,
+/// so names remain unique across sessions.
 #[derive(Debug)]
 pub struct NameSession<M, T: Tas> {
     machine: M,
@@ -96,10 +95,9 @@ pub struct NameSession<M, T: Tas> {
 impl<M: ResetMachine, T: Tas> NameSession<M, T> {
     /// Builds a session from a machine and the object's shared slots.
     ///
-    /// Prefer the objects' `session()` constructors (e.g.
-    /// [`crate::Rebatching::session`]); this is public so other crates'
-    /// concurrent objects (baselines, the service front-end) can offer
-    /// sessions over their own machines.
+    /// Prefer [`crate::RenamingObject::session`]; this is public so
+    /// concurrent objects outside this crate can offer sessions over
+    /// their own machines.
     pub fn new(machine: M, slots: Arc<TasArray<T>>) -> Self {
         Self { machine, slots }
     }
@@ -176,27 +174,6 @@ where
         }
         Ok(())
     }
-}
-
-/// Releases `name` into `slots`, with the ownership checks every
-/// concurrent renaming object's `release_name` shares: the name must lie
-/// in `0..namespace` and its slot must currently be set.
-///
-/// # Panics
-///
-/// Panics if `name` is outside the namespace or not currently held —
-/// both indicate a caller bug (releasing a name you do not own would
-/// silently break uniqueness for another holder).
-pub fn release_checked<T: ResettableTas>(slots: &TasArray<T>, namespace: usize, name: Name) {
-    assert!(
-        name.value() < namespace,
-        "name {name} outside the namespace 0..{namespace}"
-    );
-    // reset_slot keeps the array's O(1) win counter consistent.
-    assert!(
-        slots.reset_slot(name.value()),
-        "releasing name {name} that is not held"
-    );
 }
 
 /// Runs `machine` to completion against `slots`, drawing coins from `rng`.
@@ -351,8 +328,12 @@ mod session_tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    use crate::baselines::{
+        DoublingRenaming, LinearScanRenaming, SingleBatchRenaming, UniformRenaming,
+    };
     use crate::{
-        AdaptiveRebatching, Epsilon, FastAdaptiveRebatching, Rebatching,
+        AdaptiveRebatching, Epsilon, FastAdaptiveRebatching, Rebatching, RenamingObject,
+        ResetMachine,
     };
 
     /// Drains `count` names from `fresh` via per-call machines and from a
@@ -410,6 +391,22 @@ mod session_tests {
             |rng| per_call.get_name(rng).expect("per-call name").value(),
             |rng| session.get_name(rng).expect("session name").value(),
         );
+    }
+
+    #[test]
+    fn baseline_sessions_match_per_call_machines() {
+        fn check<M: ResetMachine + Clone>(per_call: RenamingObject<M>, twin: RenamingObject<M>) {
+            let mut session = twin.session();
+            assert_session_matches_per_call(
+                per_call.capacity(),
+                |rng| per_call.get_name(rng).expect("per-call name").value(),
+                |rng| session.get_name(rng).expect("session name").value(),
+            );
+        }
+        check(UniformRenaming::new(32), UniformRenaming::new(32));
+        check(LinearScanRenaming::new(32), LinearScanRenaming::new(32));
+        check(SingleBatchRenaming::new(32), SingleBatchRenaming::new(32));
+        check(DoublingRenaming::new(32), DoublingRenaming::new(32));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! Three algorithms, each available both as a [`renaming_sim::Renamer`]
 //! step machine (for exact step-complexity measurement under adversarial
-//! schedulers) and as a concurrent object over hardware atomics:
+//! schedulers) and as a concurrent object over hardware atomics — one
+//! object type, [`RenamingObject`], over each machine:
 //!
 //! | Paper | Type | Guarantee (w.h.p.) |
 //! |-------|------|--------------------|
@@ -12,7 +13,9 @@
 //! | §5.2, Fig. 2 | [`FastAdaptiveRebatching`] | names `O(k)`, `O(k log log k)` total steps |
 //!
 //! `n` is the (known) bound on the number of processes; `k` is the actual
-//! contention of the execution.
+//! contention of the execution. The [`baselines`] module holds the
+//! algorithms the paper is measured against, as machines and as
+//! [`RenamingObject`]s too.
 //!
 //! # Quickstart
 //!
@@ -42,11 +45,13 @@
 
 mod adaptive;
 mod adaptive_layout;
+pub mod baselines;
 pub mod calls;
 pub mod driver;
 mod error;
 mod fast_adaptive;
 mod layout;
+mod object;
 mod params;
 mod rebatching;
 pub mod rng;
@@ -57,6 +62,7 @@ pub use adaptive_layout::AdaptiveLayout;
 pub use error::RenamingError;
 pub use fast_adaptive::{FastAdaptiveMachine, FastAdaptiveRebatching};
 pub use layout::BatchLayout;
+pub use object::RenamingObject;
 pub use params::{Epsilon, ProbeSchedule, DEFAULT_BETA};
 pub use rebatching::{Rebatching, RebatchingMachine};
 pub use rng::FastRng;

@@ -3,14 +3,14 @@
 
 use std::sync::Arc;
 
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use renaming_sim::{Action, MachineStats, Name, Renamer};
-use renaming_tas::{AtomicTas, ResettableTas, Tas, TasArray};
+use renaming_tas::{AtomicTas, Tas, TasArray};
 
 use crate::calls::{CallStatus, ObjectCall};
 use crate::driver;
-use crate::{BatchLayout, Epsilon, ProbeSchedule, RenamingError, DEFAULT_BETA};
+use crate::{BatchLayout, Epsilon, ProbeSchedule, RenamingError, RenamingObject, DEFAULT_BETA};
 
 /// Step machine for one process running ReBatching's `GetName` (Fig. 1):
 /// `TryGetName(i)` for `i = 0..=κ` followed by the sequential backup scan.
@@ -132,10 +132,20 @@ impl Renamer for RebatchingMachine {
 }
 
 /// The concurrent ReBatching object: an array of hardware TAS slots shared
-/// by up to `n` threads, each calling [`get_name`](Self::get_name) once.
+/// by up to `n` threads, each calling [`get_name`](RenamingObject::get_name)
+/// once.
 ///
 /// Cloning is cheap (the layout and slot array are shared); clones refer to
 /// the *same* namespace.
+///
+/// [`release_name`](RenamingObject::release_name) makes the object
+/// long-lived: the `(1+ε)n` namespace and uniqueness guarantees hold as
+/// long as at most `n` names are held simultaneously, but the
+/// `log log n + O(1)` w.h.p. step bound is proven only for the one-shot
+/// case. The long-lived step count lies outside Theorem 4.1: it depends on
+/// occupancy and on the order in which names are released (when every
+/// free name lies outside batch 0, each acquire first spends batch 0's
+/// whole `t₀` probe budget), and it is not yet measured.
 ///
 /// # Example
 ///
@@ -154,21 +164,7 @@ impl Renamer for RebatchingMachine {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct Rebatching<T: Tas = AtomicTas> {
-    layout: Arc<BatchLayout>,
-    slots: Arc<TasArray<T>>,
-}
-
-impl<T: Tas> Clone for Rebatching<T> {
-    /// Clones the handle; both handles share the same namespace.
-    fn clone(&self) -> Self {
-        Self {
-            layout: Arc::clone(&self.layout),
-            slots: Arc::clone(&self.slots),
-        }
-    }
-}
+pub type Rebatching<T = AtomicTas> = RenamingObject<RebatchingMachine, T>;
 
 impl Rebatching<AtomicTas> {
     /// Creates an object for up to `n` processes with the paper's probe
@@ -200,33 +196,7 @@ impl Rebatching<AtomicTas> {
     pub fn with_schedule(n: usize, schedule: ProbeSchedule) -> Result<Self, RenamingError> {
         let layout = BatchLayout::shared(n, schedule)?;
         let slots = Arc::new(TasArray::new(layout.namespace_size()));
-        Ok(Self { layout, slots })
-    }
-}
-
-impl<T: ResettableTas> Rebatching<T> {
-    /// Releases a previously acquired name, making it available to future
-    /// [`get_name`](Self::get_name) calls — the *long-lived* renaming
-    /// extension the paper's conclusion (§7) points at. Available on any
-    /// resettable TAS substrate (hardware atomics, counting wrappers).
-    ///
-    /// The `(1+ε)n` namespace and uniqueness guarantees continue to hold
-    /// as long as at most `n` names are held simultaneously: a release
-    /// simply reopens one TAS slot, and every acquire still wins a slot
-    /// exactly once between releases. The `log log n + O(1)` w.h.p. step
-    /// bound is proven only for the one-shot case. The long-lived step
-    /// count lies outside Theorem 4.1: it depends on occupancy and on the
-    /// order in which names are released (when every free name lies
-    /// outside batch 0, each acquire first spends batch 0's whole `t₀`
-    /// probe budget), and it is not yet measured.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is outside the namespace or not currently held —
-    /// both indicate a caller bug (releasing a name you do not own would
-    /// silently break uniqueness for another holder).
-    pub fn release_name(&self, name: Name) {
-        driver::release_checked(&self.slots, self.namespace_size(), name);
+        Self::from_parts(layout, slots)
     }
 }
 
@@ -236,62 +206,12 @@ impl<T: Tas> Rebatching<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::NamespaceExhausted`] if `slots` is smaller
-    /// than the layout's namespace.
+    /// Returns [`RenamingError::NamespaceExhausted`] if `slots` is not
+    /// exactly the layout's namespace.
     pub fn from_parts(layout: Arc<BatchLayout>, slots: Arc<TasArray<T>>) -> Result<Self, RenamingError> {
-        if slots.len() < layout.namespace_size() {
-            return Err(RenamingError::NamespaceExhausted {
-                namespace: layout.namespace_size(),
-            });
-        }
-        Ok(Self { layout, slots })
-    }
-
-    /// Acquires a unique name. Call at most once per participating thread
-    /// (the object is one-shot, as in the paper).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RenamingError::NamespaceExhausted`] if every location is
-    /// already taken — only possible when more than `n` threads use the
-    /// object.
-    pub fn get_name<R: Rng>(&self, rng: &mut R) -> Result<Name, RenamingError> {
-        let mut machine = RebatchingMachine::new(Arc::clone(&self.layout), 0);
-        driver::drive(&mut machine, &self.slots, rng)
-    }
-
-    /// The namespace size `m = (1+ε)n` (names are in `0..m`).
-    pub fn namespace_size(&self) -> usize {
-        self.layout.namespace_size()
-    }
-
-    /// The capacity `n` the object was built for.
-    pub fn capacity(&self) -> usize {
-        self.layout.capacity()
-    }
-
-    /// The batch geometry.
-    pub fn layout(&self) -> &Arc<BatchLayout> {
-        &self.layout
-    }
-
-    /// The underlying slot array (shared).
-    pub fn slots(&self) -> &Arc<TasArray<T>> {
-        &self.slots
-    }
-
-    /// Builds a step machine probing this object's layout (for simulated
-    /// executions; the machine does not touch the concurrent slots).
-    pub fn machine(&self) -> RebatchingMachine {
-        RebatchingMachine::new(Arc::clone(&self.layout), 0)
-    }
-
-    /// A per-thread session reusing one machine across
-    /// [`get_name`](Self::get_name)-equivalent calls — the long-lived
-    /// fast path: no machine construction (and no `Arc` refcount
-    /// traffic) per operation.
-    pub fn session(&self) -> driver::NameSession<RebatchingMachine, T> {
-        driver::NameSession::new(self.machine(), Arc::clone(&self.slots))
+        let (capacity, namespace) = (layout.capacity(), layout.namespace_size());
+        let machine = RebatchingMachine::new(layout, 0);
+        Self::from_machine(machine, capacity, namespace, slots)
     }
 }
 
@@ -483,6 +403,8 @@ mod tests {
         let layout = paper_layout(8);
         let slots: Arc<TasArray<AtomicTas>> = Arc::new(TasArray::new(4));
         assert!(Rebatching::from_parts(Arc::clone(&layout), slots).is_err());
+        let longer: Arc<TasArray<AtomicTas>> = Arc::new(TasArray::new(layout.namespace_size() + 1));
+        assert!(Rebatching::from_parts(Arc::clone(&layout), longer).is_err());
         let enough: Arc<TasArray<AtomicTas>> =
             Arc::new(TasArray::new(layout.namespace_size()));
         assert!(Rebatching::from_parts(layout, enough).is_ok());

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use renaming_baselines::{
+use renaming_core::baselines::{
     DoublingRenaming, LinearScanRenaming, SingleBatchRenaming, UniformRenaming,
 };
 use renaming_core::{
@@ -18,7 +18,7 @@ use crate::{NameService, SeedPolicy};
 /// The paper's three algorithms plus the measured baselines; every
 /// variant hands out unique names, they differ in namespace size, step
 /// complexity and adaptivity (see the crate docs of `renaming-core` and
-/// `renaming-baselines`).
+/// its `baselines` module).
 ///
 /// # Example
 ///

@@ -10,9 +10,10 @@
 //! * [`Namespace`] — the interchangeable-backend trait (`release`,
 //!   `namespace_size`, `capacity`, `held`, `algorithm`), with
 //!   [`ServiceBackend::open_session`] as the one acquire route: each
-//!   [`PooledSession`] drives its own reusable machine. Implemented by
-//!   `Rebatching`, `AdaptiveRebatching`, `FastAdaptiveRebatching` and
-//!   all four baselines over any resettable TAS substrate — hardware
+//!   [`PooledSession`] drives its own reusable machine. Implemented once
+//!   for [`renaming_core::RenamingObject`], so `Rebatching`,
+//!   `AdaptiveRebatching`, `FastAdaptiveRebatching` and all four
+//!   baselines serve over any resettable TAS substrate — hardware
 //!   atomics, [`CountingSlot`], or the register-based tournament;
 //! * [`NameGuard`] — RAII ownership of an acquired name: drop it and
 //!   the name is recycled;

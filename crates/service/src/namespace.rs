@@ -3,13 +3,9 @@
 
 use rand::RngCore;
 
-use renaming_baselines::{
-    DoublingRenaming, LinearScanRenaming, SingleBatchRenaming, UniformRenaming,
-};
 use renaming_core::driver::NameSession;
 use renaming_core::{
-    AbandonedNames, AdaptiveRebatching, BatchAcquire, FastAdaptiveRebatching, Name, Rebatching,
-    RenamingError,
+    AbandonedNames, BatchAcquire, Name, RenamingError, RenamingObject, ResetMachine,
 };
 use renaming_tas::{AtomicTas, CountingTas, ResettableTas};
 
@@ -228,61 +224,57 @@ pub trait ServiceBackend: Namespace {
     fn open_session(&self) -> Box<dyn PooledSession>;
 }
 
-/// Implements `Namespace` + `ServiceBackend` for one algorithm's object
-/// over every resettable TAS substrate. Releases go to the object's
-/// `release_name`; sessions acquire in recycling mode, so the adaptive
-/// algorithms' superseded search wins return to the namespace.
-macro_rules! impl_namespace {
-    ($object:ident, $label:literal, $size:ident) => {
-        impl<T: ResettableTas + 'static> ServiceBackend for $object<T> {
-            fn open_session(&self) -> Box<dyn PooledSession> {
-                Box::new(self.session())
-            }
-        }
+/// Every algorithm's object, over every resettable TAS substrate.
+/// Releases go to the object's `release_name`; the label is the
+/// machine's [`Renamer::algorithm`](renaming_sim::Renamer::algorithm).
+impl<M, T> Namespace for RenamingObject<M, T>
+where
+    M: ResetMachine + Clone + Send + Sync,
+    T: ResettableTas,
+{
+    fn release(&self, name: Name) -> Result<(), RenamingError> {
+        self.release_name(name);
+        Ok(())
+    }
 
-        impl<T: ResettableTas> Namespace for $object<T> {
-            fn release(&self, name: Name) -> Result<(), RenamingError> {
-                self.release_name(name);
-                Ok(())
-            }
+    fn namespace_size(&self) -> usize {
+        self.namespace_size()
+    }
 
-            fn namespace_size(&self) -> usize {
-                self.$size()
-            }
+    fn capacity(&self) -> usize {
+        self.capacity()
+    }
 
-            fn capacity(&self) -> usize {
-                self.capacity()
-            }
+    fn held(&self) -> usize {
+        self.slots().set_count()
+    }
 
-            fn held(&self) -> usize {
-                self.slots().set_count()
-            }
-
-            fn algorithm(&self) -> &'static str {
-                $label
-            }
-        }
-    };
+    fn algorithm(&self) -> &'static str {
+        self.algorithm()
+    }
 }
 
-impl_namespace!(Rebatching, "rebatching", namespace_size);
-impl_namespace!(AdaptiveRebatching, "adaptive-rebatching", total_size);
-impl_namespace!(
-    FastAdaptiveRebatching,
-    "fast-adaptive-rebatching",
-    total_size
-);
-impl_namespace!(UniformRenaming, "uniform", namespace_size);
-impl_namespace!(LinearScanRenaming, "linear-scan", namespace_size);
-impl_namespace!(SingleBatchRenaming, "single-batch", namespace_size);
-impl_namespace!(DoublingRenaming, "doubling-uniform", namespace_size);
+/// Sessions acquire in recycling mode, so the adaptive algorithms'
+/// superseded search wins return to the namespace.
+impl<M, T> ServiceBackend for RenamingObject<M, T>
+where
+    M: BatchAcquire + AbandonedNames + Clone + Send + Sync + 'static,
+    T: ResettableTas + 'static,
+{
+    fn open_session(&self) -> Box<dyn PooledSession> {
+        Box::new(self.session())
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use renaming_core::Epsilon;
+    use renaming_core::baselines::{
+        DoublingRenaming, LinearScanRenaming, SingleBatchRenaming, UniformRenaming,
+    };
+    use renaming_core::{AdaptiveRebatching, Epsilon, FastAdaptiveRebatching, Rebatching};
 
     #[test]
     fn trait_objects_acquire_and_release() {
@@ -309,6 +301,21 @@ mod tests {
             Box::new(SingleBatchRenaming::new(8)),
             Box::new(DoublingRenaming::new(8)),
         ];
+        // The labels key the wire's stats and the BENCH_* report rows,
+        // in `Algorithm::all()` order.
+        let labels: Vec<&str> = backends.iter().map(|ns| ns.algorithm()).collect();
+        assert_eq!(
+            labels,
+            [
+                "rebatching",
+                "adaptive-rebatching",
+                "fast-adaptive-rebatching",
+                "uniform",
+                "linear-scan",
+                "single-batch",
+                "doubling-uniform",
+            ]
+        );
         let mut rng = StdRng::seed_from_u64(7);
         for ns in &backends {
             let label = ns.algorithm();

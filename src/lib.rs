@@ -19,8 +19,9 @@
 //!   schedulers and crash injection.
 //! * [`core`] — the paper's algorithms: `ReBatching` (§4),
 //!   `AdaptiveReBatching` (§5.1) and `FastAdaptiveReBatching` (§5.2).
-//! * [`baselines`] — comparison algorithms (uniform probing, linear scan,
-//!   ablations), as machines and as concurrent objects.
+//! * [`baselines`] — `core`'s comparison algorithms (uniform probing,
+//!   linear scan, ablations), as machines and as the same concurrent
+//!   object type as the paper's algorithms.
 //! * [`lowerbound`] — the §6 lower-bound machinery as executable code.
 //! * [`analysis`] — statistics and reporting helpers used by the
 //!   experiments.
@@ -69,7 +70,7 @@
 //! ```
 
 pub use renaming_analysis as analysis;
-pub use renaming_baselines as baselines;
+pub use renaming_core::baselines;
 pub use renaming_core as core;
 pub use renaming_lowerbound as lowerbound;
 pub use renaming_net as net;
