@@ -26,6 +26,7 @@
 //! Results land in `BENCH_oracle.json`, overhead table included.
 
 use std::fmt::Write as _;
+use std::sync::Barrier;
 
 use serde_json::{json, Value};
 
@@ -53,6 +54,10 @@ const OVERHEAD_REPS: usize = 3;
 /// `service`: [`direct_cycle`] or [`async_cycle`]) while the main thread
 /// takes a snapshot mid-run, then the full history replays. Returns
 /// `(verdict_is_clean, wins, events, snapshots_consistent)`.
+///
+/// A barrier holds every churn thread at op `ops_per_thread / 2` until
+/// the snapshot is taken, so the cut lands mid-churn and each thread
+/// records exactly one marker: `events` is a function of the cell.
 fn checked_churn(
     service: &NameService,
     cycle: impl Fn() + Sync,
@@ -60,16 +65,23 @@ fn checked_churn(
     ops_per_thread: usize,
 ) -> (bool, u64, u64, bool) {
     let oracle = service.oracle().expect("oracle enabled").clone();
+    let halfway = Barrier::new(threads + 1);
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
-                for _ in 0..ops_per_thread {
+                for op in 0..ops_per_thread {
+                    if op == ops_per_thread / 2 {
+                        halfway.wait();
+                        halfway.wait();
+                    }
                     cycle();
                 }
             });
         }
         // A consistent cut taken while the churn is in full flight.
+        halfway.wait();
         oracle.snapshot();
+        halfway.wait();
     });
     let verdict = service.oracle_verdict().expect("oracle enabled");
     let snapshots_ok = !verdict.history.snapshots.is_empty()

@@ -31,7 +31,7 @@ pub struct AdaptiveMachine {
     layout: Arc<AdaptiveLayout>,
     phase: Phase,
     /// Locations won during the search and later superseded by a smaller
-    /// name (see [`driver::AbandonedNames`]).
+    /// name (see [`driver::ResetMachine::abandoned`]).
     abandoned: Vec<usize>,
     probes: u64,
     failed_calls: u64,
@@ -108,21 +108,9 @@ impl AdaptiveMachine {
     }
 }
 
-impl driver::AbandonedNames for AdaptiveMachine {
-    fn abandoned(&self) -> &[usize] {
-        &self.abandoned
-    }
-
-    fn clear_abandoned(&mut self) {
-        self.abandoned.clear();
-    }
-}
-
 /// The adaptive race/search walk re-derives its starting object from the
 /// contention it observes, so there is no cheap continuation: each batch
 /// request runs as a fresh operation (the default rearm = reset).
-impl driver::BatchAcquire for AdaptiveMachine {}
-
 impl driver::ResetMachine for AdaptiveMachine {
     fn reset(&mut self) {
         // Recycle the abandoned-wins buffer, then delegate so the reset
@@ -132,6 +120,14 @@ impl driver::ResetMachine for AdaptiveMachine {
         abandoned.clear();
         *self = Self::new(Arc::clone(&self.layout));
         self.abandoned = abandoned;
+    }
+
+    fn abandoned(&self) -> &[usize] {
+        &self.abandoned
+    }
+
+    fn clear_abandoned(&mut self) {
+        self.abandoned.clear();
     }
 }
 

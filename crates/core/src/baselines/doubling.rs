@@ -73,13 +73,9 @@ impl DoublingUniformMachine {
     }
 }
 
-/// Baselines hold at most one win at a time: nothing is superseded.
-impl crate::AbandonedNames for DoublingUniformMachine {}
-
-/// No batch structure to resume: each batch request reruns the
+/// Baselines hold at most one win at a time, so nothing is superseded,
+/// and have no batch structure to resume: each batch request reruns the
 /// baseline from scratch (the default rearm = reset).
-impl crate::BatchAcquire for DoublingUniformMachine {}
-
 impl crate::ResetMachine for DoublingUniformMachine {
     fn reset(&mut self) {
         *self = Self {

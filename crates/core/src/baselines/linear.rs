@@ -39,13 +39,9 @@ impl LinearScanMachine {
     }
 }
 
-/// Baselines hold at most one win at a time: nothing is superseded.
-impl crate::AbandonedNames for LinearScanMachine {}
-
-/// No batch structure to resume: each batch request reruns the
+/// Baselines hold at most one win at a time, so nothing is superseded,
+/// and have no batch structure to resume: each batch request reruns the
 /// baseline from scratch (the default rearm = reset).
-impl crate::BatchAcquire for LinearScanMachine {}
-
 impl crate::ResetMachine for LinearScanMachine {
     fn reset(&mut self) {
         *self = Self {

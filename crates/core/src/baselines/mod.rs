@@ -256,7 +256,7 @@ mod tests {
         let mut session = object.session();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..50 {
-            let name = session.get_name(&mut rng).expect("name");
+            let name = session.get_name_recycling(&mut rng).expect("name");
             object.release_name(name);
         }
         assert_eq!(object.slots().set_count(), 0);

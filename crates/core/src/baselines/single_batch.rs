@@ -47,13 +47,9 @@ impl SingleBatchMachine {
     }
 }
 
-/// Baselines hold at most one win at a time: nothing is superseded.
-impl crate::AbandonedNames for SingleBatchMachine {}
-
-/// No batch structure to resume: each batch request reruns the
+/// Baselines hold at most one win at a time, so nothing is superseded,
+/// and have no batch structure to resume: each batch request reruns the
 /// baseline from scratch (the default rearm = reset).
-impl crate::BatchAcquire for SingleBatchMachine {}
-
 impl crate::ResetMachine for SingleBatchMachine {
     fn reset(&mut self) {
         *self = Self::new(self.namespace, self.budget);

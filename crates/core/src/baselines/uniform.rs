@@ -63,13 +63,9 @@ impl UniformMachine {
     }
 }
 
-/// Baselines hold at most one win at a time: nothing is superseded.
-impl crate::AbandonedNames for UniformMachine {}
-
-/// No batch structure to resume: each batch request reruns the
+/// Baselines hold at most one win at a time, so nothing is superseded,
+/// and have no batch structure to resume: each batch request reruns the
 /// baseline from scratch (the default rearm = reset).
-impl crate::BatchAcquire for UniformMachine {}
-
 impl crate::ResetMachine for UniformMachine {
     fn reset(&mut self) {
         *self = Self {

@@ -8,17 +8,17 @@
 //! implementations cannot drift apart.
 //!
 //! Long-lived workloads should hold a [`NameSession`] per thread: it
-//! reuses one machine across `get_name` calls (via [`ResetMachine`])
-//! instead of constructing a machine — with its `Arc` refcount traffic
-//! and, for the fast-adaptive algorithm, its search-stack allocation —
-//! on every operation.
+//! reuses one machine across acquires (via [`ResetMachine`]) instead of
+//! constructing a machine — with its `Arc` refcount traffic and, for the
+//! fast-adaptive algorithm, its search-stack allocation — on every
+//! operation.
 
 use std::sync::Arc;
 
 use rand::Rng;
 
 use renaming_sim::{Action, Name, Renamer};
-use renaming_tas::{ResettableTas, Tas, TasArray};
+use renaming_tas::{Tas, TasArray};
 
 use crate::RenamingError;
 
@@ -31,52 +31,45 @@ pub trait ResetMachine: Renamer {
     /// flips against the same memory produces the same outcome as a new
     /// machine would.
     fn reset(&mut self);
-}
 
-/// A machine that can serve a *batch* of acquire requests back-to-back,
-/// amortizing its probe state across the batch — the paper's `BatchCall`
-/// shape, surfaced as `PooledSession::acquire_batch` in the service
-/// crate.
-///
-/// Between two wins of one batch the driver calls
-/// [`rearm_after_win`](Self::rearm_after_win) instead of
-/// [`ResetMachine::reset`]. The default simply resets, which is always
-/// correct (each request behaves exactly like a fresh operation);
-/// machines with a cheaper continuation override it — ReBatching resumes
-/// its batch walk at the batch the previous win landed in, skipping the
-/// prefix the batch has already filled.
-///
-/// Implementations must uphold the same postcondition as `reset`: after
-/// `rearm_after_win`, driving the machine acquires a fresh, unique name
-/// (uniqueness is carried by the TAS slots, so any probe schedule is
-/// safe — the contract is only that the machine probes until it wins or
-/// reports exhaustion).
-pub trait BatchAcquire: ResetMachine {
-    /// Prepares the machine for the next request of the current batch,
-    /// right after a win.
+    /// Prepares the machine for the next request of a *batch* of
+    /// acquires, right after a win — the paper's `BatchCall` shape,
+    /// surfaced as `PooledSession::acquire_batch` in the service crate.
+    ///
+    /// Between two wins of one batch the driver calls this instead of
+    /// [`reset`](Self::reset). The default simply resets, which is
+    /// always correct (each request behaves exactly like a fresh
+    /// operation); machines with a cheaper continuation override it —
+    /// ReBatching resumes its batch walk at the batch the previous win
+    /// landed in, skipping the prefix the batch has already filled.
+    ///
+    /// Implementations must uphold the same postcondition as `reset`:
+    /// after `rearm_after_win`, driving the machine acquires a fresh,
+    /// unique name (uniqueness is carried by the TAS slots, so any probe
+    /// schedule is safe — the contract is only that the machine probes
+    /// until it wins or reports exhaustion).
     fn rearm_after_win(&mut self) {
         self.reset();
     }
-}
 
-/// A machine that may win more TAS locations than the one name it
-/// returns.
-///
-/// The adaptive algorithms (§5) acquire a name per successful
-/// `GetName`/`TryGetName` along their race and search phases and keep
-/// only the smallest; the superseded wins stay *set* in shared memory.
-/// For the paper's one-shot objects that is the intended behaviour (the
-/// `O(k)` namespace bound counts them), but a long-lived service must
-/// return them to the namespace or every acquire leaks slots. Machines
-/// record the superseded locations here so [`drive_recycling`] can
-/// reopen them once the operation completes.
-pub trait AbandonedNames {
     /// Locations won and then superseded during the current run.
+    ///
+    /// The adaptive algorithms (§5) acquire a name per successful
+    /// `GetName`/`TryGetName` along their race and search phases and
+    /// keep only the smallest; the superseded wins stay *set* in shared
+    /// memory. For the paper's one-shot objects that is the intended
+    /// behaviour (the `O(k)` namespace bound counts them), but a
+    /// long-lived service must return them to the namespace or every
+    /// acquire leaks slots. Machines record the superseded locations
+    /// here so [`drive_recycling`] can reopen them once the operation
+    /// completes. The default, for machines that hold at most one win
+    /// at a time, is empty.
     fn abandoned(&self) -> &[usize] {
         &[]
     }
 
-    /// Forgets the recorded locations (after the caller recycled them).
+    /// Forgets the recorded [`abandoned`](Self::abandoned) locations
+    /// (after the caller recycled them).
     fn clear_abandoned(&mut self) {}
 }
 
@@ -85,7 +78,9 @@ pub trait AbandonedNames {
 ///
 /// Obtained from [`crate::RenamingObject::session`]. Each participating
 /// thread keeps its own session; the underlying slot array stays shared,
-/// so names remain unique across sessions.
+/// so names remain unique across sessions. Every acquire recycles: the
+/// surplus TAS wins a machine supersedes return to the namespace (see
+/// [`ResetMachine::abandoned`]).
 #[derive(Debug)]
 pub struct NameSession<M, T: Tas> {
     machine: M,
@@ -94,37 +89,13 @@ pub struct NameSession<M, T: Tas> {
 
 impl<M: ResetMachine, T: Tas> NameSession<M, T> {
     /// Builds a session from a machine and the object's shared slots.
-    ///
-    /// Prefer [`crate::RenamingObject::session`]; this is public so
-    /// concurrent objects outside this crate can offer sessions over
-    /// their own machines.
-    pub fn new(machine: M, slots: Arc<TasArray<T>>) -> Self {
+    pub(crate) fn new(machine: M, slots: Arc<TasArray<T>>) -> Self {
         Self { machine, slots }
     }
 
-    /// Acquires a unique name, reusing this session's machine.
-    ///
-    /// Behaves exactly like the owning object's `get_name` (the machine
-    /// is reset to its initial state first), without constructing a
-    /// machine per call.
-    ///
-    /// # Errors
-    ///
-    /// As for the owning object's `get_name`.
-    pub fn get_name<R: Rng>(&mut self, rng: &mut R) -> Result<Name, RenamingError> {
-        self.machine.reset();
-        drive(&mut self.machine, &self.slots, rng)
-    }
-}
-
-impl<M, T> NameSession<M, T>
-where
-    M: ResetMachine + AbandonedNames,
-    T: ResettableTas,
-{
-    /// Like [`get_name`](Self::get_name), but reopens any surplus TAS
-    /// wins the machine superseded along the way — the long-lived mode
-    /// for the adaptive algorithms (see [`AbandonedNames`]).
+    /// Acquires a unique name, reusing this session's machine, and
+    /// reopens any surplus TAS wins the machine superseded along the
+    /// way — the long-lived mode (see [`ResetMachine::abandoned`]).
     ///
     /// # Errors
     ///
@@ -133,19 +104,13 @@ where
         self.machine.reset();
         drive_recycling(&mut self.machine, &self.slots, rng)
     }
-}
 
-impl<M, T> NameSession<M, T>
-where
-    M: BatchAcquire + AbandonedNames,
-    T: ResettableTas,
-{
     /// Acquires `count` unique names in one batched sweep, appending
     /// them to `out`, and reopens each request's superseded TAS wins as
-    /// it completes (see [`AbandonedNames`]).
+    /// it completes (see [`ResetMachine::abandoned`]).
     ///
     /// The machine is reset once at the start; between wins it is
-    /// *rearmed* ([`BatchAcquire::rearm_after_win`]) rather than reset,
+    /// *rearmed* ([`ResetMachine::rearm_after_win`]) rather than reset,
     /// so machines with batch structure amortize their probe work across
     /// the whole batch — a request starts probing where the previous win
     /// left off instead of rewinding to the (already crowded) front.
@@ -218,8 +183,9 @@ where
 }
 
 /// Runs `machine` to completion like [`drive`], then reopens every TAS
-/// location the machine won but superseded (see [`AbandonedNames`]) —
-/// the drive mode long-lived workloads want on resettable substrates.
+/// location the machine won but superseded (see
+/// [`ResetMachine::abandoned`]) — the drive mode of long-lived
+/// workloads.
 ///
 /// # Errors
 ///
@@ -231,8 +197,8 @@ pub fn drive_recycling<M, T, R>(
     rng: &mut R,
 ) -> Result<Name, RenamingError>
 where
-    M: Renamer + AbandonedNames + ?Sized,
-    T: ResettableTas,
+    M: ResetMachine + ?Sized,
+    T: Tas,
     R: Rng,
 {
     let result = drive(machine, slots, rng);
@@ -336,77 +302,64 @@ mod session_tests {
         ResetMachine,
     };
 
-    /// Drains `count` names from `fresh` via per-call machines and from a
-    /// twin object via one reused session; the sequences must agree
-    /// exactly (same coins, same slot states, same machine logic).
-    fn assert_session_matches_per_call<G, S>(count: usize, fresh: G, session: S)
-    where
-        G: Fn(&mut StdRng) -> usize,
-        S: FnMut(&mut StdRng) -> usize,
-    {
-        let mut session = session;
+    /// Drains `count` names from `per_call` via a fresh session per call
+    /// and from its `twin` via one reused session; the sequences must
+    /// agree exactly (same coins, same slot states, same machine logic),
+    /// so a reset machine acts like a new one.
+    fn assert_session_matches_per_call<M: ResetMachine + Clone>(
+        count: usize,
+        per_call: RenamingObject<M>,
+        twin: RenamingObject<M>,
+    ) {
+        let mut session = twin.session();
         let mut rng_fresh = StdRng::seed_from_u64(77);
         let mut rng_session = StdRng::seed_from_u64(77);
         for i in 0..count {
-            let a = fresh(&mut rng_fresh);
-            let b = session(&mut rng_session);
+            let a = per_call
+                .session()
+                .get_name_recycling(&mut rng_fresh)
+                .expect("per-call name");
+            let b = session
+                .get_name_recycling(&mut rng_session)
+                .expect("session name");
             assert_eq!(a, b, "call {i} diverged between session and per-call path");
         }
     }
 
     #[test]
     fn rebatching_session_matches_per_call_machines() {
-        let n = 32;
-        let per_call = Rebatching::with_defaults(n, Epsilon::one()).expect("construct");
-        let reused = Rebatching::with_defaults(n, Epsilon::one()).expect("construct");
-        let mut session = reused.session();
-        assert_session_matches_per_call(
-            n,
-            |rng| per_call.get_name(rng).expect("per-call name").value(),
-            |rng| session.get_name(rng).expect("session name").value(),
-        );
+        let object = || Rebatching::with_defaults(32, Epsilon::one()).expect("construct");
+        assert_session_matches_per_call(32, object(), object());
     }
 
     #[test]
     fn adaptive_session_matches_per_call_machines() {
-        let per_call = AdaptiveRebatching::with_defaults(256, Epsilon::one()).expect("construct");
-        let reused = AdaptiveRebatching::with_defaults(256, Epsilon::one()).expect("construct");
-        let mut session = reused.session();
-        assert_session_matches_per_call(
-            32,
-            |rng| per_call.get_name(rng).expect("per-call name").value(),
-            |rng| session.get_name(rng).expect("session name").value(),
-        );
+        let object = || AdaptiveRebatching::with_defaults(256, Epsilon::one()).expect("construct");
+        assert_session_matches_per_call(32, object(), object());
     }
 
     #[test]
     fn fast_adaptive_session_matches_per_call_machines() {
-        let per_call = FastAdaptiveRebatching::with_defaults(256).expect("construct");
-        let reused = FastAdaptiveRebatching::with_defaults(256).expect("construct");
-        let mut session = reused.session();
+        let object = || FastAdaptiveRebatching::with_defaults(256).expect("construct");
         // Enough acquires that later calls run real Search chains, so the
         // recycled frame pool is exercised, not just the race phase.
-        assert_session_matches_per_call(
-            64,
-            |rng| per_call.get_name(rng).expect("per-call name").value(),
-            |rng| session.get_name(rng).expect("session name").value(),
-        );
+        assert_session_matches_per_call(64, object(), object());
     }
 
     #[test]
     fn baseline_sessions_match_per_call_machines() {
-        fn check<M: ResetMachine + Clone>(per_call: RenamingObject<M>, twin: RenamingObject<M>) {
-            let mut session = twin.session();
-            assert_session_matches_per_call(
-                per_call.capacity(),
-                |rng| per_call.get_name(rng).expect("per-call name").value(),
-                |rng| session.get_name(rng).expect("session name").value(),
-            );
-        }
-        check(UniformRenaming::new(32), UniformRenaming::new(32));
-        check(LinearScanRenaming::new(32), LinearScanRenaming::new(32));
-        check(SingleBatchRenaming::new(32), SingleBatchRenaming::new(32));
-        check(DoublingRenaming::new(32), DoublingRenaming::new(32));
+        assert_session_matches_per_call(32, UniformRenaming::new(32), UniformRenaming::new(32));
+        assert_session_matches_per_call(
+            32,
+            LinearScanRenaming::new(32),
+            LinearScanRenaming::new(32),
+        );
+        assert_session_matches_per_call(
+            32,
+            SingleBatchRenaming::new(32),
+            SingleBatchRenaming::new(32),
+        );
+        assert_session_matches_per_call(32, DoublingRenaming::new(32), DoublingRenaming::new(32));
     }
 
     #[test]
@@ -418,7 +371,9 @@ mod session_tests {
         let mut session = object.session();
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..100 {
-            let name = session.get_name(&mut rng).expect("within capacity");
+            let name = session
+                .get_name_recycling(&mut rng)
+                .expect("within capacity");
             object.release_name(name);
         }
         assert_eq!(object.slots().set_count(), 0);
@@ -435,7 +390,7 @@ mod session_tests {
                     scope.spawn(move || {
                         let mut rng = StdRng::seed_from_u64(900 + t as u64);
                         (0..n / 8)
-                            .map(|_| session.get_name(&mut rng).expect("name").value())
+                            .map(|_| session.get_name_recycling(&mut rng).expect("name").value())
                             .collect::<Vec<_>>()
                     })
                 })

@@ -23,14 +23,6 @@ pub enum RenamingError {
         /// The namespace size of the object.
         namespace: usize,
     },
-    /// The object's TAS substrate cannot recycle names. No built-in
-    /// backend returns it: the service implements every object over
-    /// resettable substrates only (`renaming_tas::ResettableTas`). It
-    /// remains for custom one-shot `Namespace` implementations.
-    ReleaseUnsupported {
-        /// The backend that rejected the release.
-        backend: &'static str,
-    },
 }
 
 impl RenamingError {
@@ -39,11 +31,13 @@ impl RenamingError {
     ///
     /// The contract: codes are assigned once and never renumbered or
     /// reused; `0` is reserved for "no error" (wire-level `Ok`), and new
-    /// variants take the next free code. `renaming-net` maps its
-    /// response status bytes through this method, so the wire protocol
-    /// cannot drift from the library enum — a test asserts the mapping
-    /// is total (the `match` below has no wildcard arm, so adding a
-    /// variant without a code is a compile error).
+    /// variants take the next free code. Code 5 is retired: it belonged
+    /// to a variant for one-shot substrates that no backend returned.
+    /// `renaming-net` maps its response status bytes through this
+    /// method, so the wire protocol cannot drift from the library enum —
+    /// a test asserts the mapping is total (the `match` below has no
+    /// wildcard arm, so adding a variant without a code is a compile
+    /// error).
     ///
     /// # Example
     ///
@@ -60,7 +54,6 @@ impl RenamingError {
             RenamingError::InvalidBeta(_) => 2,
             RenamingError::TooFewProcesses { .. } => 3,
             RenamingError::NamespaceExhausted { .. } => 4,
-            RenamingError::ReleaseUnsupported { .. } => 5,
         }
     }
 }
@@ -78,10 +71,6 @@ impl fmt::Display for RenamingError {
             RenamingError::NamespaceExhausted { namespace } => write!(
                 f,
                 "all {namespace} names taken: more processes than the object's capacity"
-            ),
-            RenamingError::ReleaseUnsupported { backend } => write!(
-                f,
-                "the `{backend}` TAS backend is one-shot: it cannot recycle released names"
             ),
         }
     }
@@ -105,9 +94,6 @@ mod tests {
         assert!(RenamingError::NamespaceExhausted { namespace: 8 }
             .to_string()
             .contains('8'));
-        assert!(RenamingError::ReleaseUnsupported { backend: "tournament" }
-            .to_string()
-            .contains("tournament"));
     }
 
     #[test]
@@ -122,7 +108,6 @@ mod tests {
             (RenamingError::InvalidBeta(0), 2),
             (RenamingError::TooFewProcesses { n: 1, min: 2 }, 3),
             (RenamingError::NamespaceExhausted { namespace: 8 }, 4),
-            (RenamingError::ReleaseUnsupported { backend: "x" }, 5),
         ];
         let mut seen = Vec::new();
         for (err, expected) in witnesses {
@@ -131,7 +116,7 @@ mod tests {
             assert!(!seen.contains(&err.code()), "duplicate code for {err}");
             seen.push(err.code());
         }
-        assert_eq!(seen.len(), 5, "one witness per RenamingError variant");
+        assert_eq!(seen.len(), 4, "one witness per RenamingError variant");
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub struct FastAdaptiveMachine {
     frame_pool: Vec<Frame>,
     /// Locations won and then superseded by a smaller name (line 13
     /// discards the incoming `u` when `TryGetName` succeeds); see
-    /// [`driver::AbandonedNames`].
+    /// [`driver::ResetMachine::abandoned`].
     abandoned: Vec<usize>,
     probes: u64,
     failed_calls: u64,
@@ -295,21 +295,9 @@ impl FastAdaptiveMachine {
     }
 }
 
-impl driver::AbandonedNames for FastAdaptiveMachine {
-    fn abandoned(&self) -> &[usize] {
-        &self.abandoned
-    }
-
-    fn clear_abandoned(&mut self) {
-        self.abandoned.clear();
-    }
-}
-
 /// Like the adaptive machine, the binary-search walk starts from the
 /// observed contention each time: batch requests rerun from scratch
 /// (the default rearm = reset).
-impl driver::BatchAcquire for FastAdaptiveMachine {}
-
 impl driver::ResetMachine for FastAdaptiveMachine {
     fn reset(&mut self) {
         // A reset mid-search (e.g. after a caller abandoned a drive)
@@ -326,6 +314,14 @@ impl driver::ResetMachine for FastAdaptiveMachine {
         *self = Self::new(Arc::clone(&self.layout));
         self.frame_pool = pool;
         self.abandoned = abandoned;
+    }
+
+    fn abandoned(&self) -> &[usize] {
+        &self.abandoned
+    }
+
+    fn clear_abandoned(&mut self) {
+        self.abandoned.clear();
     }
 }
 

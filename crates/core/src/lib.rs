@@ -57,7 +57,7 @@ mod rebatching;
 pub mod rng;
 
 pub use adaptive::{AdaptiveMachine, AdaptiveRebatching};
-pub use driver::{AbandonedNames, BatchAcquire, NameSession, ResetMachine};
+pub use driver::{NameSession, ResetMachine};
 pub use adaptive_layout::AdaptiveLayout;
 pub use error::RenamingError;
 pub use fast_adaptive::{FastAdaptiveMachine, FastAdaptiveRebatching};

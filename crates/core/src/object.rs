@@ -14,7 +14,7 @@ use std::sync::Arc;
 use rand::Rng;
 
 use renaming_sim::{Name, Renamer};
-use renaming_tas::{AtomicTas, ResettableTas, Tas, TasArray};
+use renaming_tas::{AtomicTas, Tas, TasArray};
 
 use crate::driver::{self, NameSession, ResetMachine};
 use crate::RenamingError;
@@ -81,42 +81,10 @@ impl<M, T: Tas> RenamingObject<M, T> {
     pub fn slots(&self) -> &Arc<TasArray<T>> {
         &self.slots
     }
-}
 
-impl<M: Renamer + Clone, T: Tas> RenamingObject<M, T> {
-    /// Acquires a unique name by driving a fresh copy of the machine
-    /// against the shared slots.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RenamingError::NamespaceExhausted`] if the machine gives
-    /// up — only possible when more than `capacity` names are held.
-    pub fn get_name<R: Rng>(&self, rng: &mut R) -> Result<Name, RenamingError> {
-        let mut machine = self.machine.clone();
-        driver::drive(&mut machine, &self.slots, rng)
-    }
-
-    /// The algorithm's short label (e.g. `"rebatching"`), as its machine
-    /// reports it.
-    pub fn algorithm(&self) -> &'static str {
-        self.machine.algorithm()
-    }
-}
-
-impl<M: ResetMachine + Clone, T: Tas> RenamingObject<M, T> {
-    /// A per-thread session reusing one machine across
-    /// [`get_name`](Self::get_name)-equivalent calls — the long-lived
-    /// fast path: no machine construction (and no `Arc` refcount
-    /// traffic) per operation.
-    pub fn session(&self) -> NameSession<M, T> {
-        NameSession::new(self.machine.clone(), Arc::clone(&self.slots))
-    }
-}
-
-impl<M, T: ResettableTas> RenamingObject<M, T> {
     /// Releases a previously acquired name, reopening its slot for future
     /// acquisitions — the *long-lived* renaming extension the paper's
-    /// conclusion (§7) points at, on any resettable TAS substrate.
+    /// conclusion (§7) points at.
     ///
     /// Uniqueness and the namespace bound keep holding as long as at most
     /// `capacity` names are held simultaneously: a release reopens one
@@ -140,5 +108,37 @@ impl<M, T: ResettableTas> RenamingObject<M, T> {
             self.slots.reset_slot(name.value()),
             "releasing name {name} that is not held"
         );
+    }
+}
+
+impl<M: Renamer + Clone, T: Tas> RenamingObject<M, T> {
+    /// Acquires a unique name by driving a fresh copy of the machine
+    /// against the shared slots — the paper's one-shot `GetName`, whose
+    /// superseded wins stay set as the paper's accounting counts them
+    /// (a [`session`](Self::session) recycles them instead).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RenamingError::NamespaceExhausted`] if the machine gives
+    /// up — only possible when more than `capacity` names are held.
+    pub fn get_name<R: Rng>(&self, rng: &mut R) -> Result<Name, RenamingError> {
+        let mut machine = self.machine.clone();
+        driver::drive(&mut machine, &self.slots, rng)
+    }
+
+    /// The algorithm's short label (e.g. `"rebatching"`), as its machine
+    /// reports it.
+    pub fn algorithm(&self) -> &'static str {
+        self.machine.algorithm()
+    }
+}
+
+impl<M: ResetMachine + Clone, T: Tas> RenamingObject<M, T> {
+    /// A per-thread session reusing one machine across acquires — the
+    /// long-lived fast path: no machine construction (and no `Arc`
+    /// refcount traffic) per operation, and every acquire recycles the
+    /// wins its machine supersedes.
+    pub fn session(&self) -> NameSession<M, T> {
+        NameSession::new(self.machine.clone(), Arc::clone(&self.slots))
     }
 }

@@ -41,15 +41,20 @@ impl RebatchingMachine {
 }
 
 /// ReBatching holds at most one win at a time, so nothing is ever
-/// superseded.
-impl driver::AbandonedNames for RebatchingMachine {}
+/// superseded (the default `abandoned`). Its batched continuation: the
+/// next request of a batch resumes the sweep at the batch (or backup
+/// offset) the previous win landed in, with a fresh probe budget — the
+/// prefix those earlier requests filled is never re-probed. Falls back
+/// to a full rewind when there is nothing to resume from.
+impl driver::ResetMachine for RebatchingMachine {
+    fn reset(&mut self) {
+        self.call.reset();
+        self.won = None;
+        self.exhausted = false;
+        self.failed_calls = 0;
+        self.last_batch_seen = 0;
+    }
 
-/// ReBatching's batched continuation: the next request of a batch
-/// resumes the sweep at the batch (or backup offset) the previous win
-/// landed in, with a fresh probe budget — the prefix those earlier
-/// requests filled is never re-probed. Falls back to a full rewind when
-/// there is nothing to resume from.
-impl driver::BatchAcquire for RebatchingMachine {
     fn rearm_after_win(&mut self) {
         if self.call.rearm_continue() {
             self.won = None;
@@ -59,16 +64,6 @@ impl driver::BatchAcquire for RebatchingMachine {
         } else {
             driver::ResetMachine::reset(self);
         }
-    }
-}
-
-impl driver::ResetMachine for RebatchingMachine {
-    fn reset(&mut self) {
-        self.call.reset();
-        self.won = None;
-        self.exhausted = false;
-        self.failed_calls = 0;
-        self.last_batch_seen = 0;
     }
 }
 

@@ -34,10 +34,11 @@
 //! # Status codes
 //!
 //! [`Status`] is pinned to [`RenamingError::code`]: `0` is `Ok`, codes
-//! `1..=5` are the library error variants *by their stable
+//! `1..=4` are the library error variants *by their stable
 //! discriminant* (a conversion with no wildcard arm and a totality
-//! test keep the two from drifting), and protocol-level failures live
-//! at `64+` where the library can never collide with them.
+//! test keep the two from drifting; code 5 is retired), and
+//! protocol-level failures live at `64+` where the library can never
+//! collide with them.
 //!
 //! Decoders return structured [`ProtocolError`]s on any malformed
 //! input — never a panic, never an unbounded allocation, never a hang.
@@ -67,9 +68,10 @@ const RESPONSE_OK_BIT: u8 = 0x80;
 /// The error-response kind.
 const RESPONSE_ERR: u8 = 0x40;
 
-/// Wire status byte: `0` = success, `1..=5` = [`RenamingError::code`]
+/// Wire status byte: `0` = success, `1..=4` = [`RenamingError::code`]
 /// values verbatim, `64+` = protocol-level failures the library enum
-/// does not know about.
+/// does not know about. Code 5 is retired with its library variant and
+/// decodes as [`ProtocolError::UnknownStatus`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Status {
@@ -84,8 +86,6 @@ pub enum Status {
     /// [`RenamingError::NamespaceExhausted`] — the graceful "namespace
     /// full" answer: the connection stays open, retry after a release.
     Exhausted = 4,
-    /// [`RenamingError::ReleaseUnsupported`].
-    ReleaseUnsupported = 5,
     /// The request frame decoded but made no sense (unknown opcode,
     /// wrong body length, bad version).
     Malformed = 64,
@@ -112,7 +112,6 @@ impl Status {
             2 => Status::InvalidBeta,
             3 => Status::TooFewProcesses,
             4 => Status::Exhausted,
-            5 => Status::ReleaseUnsupported,
             64 => Status::Malformed,
             65 => Status::NotHeld,
             66 => Status::Overloaded,
@@ -134,7 +133,6 @@ impl From<&RenamingError> for Status {
             RenamingError::InvalidBeta(_) => Status::InvalidBeta,
             RenamingError::TooFewProcesses { .. } => Status::TooFewProcesses,
             RenamingError::NamespaceExhausted { .. } => Status::Exhausted,
-            RenamingError::ReleaseUnsupported { .. } => Status::ReleaseUnsupported,
         }
     }
 }
@@ -147,7 +145,6 @@ impl fmt::Display for Status {
             Status::InvalidBeta => "invalid-beta",
             Status::TooFewProcesses => "too-few-processes",
             Status::Exhausted => "namespace-exhausted",
-            Status::ReleaseUnsupported => "release-unsupported",
             Status::Malformed => "malformed-request",
             Status::NotHeld => "name-not-held",
             Status::Overloaded => "overloaded",
@@ -604,7 +601,6 @@ mod tests {
             RenamingError::InvalidBeta(0),
             RenamingError::TooFewProcesses { n: 1, min: 2 },
             RenamingError::NamespaceExhausted { namespace: 8 },
-            RenamingError::ReleaseUnsupported { backend: "x" },
         ];
         for error in witnesses {
             let status = Status::from(&error);
@@ -613,6 +609,11 @@ mod tests {
             assert_eq!(Status::from_wire(status as u8), Ok(status));
         }
         assert_eq!(Status::Ok as u8, 0, "0 stays reserved for success");
+        assert_eq!(
+            Status::from_wire(5),
+            Err(ProtocolError::UnknownStatus(5)),
+            "code 5 is retired, never reused"
+        );
     }
 
     #[test]
@@ -723,13 +724,12 @@ mod tests {
         assert_eq!(out, b"kept");
     }
 
-    const STATUSES: [Status; 10] = [
+    const STATUSES: [Status; 9] = [
         Status::Ok,
         Status::InvalidEpsilon,
         Status::InvalidBeta,
         Status::TooFewProcesses,
         Status::Exhausted,
-        Status::ReleaseUnsupported,
         Status::Malformed,
         Status::NotHeld,
         Status::Overloaded,

@@ -311,9 +311,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     let mut session: Vec<Name> = Vec::new();
     let outcome = serve(shared, stream, &mut session);
     // RAII over the wire: however the connection ended, its names come
-    // back. (`ReleaseUnsupported` backends would leak here by design —
-    // a server wants a release-capable backend, which all built-ins
-    // are.)
+    // back.
     for name in session.drain(..) {
         let _ = shared.service.release_name(name);
     }

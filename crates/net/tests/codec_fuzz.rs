@@ -24,13 +24,12 @@ fn arb_request() -> impl Strategy<Value = Request> {
 /// A strategy over well-formed responses: every kind, status bytes from
 /// the full catalog, details from arbitrary (possibly non-ASCII) bytes.
 fn arb_response() -> impl Strategy<Value = Response> {
-    let status = (0usize..9).prop_map(|i| {
+    let status = (0usize..8).prop_map(|i| {
         [
             Status::InvalidEpsilon,
             Status::InvalidBeta,
             Status::TooFewProcesses,
             Status::Exhausted,
-            Status::ReleaseUnsupported,
             Status::Malformed,
             Status::NotHeld,
             Status::Overloaded,

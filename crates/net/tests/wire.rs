@@ -185,7 +185,9 @@ fn pipeline_mixes_names_and_exhaustion_in_order() {
 /// A pipeline longer than the server's in-flight cap is read in several
 /// batches and still answered in request order: linear scan hands out
 /// the lowest free name, so ten acquires over a cap of four answer
-/// names 0 to 9 in turn.
+/// names 0 to 9 in turn. A batch is counted before it is answered, so a
+/// `Stats` written ahead of five acquires in one write sees at most four
+/// requests of its own batch.
 #[test]
 fn pipeline_longer_than_the_cap_answers_in_request_order() {
     let config = ServerConfig {
@@ -204,6 +206,26 @@ fn pipeline_longer_than_the_cap_answers_in_request_order() {
     let stats = client.stats().expect("stats");
     assert_eq!(occupancy(&stats), 10);
     assert_eq!(server_counter(&stats, "requests"), 11, "10 acquires + this stats");
+
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut raw = stream.try_clone().expect("clone");
+    let mut window = Vec::new();
+    write_frame(&mut window, &Request::Stats.encode()).expect("frame");
+    for _ in 0..5 {
+        write_frame(&mut window, &Request::Acquire.encode()).expect("frame");
+    }
+    raw.write_all(&window).expect("one write");
+    let mut reader = std::io::BufReader::new(stream);
+    match read_response(&mut reader) {
+        Response::Stats(stats) => assert!(
+            server_counter(&stats, "requests") <= 11 + 4,
+            "a batch holds at most max_pipeline = 4 requests: {stats}"
+        ),
+        other => panic!("expected stats, got {other:?}"),
+    }
+    for name in 10..15 {
+        assert_eq!(read_response(&mut reader), Response::Name(name));
+    }
     handle.stop().expect("stop");
 }
 
@@ -645,4 +667,26 @@ fn graceful_shutdown_over_the_wire() {
             );
         }
     }
+}
+
+/// `stop` wakes every handler blocked in `accept`: with two idle
+/// handlers and no client ever connected, it returns promptly.
+#[test]
+fn stop_returns_with_every_handler_idle() {
+    let config = ServerConfig {
+        handlers: 2,
+        ..ServerConfig::default()
+    };
+    let handle = spawn_server_with(Algorithm::Rebatching, 8, config);
+    // Let both handlers block in `accept`: one that has not reached it
+    // yet sees the shutdown flag without being woken.
+    std::thread::sleep(Duration::from_millis(200));
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(handle.stop());
+    });
+    stopped
+        .recv_timeout(Duration::from_secs(10))
+        .expect("stop returns within 10 s")
+        .expect("handlers joined");
 }

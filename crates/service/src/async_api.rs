@@ -185,8 +185,7 @@ impl AsyncNameGuard {
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::ReleaseUnsupported`] if a custom
-    /// backend is one-shot; the name then stays taken.
+    /// Every built-in backend accepts the release and returns `Ok`.
     pub fn release(mut self) -> Result<(), RenamingError> {
         self.armed = false;
         self.service.release_name(self.name)
@@ -212,9 +211,6 @@ impl Deref for AsyncNameGuard {
 impl Drop for AsyncNameGuard {
     fn drop(&mut self) {
         if self.armed {
-            // A custom one-shot backend would reject the release; leaking
-            // the slot is the documented drop behaviour there. Built-in
-            // backends always accept.
             let _ = self.service.release_as(self.name, ReleaseKind::GuardDrop);
         }
     }

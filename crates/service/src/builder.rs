@@ -98,7 +98,6 @@ pub struct NameServiceBuilder {
     algorithm: Algorithm,
     capacity: usize,
     epsilon: Epsilon,
-    beta: usize,
     seed_policy: SeedPolicy,
     metrics: bool,
     oracle: bool,
@@ -106,14 +105,14 @@ pub struct NameServiceBuilder {
 
 impl NameServiceBuilder {
     /// Starts a build for `capacity` concurrent holders on `algorithm`,
-    /// with the paper defaults everywhere else (`ε = 1`, `β = 3`,
-    /// entropy seeding).
+    /// with the paper defaults everywhere else (`ε = 1`, entropy
+    /// seeding). The backup probe count is always the paper's `β = 3`;
+    /// the objects' own constructors take any other.
     pub fn new(algorithm: Algorithm, capacity: usize) -> Self {
         Self {
             algorithm,
             capacity,
             epsilon: Epsilon::one(),
-            beta: DEFAULT_BETA,
             seed_policy: SeedPolicy::Entropy,
             metrics: false,
             oracle: false,
@@ -126,13 +125,6 @@ impl NameServiceBuilder {
     #[must_use]
     pub fn epsilon(mut self, epsilon: Epsilon) -> Self {
         self.epsilon = epsilon;
-        self
-    }
-
-    /// Backup probe count `β` (Eq. 2's `t_κ`). Ignored by the baselines.
-    #[must_use]
-    pub fn beta(mut self, beta: usize) -> Self {
-        self.beta = beta;
         self
     }
 
@@ -172,8 +164,8 @@ impl NameServiceBuilder {
     ///
     /// # Errors
     ///
-    /// Propagates the backing algorithm's parameter validation (bad `ε`
-    /// or `β`, capacity too small for the algorithm).
+    /// Propagates the backing algorithm's parameter validation (bad `ε`,
+    /// capacity too small for the algorithm).
     pub fn build(self) -> Result<NameService, RenamingError> {
         if self.capacity == 0 {
             return Err(RenamingError::TooFewProcesses { n: 0, min: 1 });
@@ -191,13 +183,13 @@ impl NameServiceBuilder {
     fn build_atomic(self) -> Result<Arc<dyn ServiceBackend>, RenamingError> {
         Ok(match self.algorithm {
             Algorithm::Rebatching => {
-                Arc::new(Rebatching::new(self.capacity, self.epsilon, self.beta)?)
+                Arc::new(Rebatching::new(self.capacity, self.epsilon, DEFAULT_BETA)?)
             }
             Algorithm::Adaptive => {
-                Arc::new(AdaptiveRebatching::new(self.capacity, self.epsilon, self.beta)?)
+                Arc::new(AdaptiveRebatching::new(self.capacity, self.epsilon, DEFAULT_BETA)?)
             }
             Algorithm::FastAdaptive => {
-                Arc::new(FastAdaptiveRebatching::new(self.capacity, self.beta)?)
+                Arc::new(FastAdaptiveRebatching::new(self.capacity, DEFAULT_BETA)?)
             }
             Algorithm::Uniform => Arc::new(UniformRenaming::new(self.capacity)),
             Algorithm::LinearScan => Arc::new(LinearScanRenaming::new(self.capacity)),

@@ -74,9 +74,7 @@ impl<'s> NameGuard<'s> {
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::ReleaseUnsupported`] if a custom
-    /// backend is one-shot (no built-in backend is); the name then
-    /// stays taken.
+    /// Every built-in backend accepts the release and returns `Ok`.
     ///
     /// # Example
     ///
@@ -131,9 +129,6 @@ impl Deref for NameGuard<'_> {
 impl Drop for NameGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            // A custom one-shot backend would reject the release; leaking
-            // the slot is the documented drop behaviour there. Built-in
-            // backends always accept.
             let _ = self.service.release_as(self.name, ReleaseKind::GuardDrop);
         }
     }

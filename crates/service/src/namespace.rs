@@ -1,13 +1,11 @@
 //! The [`Namespace`] abstraction: one acquire/release surface over every
-//! renaming backend in the workspace, on any resettable TAS substrate.
+//! renaming backend in the workspace, on any TAS substrate.
 
 use rand::RngCore;
 
 use renaming_core::driver::NameSession;
-use renaming_core::{
-    AbandonedNames, BatchAcquire, Name, RenamingError, RenamingObject, ResetMachine,
-};
-use renaming_tas::{AtomicTas, CountingTas, ResettableTas};
+use renaming_core::{Name, RenamingError, RenamingObject, ResetMachine};
+use renaming_tas::{AtomicTas, CountingTas, Tas};
 
 /// An instrumented atomic slot: hardware TAS behind an operation counter,
 /// for measuring real steps-per-acquire through the service (build such
@@ -48,7 +46,7 @@ pub type CountingSlot = CountingTas<AtomicTas>;
 ///
 /// This is the interchangeable-backend trait of the `renaming-service`
 /// crate: the paper's three algorithms and all four baselines implement
-/// it over any [`ResettableTas`] substrate — hardware atomics,
+/// it over any [`Tas`] substrate — hardware atomics,
 /// [`CountingSlot`], or the register-based tournament
 /// (`TicketTas<TournamentTas>`, long-lived through its epoch-stamped
 /// O(1) reset). Object-safe, so heterogeneous backends can sit behind
@@ -90,9 +88,7 @@ pub trait Namespace: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Every built-in backend accepts the release; a custom `Namespace`
-    /// over a one-shot substrate returns
-    /// [`RenamingError::ReleaseUnsupported`].
+    /// Every built-in backend accepts the release and returns `Ok`.
     ///
     /// # Panics
     ///
@@ -120,10 +116,9 @@ pub trait Namespace: Send + Sync {
 ///
 /// [`crate::NameService`] keeps a pool of these so steady-state acquires
 /// construct no machine (and touch no `Arc` refcounts). Implemented by
-/// [`NameSession`] over any resettable substrate: its acquires recycle
-/// the surplus TAS wins the adaptive machines supersede (see
-/// [`renaming_core::AbandonedNames`]), so long-lived churn leaks no
-/// slots.
+/// [`NameSession`] over any substrate: its acquires recycle the surplus
+/// TAS wins the adaptive machines supersede (see
+/// [`ResetMachine::abandoned`]), so long-lived churn leaks no slots.
 ///
 /// # Example
 ///
@@ -155,7 +150,7 @@ pub trait PooledSession: Send {
     fn acquire(&mut self, rng: &mut dyn RngCore) -> Result<Name, RenamingError>;
 
     /// Acquires `count` unique names in one batched sweep, appending
-    /// them to `out` (see [`renaming_core::BatchAcquire`]). The machine
+    /// them to `out` (see [`ResetMachine::rearm_after_win`]). The machine
     /// is rearmed, not reset, between wins, so batch-structured machines
     /// amortize their probe state across the whole batch.
     /// `acquire_batch(1, ..)` is exactly [`acquire`](Self::acquire).
@@ -177,8 +172,8 @@ pub trait PooledSession: Send {
 
 impl<M, T> PooledSession for NameSession<M, T>
 where
-    M: BatchAcquire + AbandonedNames + Send,
-    T: ResettableTas,
+    M: ResetMachine + Send,
+    T: Tas,
 {
     fn acquire(&mut self, mut rng: &mut dyn RngCore) -> Result<Name, RenamingError> {
         self.get_name_recycling(&mut rng)
@@ -224,13 +219,13 @@ pub trait ServiceBackend: Namespace {
     fn open_session(&self) -> Box<dyn PooledSession>;
 }
 
-/// Every algorithm's object, over every resettable TAS substrate.
+/// Every algorithm's object, over every TAS substrate.
 /// Releases go to the object's `release_name`; the label is the
 /// machine's [`Renamer::algorithm`](renaming_sim::Renamer::algorithm).
 impl<M, T> Namespace for RenamingObject<M, T>
 where
     M: ResetMachine + Clone + Send + Sync,
-    T: ResettableTas,
+    T: Tas,
 {
     fn release(&self, name: Name) -> Result<(), RenamingError> {
         self.release_name(name);
@@ -258,8 +253,8 @@ where
 /// superseded search wins return to the namespace.
 impl<M, T> ServiceBackend for RenamingObject<M, T>
 where
-    M: BatchAcquire + AbandonedNames + Clone + Send + Sync + 'static,
-    T: ResettableTas + 'static,
+    M: ResetMachine + Clone + Send + Sync + 'static,
+    T: Tas + 'static,
 {
     fn open_session(&self) -> Box<dyn PooledSession> {
         Box::new(self.session())

@@ -141,7 +141,7 @@ impl NameService {
 
     /// Wraps an explicit backend; the builder's own `build` hook. Every
     /// object implements [`ServiceBackend`] over any
-    /// [`ResettableTas`](renaming_tas::ResettableTas), so any substrate
+    /// [`Tas`](renaming_tas::Tas), so any substrate
     /// other than the builder's atomics comes through here: build the
     /// object with its `from_parts` constructor (over
     /// [`crate::CountingSlot`]s, register tournaments as
@@ -296,8 +296,7 @@ impl NameService {
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::ReleaseUnsupported`] if a custom
-    /// backend is one-shot; every built-in backend accepts the release.
+    /// Every built-in backend accepts the release and returns `Ok`.
     ///
     /// # Panics
     ///

@@ -32,15 +32,6 @@ impl AtomicTas {
             flag: AtomicBool::new(false),
         }
     }
-
-    /// Resets the object to the unset state.
-    ///
-    /// The renaming algorithms are one-shot; `reset` exists so arrays can be
-    /// reused across experiment trials without reallocation. The caller must
-    /// guarantee quiescence (no concurrent `test_and_set`).
-    pub fn reset(&self) {
-        self.flag.store(false, Ordering::Release);
-    }
 }
 
 impl Tas for AtomicTas {
@@ -53,6 +44,11 @@ impl Tas for AtomicTas {
     #[inline]
     fn is_set(&self) -> bool {
         self.flag.load(Ordering::Acquire)
+    }
+
+    #[inline]
+    fn reset(&self) {
+        self.flag.store(false, Ordering::Release);
     }
 }
 

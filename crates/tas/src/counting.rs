@@ -2,7 +2,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::{ResettableTas, Tas, TasResult};
+use crate::{Tas, TasResult};
 
 /// A [`Tas`] wrapper that counts `test_and_set` calls.
 ///
@@ -54,9 +54,7 @@ impl<T: Tas> Tas for CountingTas<T> {
     fn is_set(&self) -> bool {
         self.inner.is_set()
     }
-}
 
-impl<T: ResettableTas> ResettableTas for CountingTas<T> {
     fn reset(&self) {
         self.inner.reset();
     }

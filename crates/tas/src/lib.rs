@@ -5,8 +5,10 @@
 //! which a process **wins** if it is the first to flip the object's value,
 //! and **loses** otherwise (§2 of the paper). This crate provides:
 //!
-//! * [`Tas`] — the one-shot test-and-set trait, and [`AtomicTas`], the
-//!   hardware implementation backed by [`core::sync::atomic::AtomicBool`].
+//! * [`Tas`] — the test-and-set trait (one-shot for the paper's
+//!   algorithms, resettable for long-lived release), and [`AtomicTas`],
+//!   the hardware implementation backed by
+//!   [`core::sync::atomic::AtomicBool`].
 //! * [`TasArray`] — a cache-padded array of TAS objects, the shared-memory
 //!   layout used by every renaming algorithm in the companion crates.
 //! * [`CountingTas`] — an instrumentation wrapper that counts TAS
@@ -86,9 +88,10 @@ impl TasResult {
     }
 }
 
-/// A one-shot test-and-set object.
+/// A test-and-set object: one-shot for the paper's algorithms,
+/// long-lived through [`reset`](Self::reset).
 ///
-/// Exactly one caller over the object's lifetime observes [`TasResult::Won`];
+/// Exactly one caller per set-reset epoch observes [`TasResult::Won`];
 /// every other call returns [`TasResult::Lost`]. Implementations must be
 /// linearizable for the purposes of this crate's algorithms, *except* the
 /// register-based objects in [`rwtas`], which provide the weaker
@@ -102,26 +105,12 @@ pub trait Tas: Send + Sync {
     ///
     /// Returns `true` once some caller has won the object.
     fn is_set(&self) -> bool;
-}
 
-/// A test-and-set object that can be returned to the unset state.
-///
-/// This is the substrate of *long-lived* renaming (the extension the
-/// paper's §7 conclusion points at): releasing a name resets its TAS
-/// slot, so a later acquire can win it again. The caller must guarantee
-/// quiescence on the object being reset — in the renaming crates that is
-/// the holder of the corresponding name, and nobody else may reset it.
-///
-/// Reset is a separate capability rather than part of [`Tas`] because
-/// not every implementation supports it for free: the register-based
-/// tournament in [`rwtas`] spreads its decision over a tree of
-/// two-process objects and supports reset only through its epoch stamps
-/// (a [`TicketTas`]-wrapped [`rwtas::TournamentTas`] resets in O(1) by
-/// bumping the epoch and reissuing its ticket window — see
-/// [`ResettableIdTas`]); a custom one-shot object may not support it at
-/// all.
-pub trait ResettableTas: Tas {
     /// Resets the object to the unset (not yet won) state.
+    ///
+    /// The paper's algorithms never call it; long-lived release does
+    /// (the extension the paper's §7 conclusion points at): releasing a
+    /// name resets its TAS slot, so a later acquire can win it again.
     ///
     /// The caller must own the object's win (hold the corresponding
     /// name); concurrent `test_and_set` calls remain safe — they either
@@ -131,26 +120,15 @@ pub trait ResettableTas: Tas {
     fn reset(&self);
 }
 
-impl ResettableTas for AtomicTas {
-    fn reset(&self) {
-        AtomicTas::reset(self);
-    }
-}
-
-/// A test-and-set object that needs to know the caller's identity.
+/// A test-and-set object that needs to know the caller's identity, and
+/// whose lifetime is divided into reset epochs.
 ///
 /// The register-based [`rwtas::TournamentTas`] routes each contender through
 /// a per-process leaf, so the caller must supply a process id in
-/// `0..capacity`. [`TicketTas`] adapts an `IdTas` into an anonymous [`Tas`].
+/// `0..capacity`; every register in its tree carries an epoch stamp, so
+/// advancing the epoch resets the whole object in O(1) without touching
+/// a node. [`TicketTas`] adapts an `IdTas` into an anonymous [`Tas`].
 pub trait IdTas: Send + Sync {
-    /// Performs the test-and-set operation on behalf of process `pid`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `pid` is out of range or reused
-    /// concurrently by two threads.
-    fn test_and_set_as(&self, pid: usize) -> TasResult;
-
     /// Reads the current value without modifying it.
     fn is_set(&self) -> bool;
 
@@ -162,18 +140,13 @@ pub trait IdTas: Send + Sync {
     /// together — re-reading the object's epoch inside the call would
     /// race with a concurrent reset. An object that is never reset lives
     /// entirely in epoch 0.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if `pid` is out of range or reused
+    /// concurrently by two threads.
     fn test_and_set_as_in_epoch(&self, pid: usize, epoch: u64) -> TasResult;
-}
 
-/// An identity-keyed TAS whose lifetime is divided into reset epochs.
-///
-/// Implemented by [`rwtas::TournamentTas`]: every register in the
-/// tournament tree carries an epoch stamp, so advancing the epoch resets
-/// the whole object in O(1) without touching a node (stale state is
-/// reinterpreted as pristine on the next read). This is the capability
-/// that lets [`TicketTas`] implement [`ResettableTas`] — and with it,
-/// the register substrate back long-lived renaming.
-pub trait ResettableIdTas: IdTas {
     /// The current epoch (0 for a fresh object).
     fn epoch(&self) -> u64;
 
@@ -182,8 +155,7 @@ pub trait ResettableIdTas: IdTas {
     /// contenders still in flight under a dead epoch lose.
     ///
     /// The caller must own the current epoch's win (the quiescence rule
-    /// of [`ResettableTas::reset`]); process ids are reusable in the new
-    /// epoch.
+    /// of [`Tas::reset`]); process ids are reusable in the new epoch.
     fn advance_epoch(&self);
 }
 
@@ -205,8 +177,8 @@ mod tests {
     fn resettable_tas_reopens_through_wrappers() {
         let t = CountingTas::new(AtomicTas::new());
         assert!(t.test_and_set().won());
-        ResettableTas::reset(&t);
-        assert!(!Tas::is_set(&t));
+        t.reset();
+        assert!(!t.is_set());
         assert!(t.test_and_set().won());
         assert_eq!(t.tas_ops(), 2);
     }
@@ -216,6 +188,6 @@ mod tests {
         let t: Box<dyn Tas> = Box::new(AtomicTas::new());
         assert!(t.test_and_set().won());
         let i: Box<dyn IdTas> = Box::new(rwtas::TournamentTas::new(2));
-        assert!(i.test_and_set_as(0).won());
+        assert!(i.test_and_set_as_in_epoch(0, 0).won());
     }
 }

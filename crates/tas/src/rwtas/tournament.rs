@@ -140,7 +140,7 @@ impl TournamentTas {
     ///
     /// The caller must be (or act for) the current epoch's winner, and
     /// must not reuse a process id concurrently within the new epoch —
-    /// the same ownership rule [`crate::ResettableTas::reset`] states for
+    /// the same ownership rule [`crate::Tas::reset`] states for
     /// anonymous slots.
     pub fn reset(&self) {
         // Saturate at the system-wide limit instead of wrapping into the
@@ -233,20 +233,14 @@ impl TournamentTas {
 }
 
 impl crate::IdTas for TournamentTas {
-    fn test_and_set_as(&self, pid: usize) -> TasResult {
-        self.test_and_set_with(pid, &mut rand::thread_rng())
+    fn is_set(&self) -> bool {
+        self.is_decided()
     }
 
     fn test_and_set_as_in_epoch(&self, pid: usize, epoch: u64) -> TasResult {
         self.test_and_set_in_epoch(pid, epoch, &mut rand::thread_rng(), &mut 0)
     }
 
-    fn is_set(&self) -> bool {
-        self.is_decided()
-    }
-}
-
-impl crate::ResettableIdTas for TournamentTas {
     fn epoch(&self) -> u64 {
         TournamentTas::epoch(self)
     }

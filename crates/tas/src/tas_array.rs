@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::{ResettableTas, Tas, TasResult};
+use crate::{Tas, TasResult};
 
 /// Pads and aligns a value to 128 bytes so that adjacent values never
 /// share a cache line (128 covers the common 64-byte line plus the
@@ -115,9 +115,7 @@ impl<T: Tas> TasArray<T> {
     pub fn set_count(&self) -> usize {
         self.wins.0.load(Ordering::Relaxed)
     }
-}
 
-impl<T: ResettableTas> TasArray<T> {
     /// Resets one slot, keeping the win counter consistent. Returns `true`
     /// if the slot was set (and is now released), `false` if it was
     /// already unset.

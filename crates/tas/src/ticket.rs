@@ -2,7 +2,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::{IdTas, ResettableIdTas, ResettableTas, Tas, TasResult};
+use crate::{IdTas, Tas, TasResult};
 
 /// Bit position of the epoch field of the packed grant counter; the low
 /// 16 bits are the next ticket within that epoch, the high 48 the epoch
@@ -37,20 +37,20 @@ const TICKET_MASK: u64 = (1 << EPOCH_SHIFT) - 1;
 /// `capacity` and never carries into the epoch bits. Calls beyond the
 /// wrapped object's capacity **within one epoch** lose without racing —
 /// by then the object is guaranteed decided, so this preserves TAS
-/// semantics. When the wrapped object is resettable
-/// ([`ResettableIdTas`]), [`ResettableTas::reset`] advances its epoch
-/// and reopens a full ticket window: under long-lived churn the pid
-/// space is replenished on every release instead of draining away (the
-/// exhaustion bound applies per epoch, not per object lifetime). If an
-/// epoch's tickets do drain before its winner releases, later calls keep
-/// losing cleanly and the renaming layer surfaces
-/// `NamespaceExhausted` — never a panic, never a wrapped pid.
+/// semantics. [`Tas::reset`] advances the wrapped object's epoch
+/// ([`IdTas::advance_epoch`]) and reopens a full ticket window: under
+/// long-lived churn the pid space is replenished on every release
+/// instead of draining away (the exhaustion bound applies per epoch,
+/// not per object lifetime). If an epoch's tickets do drain before its
+/// winner releases, later calls keep losing cleanly and the renaming
+/// layer surfaces `NamespaceExhausted` — never a panic, never a wrapped
+/// pid.
 ///
 /// # Example
 ///
 /// ```
 /// use renaming_tas::rwtas::TournamentTas;
-/// use renaming_tas::{ResettableTas, Tas, TicketTas};
+/// use renaming_tas::{Tas, TicketTas};
 ///
 /// let t = TicketTas::new(TournamentTas::new(4));
 /// assert!(t.test_and_set().won());
@@ -105,7 +105,7 @@ impl<T: IdTas> TicketTas<T> {
     }
 
     /// The epoch the next ticket will be drawn in (0 until the first
-    /// [`ResettableTas::reset`]).
+    /// [`Tas::reset`]).
     pub fn ticket_epoch(&self) -> u64 {
         self.grants.load(Ordering::Relaxed) >> EPOCH_SHIFT
     }
@@ -133,19 +133,17 @@ impl<T: IdTas> Tas for TicketTas<T> {
     fn is_set(&self) -> bool {
         self.inner.is_set()
     }
-}
 
-impl<T: ResettableIdTas> ResettableTas for TicketTas<T> {
     /// Reopens the slot: advances the wrapped object's epoch (O(1); see
-    /// [`ResettableIdTas::advance_epoch`]) and reissues the ticket
-    /// window for the new epoch.
+    /// [`IdTas::advance_epoch`]) and reissues the ticket window for the
+    /// new epoch.
     ///
     /// Order matters: the epoch bump comes first, so a concurrent caller
     /// can only ever draw (old epoch, old ticket) — a cleanly losing
     /// stale contender — or (new epoch, fresh ticket), never a fresh
     /// ticket under the dead epoch. Resets themselves are serialized by
-    /// the [`ResettableTas::reset`] ownership rule (only the slot's
-    /// current winner releases it).
+    /// the [`Tas::reset`] ownership rule (only the slot's current winner
+    /// releases it).
     ///
     /// If the epoch cannot advance (the wrapped object saturated its
     /// stamp space), the ticket window stays closed too: the slot
@@ -195,7 +193,7 @@ mod tests {
         for _ in 0..5 {
             assert!(t.test_and_set().lost());
         }
-        ResettableTas::reset(&t);
+        t.reset();
         assert!(!Tas::is_set(&t), "reset reopens the slot");
         assert_eq!(t.tickets_issued(), 0, "ticket window reissued");
         assert_eq!(t.ticket_epoch(), 1);
@@ -214,7 +212,7 @@ mod tests {
             assert!(t.test_and_set().won(), "round {round}");
             assert!(t.test_and_set().lost(), "round {round}");
             assert!(t.test_and_set().lost(), "round {round} over-capacity");
-            ResettableTas::reset(&t);
+            t.reset();
         }
         assert_eq!(t.ticket_epoch(), 100);
     }
@@ -229,7 +227,7 @@ mod tests {
             assert!(t.test_and_set().lost());
         }
         assert!(Tas::is_set(&t));
-        ResettableTas::reset(&t);
+        t.reset();
         assert!(t.test_and_set().won());
     }
 
@@ -270,7 +268,7 @@ mod tests {
                             if t.test_and_set().won() {
                                 wins += 1;
                                 // We own this epoch's win: release it.
-                                ResettableTas::reset(&*t);
+                                t.reset();
                             }
                         }
                         wins
@@ -298,12 +296,12 @@ mod tests {
         let start = u64::from(u32::MAX) + 5;
         let t = TicketTas::new(crate::rwtas::TournamentTas::with_epoch(2, start));
         // First reset syncs the ticket window to the inherited epoch.
-        ResettableTas::reset(&t);
+        t.reset();
         assert_eq!(t.ticket_epoch(), start + 1);
         for round in 0..10 {
             assert!(t.test_and_set().won(), "round {round} past the old bound");
             assert!(t.test_and_set().lost(), "round {round}");
-            ResettableTas::reset(&t);
+            t.reset();
         }
         assert_eq!(t.ticket_epoch(), start + 11, "windows reissued past u32::MAX");
     }
@@ -362,10 +360,6 @@ mod tests {
     }
 
     impl IdTas for SaturatingTas {
-        fn test_and_set_as(&self, pid: usize) -> TasResult {
-            self.test_and_set_as_in_epoch(pid, self.epoch.load(Ordering::Acquire))
-        }
-
         fn is_set(&self) -> bool {
             self.won.load(Ordering::Acquire) == self.epoch.load(Ordering::Acquire) + 1
         }
@@ -380,9 +374,7 @@ mod tests {
                         .is_ok(),
             )
         }
-    }
 
-    impl ResettableIdTas for SaturatingTas {
         fn epoch(&self) -> u64 {
             self.epoch.load(Ordering::Acquire)
         }
@@ -400,14 +392,14 @@ mod tests {
         // Burn every available epoch.
         for round in 0..SaturatingTas::CAP {
             assert!(t.test_and_set().won(), "round {round}");
-            ResettableTas::reset(&t);
+            t.reset();
         }
         assert_eq!(t.ticket_epoch(), SaturatingTas::CAP);
         // The final epoch's win sticks: a reset that cannot advance the
         // epoch must NOT reopen the ticket window, or the next caller
         // would redraw pid 0 in the still-live epoch and double-win.
         assert!(t.test_and_set().won());
-        ResettableTas::reset(&t);
+        t.reset();
         assert_eq!(t.ticket_epoch(), SaturatingTas::CAP, "epoch saturated");
         assert!(
             t.test_and_set().lost(),

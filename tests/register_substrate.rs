@@ -84,7 +84,7 @@ mod epoch_reset_properties {
     //! and any leak of old state through the stamps would show up here.
 
     use loose_renaming::tas::rwtas::TournamentTas;
-    use loose_renaming::tas::{ResettableTas, Tas, TicketTas};
+    use loose_renaming::tas::{Tas, TicketTas};
     use proptest::prelude::*;
 
     proptest! {

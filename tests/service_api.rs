@@ -18,7 +18,7 @@
 //! 4. **Pool integrity** — the sharded lock-free pool never hands one
 //!    session to two threads at once and never leaks workers, even with
 //!    far more threads than shards and churn far beyond capacity.
-//! 5. **Substrate parity** — any resettable TAS substrate reaches the
+//! 5. **Substrate parity** — any TAS substrate reaches the
 //!    service through the objects' `from_parts` constructors and
 //!    `NameService::with_backend`, with the same long-lived guarantees
 //!    as the builder's atomics. The register-based tournament recycles
@@ -40,7 +40,7 @@ use loose_renaming::core::{
 use loose_renaming::prelude::*;
 use loose_renaming::service::{CountingSlot, ServiceBackend};
 use loose_renaming::tas::rwtas::TournamentTas;
-use loose_renaming::tas::{AtomicTas, CountingTas, ResettableTas, TasArray, TicketTas};
+use loose_renaming::tas::{AtomicTas, CountingTas, Tas, TasArray, TicketTas};
 
 /// Acquire/release churn on every releasable backend: `threads` real
 /// threads, each cycling `iterations` times, with the concurrency
@@ -303,7 +303,7 @@ fn namespace_exhaustion_is_an_error_not_a_panic() {
 /// (paper schedule, `ε = 1`, `β = 3`) and wrapped by
 /// `NameService::with_backend`, with the oracle on. Returns the shared
 /// slots too, so a caller can read a counting substrate.
-fn service_over<T: ResettableTas + 'static>(
+fn service_over<T: Tas + 'static>(
     algorithm: Algorithm,
     capacity: usize,
     seed: u64,
@@ -415,10 +415,7 @@ fn tournament_ticket_exhaustion_is_an_error_and_heals_on_release() {
 /// Single-threaded churn to 10× the namespace size over counted slots:
 /// every name comes back, the oracle's verdict is clean, and each
 /// acquire performs at least one counted `test_and_set`.
-fn churn_counted<T: ResettableTas + 'static>(
-    algorithm: Algorithm,
-    slot: impl Fn() -> CountingTas<T>,
-) {
+fn churn_counted<T: Tas + 'static>(algorithm: Algorithm, slot: impl Fn() -> CountingTas<T>) {
     let (service, slots) =
         service_over(algorithm, 8, 0xC0DE, slot).unwrap_or_else(|e| panic!("{algorithm:?}: {e}"));
     let acquires = 10 * service.namespace_size();
