@@ -21,7 +21,7 @@ use renaming_core::baselines::{
 use renaming_core::{
     AdaptiveLayout, AdaptiveMachine, BatchLayout, FastAdaptiveMachine, RebatchingMachine,
 };
-use renaming_sim::{Action, MachineStats, Name, Renamer};
+use renaming_sim::{Action, MachineStats, Renamer};
 
 /// A recipe for one machine from the workspace's closed algorithm set.
 ///
@@ -187,10 +187,6 @@ impl Renamer for AnyMachine {
     #[inline]
     fn observe(&mut self, won: bool) {
         dispatch!(self, m => m.observe(won))
-    }
-
-    fn name(&self) -> Option<Name> {
-        dispatch!(self, m => m.name())
     }
 
     fn stats(&self) -> MachineStats {

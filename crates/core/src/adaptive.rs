@@ -33,10 +33,6 @@ pub struct AdaptiveMachine {
     /// Locations won during the search and later superseded by a smaller
     /// name (see [`driver::ResetMachine::abandoned`]).
     abandoned: Vec<usize>,
-    probes: u64,
-    failed_calls: u64,
-    objects_visited: u64,
-    names_acquired: u64,
     deepest_batch: usize,
     entered_backup: bool,
 }
@@ -66,10 +62,6 @@ impl AdaptiveMachine {
             layout,
             phase: Phase::Race { pos: 0, call: first },
             abandoned: Vec::new(),
-            probes: 0,
-            failed_calls: 0,
-            objects_visited: 1,
-            names_acquired: 0,
             deepest_batch: 0,
             entered_backup: false,
         }
@@ -160,7 +152,6 @@ impl Renamer for AdaptiveMachine {
     }
 
     fn observe(&mut self, won: bool) {
-        self.probes += 1;
         let layout = Arc::clone(&self.layout);
         // Take ownership of the phase so stats bookkeeping and the
         // transition logic don't fight the borrow checker.
@@ -169,7 +160,6 @@ impl Renamer for AdaptiveMachine {
             Phase::Race { pos, mut call } => match call.observe(won) {
                 CallStatus::InProgress => Phase::Race { pos, call },
                 CallStatus::Acquired(loc) => {
-                    self.names_acquired += 1;
                     self.absorb_call_stats(&call);
                     let landmark = layout.landmarks()[pos];
                     let name = Name::new(loc);
@@ -182,11 +172,9 @@ impl Renamer for AdaptiveMachine {
                     }
                 }
                 CallStatus::Exhausted => {
-                    self.failed_calls += 1;
                     self.absorb_call_stats(&call);
                     let next = pos + 1;
                     if next < layout.landmarks().len() {
-                        self.objects_visited += 1;
                         Phase::Race {
                             pos: next,
                             call: Self::object_call(&layout, layout.landmarks()[next]),
@@ -209,18 +197,14 @@ impl Renamer for AdaptiveMachine {
                         call: Some((d, object_call)),
                     },
                     CallStatus::Acquired(loc) => {
-                        self.names_acquired += 1;
                         self.absorb_call_stats(&object_call);
-                        self.objects_visited += 1;
                         // Success at R_d supersedes the name held from R_b.
                         self.abandoned.push(best.value());
                         // d becomes the new upper bound.
                         Self::continue_search(&layout, a, d, Name::new(loc))
                     }
                     CallStatus::Exhausted => {
-                        self.failed_calls += 1;
                         self.absorb_call_stats(&object_call);
-                        self.objects_visited += 1;
                         // Failure at R_d: the contention exceeds d.
                         Self::continue_search(&layout, d + 1, b, best)
                     }
@@ -230,21 +214,10 @@ impl Renamer for AdaptiveMachine {
         };
     }
 
-    fn name(&self) -> Option<Name> {
-        match self.phase {
-            Phase::Finished(name) => Some(name),
-            _ => None,
-        }
-    }
-
     fn stats(&self) -> MachineStats {
         MachineStats {
-            probes: self.probes,
-            failed_calls: self.failed_calls,
             deepest_batch: Some(self.deepest_batch),
-            objects_visited: self.objects_visited,
             entered_backup: self.entered_backup,
-            names_acquired: self.names_acquired,
         }
     }
 
@@ -489,19 +462,5 @@ mod tests {
         assert!(AdaptiveRebatching::from_parts(Arc::clone(&layout), longer).is_err());
         let enough: Arc<TasArray<AtomicTas>> = Arc::new(TasArray::new(layout.total_size()));
         assert!(AdaptiveRebatching::from_parts(layout, enough).is_ok());
-    }
-
-    #[test]
-    fn stats_count_objects_and_probes() {
-        let layout = shared_layout(256);
-        let report = Execution::new(layout.total_size())
-            .seed(2)
-            .run(machines(16, &layout))
-            .expect("run");
-        for (outcome, stats) in report.outcomes.iter().zip(&report.stats) {
-            assert_eq!(outcome.steps(), stats.probes);
-            assert!(stats.objects_visited >= 1);
-            assert!(stats.names_acquired >= 1);
-        }
     }
 }

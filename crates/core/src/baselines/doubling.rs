@@ -2,7 +2,7 @@
 
 use rand::{Rng, RngCore};
 
-use renaming_sim::{Action, MachineStats, Name, Renamer};
+use renaming_sim::{Action, Name, Renamer};
 
 /// Adaptive baseline: probe uniformly inside a window `0..w`, starting
 /// with `w = 2` and doubling `w` after every `probes_per_level` failures
@@ -22,7 +22,6 @@ pub struct DoublingUniformMachine {
     last: usize,
     won: Option<Name>,
     probes: u64,
-    levels: u64,
     /// Report `Stuck` after this many failed probes instead of spinning
     /// forever on a full namespace. `None` never gives up (the simulator
     /// sizes executions so somebody always wins).
@@ -47,7 +46,6 @@ impl DoublingUniformMachine {
             last: 0,
             won: None,
             probes: 0,
-            levels: 1,
             give_up_after: None,
         }
     }
@@ -120,21 +118,7 @@ impl Renamer for DoublingUniformMachine {
             self.used_in_level = 0;
             if self.window < self.namespace {
                 self.window = (self.window * 2).min(self.namespace);
-                self.levels += 1;
             }
-        }
-    }
-
-    fn name(&self) -> Option<Name> {
-        self.won
-    }
-
-    fn stats(&self) -> MachineStats {
-        MachineStats {
-            probes: self.probes,
-            objects_visited: self.levels,
-            names_acquired: u64::from(self.won.is_some()),
-            ..MachineStats::default()
         }
     }
 

@@ -2,7 +2,7 @@
 
 use rand::RngCore;
 
-use renaming_sim::{Action, MachineStats, Name, Renamer};
+use renaming_sim::{Action, Name, Renamer};
 
 /// Scans locations `0, 1, 2, ...` and keeps the first TAS it wins.
 ///
@@ -15,7 +15,6 @@ use renaming_sim::{Action, MachineStats, Name, Renamer};
 pub struct LinearScanMachine {
     next: usize,
     won: Option<Name>,
-    probes: u64,
     /// Give up (report `Stuck`) at this location instead of scanning past
     /// the namespace. `None` scans unboundedly (the simulator sizes the
     /// memory to the fleet, so the scan always wins first).
@@ -61,23 +60,10 @@ impl Renamer for LinearScanMachine {
     }
 
     fn observe(&mut self, won: bool) {
-        self.probes += 1;
         if won {
             self.won = Some(Name::new(self.next));
         } else {
             self.next += 1;
-        }
-    }
-
-    fn name(&self) -> Option<Name> {
-        self.won
-    }
-
-    fn stats(&self) -> MachineStats {
-        MachineStats {
-            probes: self.probes,
-            names_acquired: u64::from(self.won.is_some()),
-            ..MachineStats::default()
         }
     }
 
@@ -132,8 +118,14 @@ mod tests {
     #[test]
     fn location_zero_is_a_hotspot() {
         let n = 16;
-        let report = Execution::new(n).seed(1).run(machines(n)).expect("run");
+        let report = Execution::new(n)
+            .seed(1)
+            .tracing(true)
+            .run(machines(n))
+            .expect("run");
+        let trace = report.trace.expect("tracing enabled");
         // Every process probes location 0 exactly once.
-        assert_eq!(report.max_location_accesses as usize, n);
+        let at_zero = trace.events().iter().filter(|e| e.location == 0).count();
+        assert_eq!(at_zero, n);
     }
 }

@@ -21,7 +21,6 @@ pub struct SingleBatchMachine {
     in_backup: bool,
     last: usize,
     won: Option<Name>,
-    probes: u64,
 }
 
 impl SingleBatchMachine {
@@ -42,7 +41,6 @@ impl SingleBatchMachine {
             in_backup: false,
             last: 0,
             won: None,
-            probes: 0,
         }
     }
 }
@@ -85,7 +83,6 @@ impl Renamer for SingleBatchMachine {
     }
 
     fn observe(&mut self, won: bool) {
-        self.probes += 1;
         if won {
             self.won = Some(Name::new(self.last));
             return;
@@ -100,18 +97,10 @@ impl Renamer for SingleBatchMachine {
         }
     }
 
-    fn name(&self) -> Option<Name> {
-        self.won
-    }
-
     fn stats(&self) -> MachineStats {
         MachineStats {
-            probes: self.probes,
-            entered_backup: self.in_backup,
-            names_acquired: u64::from(self.won.is_some()),
-            failed_calls: u64::from(self.in_backup),
             deepest_batch: Some(0),
-            objects_visited: 1,
+            entered_backup: self.in_backup,
         }
     }
 

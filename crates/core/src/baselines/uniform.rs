@@ -2,7 +2,7 @@
 
 use rand::{Rng, RngCore};
 
-use renaming_sim::{Action, MachineStats, Name, Renamer};
+use renaming_sim::{Action, Name, Renamer};
 
 /// The naive randomized renamer: probe a uniformly random location in
 /// `0..m` until a TAS is won.
@@ -106,18 +106,6 @@ impl Renamer for UniformMachine {
         }
     }
 
-    fn name(&self) -> Option<Name> {
-        self.won
-    }
-
-    fn stats(&self) -> MachineStats {
-        MachineStats {
-            probes: self.probes,
-            names_acquired: u64::from(self.won.is_some()),
-            ..MachineStats::default()
-        }
-    }
-
     fn algorithm(&self) -> &'static str {
         "uniform"
     }
@@ -161,14 +149,5 @@ mod tests {
     #[should_panic]
     fn empty_namespace_panics() {
         UniformMachine::new(0);
-    }
-
-    #[test]
-    fn stats_track_probes() {
-        let (n, m) = (16, 32);
-        let report = Execution::new(m).seed(4).run(machines(n, m)).expect("run");
-        for (o, s) in report.outcomes.iter().zip(&report.stats) {
-            assert_eq!(o.steps(), s.probes);
-        }
     }
 }

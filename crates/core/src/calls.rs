@@ -126,7 +126,6 @@ pub struct ObjectCall {
     deepest_batch: usize,
     /// Whether the backup phase was entered.
     entered_backup: bool,
-    probes: u64,
     /// Where the last win happened, for batched continuation (see
     /// [`rearm_continue`](Self::rearm_continue)).
     resume: Option<ResumeAt>,
@@ -170,7 +169,6 @@ impl ObjectCall {
             state: ObjectState::Batch(first),
             deepest_batch: 0,
             entered_backup: false,
-            probes: 0,
             resume: None,
         }
     }
@@ -185,11 +183,6 @@ impl ObjectCall {
         self.entered_backup
     }
 
-    /// Probes performed so far in this call.
-    pub fn probes(&self) -> u64 {
-        self.probes
-    }
-
     /// Rewinds the call to its initial state (batch 0, no probes spent),
     /// keeping the layout handle — the building block of per-thread
     /// session reuse, where one machine serves many operations without
@@ -198,7 +191,6 @@ impl ObjectCall {
         self.state = ObjectState::Batch(BatchCall::new_ref(&self.layout, self.base, 0));
         self.deepest_batch = 0;
         self.entered_backup = false;
-        self.probes = 0;
         self.resume = None;
     }
 
@@ -235,7 +227,6 @@ impl ObjectCall {
                 self.entered_backup = true;
             }
         }
-        self.probes = 0;
         self.resume = None;
         true
     }
@@ -256,7 +247,6 @@ impl ObjectCall {
 
     /// Records the probe outcome and advances the pass.
     pub fn observe(&mut self, won: bool) -> CallStatus {
-        self.probes += 1;
         match &mut self.state {
             ObjectState::Batch(call) => match call.observe(won) {
                 CallStatus::Acquired(loc) => {
@@ -384,7 +374,6 @@ mod tests {
         assert_eq!(outcomes, total);
         assert_eq!(call.deepest_batch(), l.kappa());
         assert!(!call.entered_backup());
-        assert_eq!(call.probes(), total as u64);
     }
 
     #[test]
@@ -450,12 +439,16 @@ mod tests {
         assert_eq!(call.observe(true), CallStatus::Acquired(loc));
         assert!(call.rearm_continue(), "a won call must be resumable");
         assert_eq!(call.deepest_batch(), 1, "resumes at the winning batch");
-        assert_eq!(call.probes(), 0, "fresh probe budget");
-        // The next probe lands inside batch 1's bounds.
-        let probe = call.propose(&mut rng);
+        // A fresh probe budget: batch 1's full `t_1` losing probes all land
+        // inside its bounds, and only then does the call move on.
         let lo = l.batch_offset(1);
         let hi = lo + l.batch_size(1);
-        assert!((lo..hi).contains(&probe));
+        for _ in 0..l.probes(1) {
+            let probe = call.propose(&mut rng);
+            assert!((lo..hi).contains(&probe), "{probe} not in [{lo},{hi})");
+            assert_eq!(call.observe(false), CallStatus::InProgress);
+        }
+        assert_eq!(call.deepest_batch(), 2, "moved past batch 1");
     }
 
     #[test]

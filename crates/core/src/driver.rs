@@ -240,9 +240,6 @@ mod tests {
                 self.next += 1;
             }
         }
-        fn name(&self) -> Option<Name> {
-            self.won
-        }
     }
 
     #[test]

@@ -93,10 +93,6 @@ pub struct FastAdaptiveMachine {
     /// discards the incoming `u` when `TryGetName` succeeds); see
     /// [`driver::ResetMachine::abandoned`].
     abandoned: Vec<usize>,
-    probes: u64,
-    failed_calls: u64,
-    objects_visited: u64,
-    names_acquired: u64,
     deepest_batch: usize,
     entered_backup: bool,
 }
@@ -119,10 +115,6 @@ impl FastAdaptiveMachine {
             phase: Phase::Race { pos: 0, call },
             frame_pool: Vec::new(),
             abandoned: Vec::new(),
-            probes: 0,
-            failed_calls: 0,
-            objects_visited: 1,
-            names_acquired: 0,
             deepest_batch: 0,
             entered_backup: false,
         }
@@ -182,7 +174,6 @@ impl FastAdaptiveMachine {
                     } else {
                         // Line 12: start TryGetName(t) on R_a.
                         let (a, t) = (frame.a, frame.t);
-                        self.objects_visited += 1;
                         let call = Self::batch_call(&self.layout, a, t);
                         let Phase::Searching { frames, sub, .. } = &mut self.phase else {
                             unreachable!()
@@ -253,7 +244,6 @@ impl FastAdaptiveMachine {
         match status {
             CallStatus::InProgress => {}
             CallStatus::Acquired(loc) => {
-                self.names_acquired += 1;
                 let name = Name::new(loc);
                 let Phase::Searching { frames, sub, .. } = &mut self.phase else {
                     unreachable!()
@@ -267,7 +257,6 @@ impl FastAdaptiveMachine {
                 self.settle();
             }
             CallStatus::Exhausted => {
-                self.failed_calls += 1;
                 let Phase::Searching { frames, sub, .. } = &mut self.phase else {
                     unreachable!()
                 };
@@ -357,13 +346,11 @@ impl Renamer for FastAdaptiveMachine {
     }
 
     fn observe(&mut self, won: bool) {
-        self.probes += 1;
         let layout = Arc::clone(&self.layout);
         match &mut self.phase {
             Phase::Race { pos, call } => match call.observe(won) {
                 CallStatus::InProgress => {}
                 CallStatus::Acquired(loc) => {
-                    self.names_acquired += 1;
                     let j = *pos;
                     self.phase = Phase::TopLoop {
                         j,
@@ -372,10 +359,8 @@ impl Renamer for FastAdaptiveMachine {
                     self.settle();
                 }
                 CallStatus::Exhausted => {
-                    self.failed_calls += 1;
                     let next = *pos + 1;
                     if next < layout.landmarks().len() {
-                        self.objects_visited += 1;
                         let landmark = layout.landmarks()[next];
                         self.phase = Phase::Race {
                             pos: next,
@@ -386,7 +371,6 @@ impl Renamer for FastAdaptiveMachine {
                         // process): fall back to a full GetName with backup
                         // on the top object (the termination safeguard).
                         let top = layout.max_index();
-                        self.objects_visited += 1;
                         self.phase = Phase::Fallback {
                             call: ObjectCall::with_backup(
                                 Arc::clone(layout.object(top)),
@@ -399,7 +383,6 @@ impl Renamer for FastAdaptiveMachine {
             Phase::Fallback { call } => match call.observe(won) {
                 CallStatus::InProgress => {}
                 CallStatus::Acquired(loc) => {
-                    self.names_acquired += 1;
                     self.deepest_batch = self.deepest_batch.max(call.deepest_batch());
                     self.entered_backup |= call.entered_backup();
                     let j = layout.landmarks().len() - 1;
@@ -429,21 +412,10 @@ impl Renamer for FastAdaptiveMachine {
         }
     }
 
-    fn name(&self) -> Option<Name> {
-        match self.phase {
-            Phase::Finished(name) => Some(name),
-            _ => None,
-        }
-    }
-
     fn stats(&self) -> MachineStats {
         MachineStats {
-            probes: self.probes,
-            failed_calls: self.failed_calls,
             deepest_batch: Some(self.deepest_batch),
-            objects_visited: self.objects_visited,
             entered_backup: self.entered_backup,
-            names_acquired: self.names_acquired,
         }
     }
 
@@ -674,19 +646,5 @@ mod tests {
         assert!(FastAdaptiveRebatching::from_parts(Arc::clone(&layout), longer).is_err());
         let enough: Arc<TasArray<AtomicTas>> = Arc::new(TasArray::new(layout.total_size()));
         assert!(FastAdaptiveRebatching::from_parts(layout, enough).is_ok());
-    }
-
-    #[test]
-    fn stats_are_consistent() {
-        let layout = shared_layout(128);
-        let report = Execution::new(layout.total_size())
-            .seed(13)
-            .run(machines(20, &layout))
-            .expect("run");
-        for (outcome, stats) in report.outcomes.iter().zip(&report.stats) {
-            assert_eq!(outcome.steps(), stats.probes);
-            assert!(stats.names_acquired >= 1);
-            assert!(stats.objects_visited >= 1);
-        }
     }
 }

@@ -22,8 +22,6 @@ pub struct RebatchingMachine {
     call: ObjectCall,
     won: Option<Name>,
     exhausted: bool,
-    failed_calls: u64,
-    last_batch_seen: usize,
 }
 
 impl RebatchingMachine {
@@ -34,8 +32,6 @@ impl RebatchingMachine {
             call: ObjectCall::with_backup(layout, base),
             won: None,
             exhausted: false,
-            failed_calls: 0,
-            last_batch_seen: 0,
         }
     }
 }
@@ -51,16 +47,12 @@ impl driver::ResetMachine for RebatchingMachine {
         self.call.reset();
         self.won = None;
         self.exhausted = false;
-        self.failed_calls = 0;
-        self.last_batch_seen = 0;
     }
 
     fn rearm_after_win(&mut self) {
         if self.call.rearm_continue() {
             self.won = None;
             self.exhausted = false;
-            self.failed_calls = 0;
-            self.last_batch_seen = self.call.deepest_batch();
         } else {
             driver::ResetMachine::reset(self);
         }
@@ -94,30 +86,14 @@ impl Renamer for RebatchingMachine {
         match self.call.observe(won) {
             CallStatus::Acquired(loc) => self.won = Some(Name::new(loc)),
             CallStatus::Exhausted => self.exhausted = true,
-            CallStatus::InProgress => {
-                let d = self.call.deepest_batch();
-                if d > self.last_batch_seen {
-                    // Completed all probes of the previous batch: one more
-                    // failed TryGetName call.
-                    self.failed_calls += u64::try_from(d - self.last_batch_seen).expect("fits");
-                    self.last_batch_seen = d;
-                }
-            }
+            CallStatus::InProgress => {}
         }
-    }
-
-    fn name(&self) -> Option<Name> {
-        self.won
     }
 
     fn stats(&self) -> MachineStats {
         MachineStats {
-            probes: self.call.probes(),
-            failed_calls: self.failed_calls,
             deepest_batch: Some(self.call.deepest_batch()),
-            objects_visited: 1,
             entered_backup: self.call.entered_backup(),
-            names_acquired: u64::from(self.won.is_some()),
         }
     }
 
@@ -278,6 +254,44 @@ mod tests {
     }
 
     #[test]
+    fn reported_batch_and_backup_match_the_trace() {
+        // `deepest_batch` and `entered_backup` feed every per-batch and
+        // backup figure of the experiments; rederive both from the probe
+        // trace. The second case crowds processes into the backup scan.
+        for (capacity, n, min_backups) in [(256, 256, 0), (32, 60, 1)] {
+            let layout = paper_layout(capacity);
+            let report = Execution::new(layout.namespace_size())
+                .adversary(Box::new(CollisionSeeker::new()))
+                .seed(1)
+                .tracing(true)
+                .run(machines(n, &layout))
+                .expect("run");
+            let trace = report.trace.as_ref().expect("tracing enabled");
+            let mut steps = vec![0usize; n];
+            let mut last = vec![0usize; n];
+            for event in trace.events() {
+                steps[event.pid] += 1;
+                last[event.pid] = event.location;
+            }
+            let mut backups = 0;
+            for (pid, stats) in report.stats.iter().enumerate() {
+                // Batch probes alone cost at most `max_probes`; only the
+                // backup scan goes past it.
+                let in_backup = steps[pid] > layout.max_probes();
+                assert_eq!(stats.entered_backup, in_backup, "n = {n}, process {pid}");
+                if in_backup {
+                    backups += 1;
+                } else {
+                    let (batch, _) = layout.locate(last[pid]).expect("batch-area probe");
+                    assert_eq!(stats.deepest_batch, Some(batch), "n = {n}, process {pid}");
+                }
+            }
+            assert_eq!(backups, report.backup_entries(), "n = {n}");
+            assert!(backups >= min_backups, "n = {n}: {backups} backup entries");
+        }
+    }
+
+    #[test]
     fn overfull_object_reports_stuck_not_livelock() {
         // 2n processes on an object sized for n: the n surplus processes
         // must exhaust and report Stuck instead of spinning.
@@ -326,21 +340,6 @@ mod tests {
         }
         let err = object.get_name(&mut rng).unwrap_err();
         assert_eq!(err, RenamingError::NamespaceExhausted { namespace: m });
-    }
-
-    #[test]
-    fn machine_stats_reflect_probes() {
-        let n = 32;
-        let layout = paper_layout(n);
-        let report = Execution::new(layout.namespace_size())
-            .seed(11)
-            .run(machines(n, &layout))
-            .expect("run");
-        for (outcome, stats) in report.outcomes.iter().zip(&report.stats) {
-            assert_eq!(outcome.steps(), stats.probes, "steps == probes");
-            assert_eq!(stats.objects_visited, 1);
-            assert_eq!(stats.names_acquired, 1);
-        }
     }
 
     #[test]

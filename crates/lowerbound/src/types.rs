@@ -80,7 +80,6 @@ where
 mod tests {
     use super::*;
     use rand::RngCore;
-    use renaming_sim::Name;
 
     #[test]
     fn uniform_types_shape_and_range() {
@@ -116,9 +115,6 @@ mod tests {
         }
         fn observe(&mut self, _won: bool) {
             self.next += 1;
-        }
-        fn name(&self) -> Option<Name> {
-            None
         }
     }
 

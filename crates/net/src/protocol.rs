@@ -70,8 +70,9 @@ const RESPONSE_ERR: u8 = 0x40;
 
 /// Wire status byte: `0` = success, `1..=4` = [`RenamingError::code`]
 /// values verbatim, `64+` = protocol-level failures the library enum
-/// does not know about. Code 5 is retired with its library variant and
-/// decodes as [`ProtocolError::UnknownStatus`].
+/// does not know about. Code 5 is retired with its library variant, and
+/// code 66 with the load-shedding answer this server never sent; both
+/// decode as [`ProtocolError::UnknownStatus`] and are never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Status {
@@ -91,10 +92,6 @@ pub enum Status {
     Malformed = 64,
     /// A `Release` named a name this connection does not hold.
     NotHeld = 65,
-    /// Reserved for a server that sheds load by refusing requests. This
-    /// server never sends it: its in-flight cap (`max_pipeline`) applies
-    /// TCP backpressure instead of rejecting anything.
-    Overloaded = 66,
     /// The server is shutting down and will not serve the request.
     ShuttingDown = 67,
 }
@@ -114,7 +111,6 @@ impl Status {
             4 => Status::Exhausted,
             64 => Status::Malformed,
             65 => Status::NotHeld,
-            66 => Status::Overloaded,
             67 => Status::ShuttingDown,
             other => return Err(ProtocolError::UnknownStatus(other)),
         })
@@ -147,7 +143,6 @@ impl fmt::Display for Status {
             Status::Exhausted => "namespace-exhausted",
             Status::Malformed => "malformed-request",
             Status::NotHeld => "name-not-held",
-            Status::Overloaded => "overloaded",
             Status::ShuttingDown => "shutting-down",
         };
         f.write_str(label)
@@ -609,11 +604,13 @@ mod tests {
             assert_eq!(Status::from_wire(status as u8), Ok(status));
         }
         assert_eq!(Status::Ok as u8, 0, "0 stays reserved for success");
-        assert_eq!(
-            Status::from_wire(5),
-            Err(ProtocolError::UnknownStatus(5)),
-            "code 5 is retired, never reused"
-        );
+        for retired in [5, 66] {
+            assert_eq!(
+                Status::from_wire(retired),
+                Err(ProtocolError::UnknownStatus(retired)),
+                "code {retired} is retired, never reused"
+            );
+        }
     }
 
     #[test]
@@ -724,7 +721,7 @@ mod tests {
         assert_eq!(out, b"kept");
     }
 
-    const STATUSES: [Status; 9] = [
+    const STATUSES: [Status; 8] = [
         Status::Ok,
         Status::InvalidEpsilon,
         Status::InvalidBeta,
@@ -732,7 +729,6 @@ mod tests {
         Status::Exhausted,
         Status::Malformed,
         Status::NotHeld,
-        Status::Overloaded,
         Status::ShuttingDown,
     ];
 

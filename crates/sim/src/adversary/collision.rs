@@ -91,7 +91,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
 
         // Process 0 wins location 5.
-        assert!(memory.test_and_set(5, 0));
+        assert!(memory.test_and_set(5));
         adv.on_executed(0, 5, true, &pending);
         pending.remove(0);
 
@@ -113,7 +113,7 @@ mod tests {
         let mut adv = CollisionSeeker::new();
         let mut rng = StdRng::seed_from_u64(2);
 
-        assert!(memory.test_and_set(3, 0));
+        assert!(memory.test_and_set(3));
         adv.on_executed(0, 3, true, &pending);
         pending.remove(0);
         // Process 1 moves on before being scheduled (it re-proposed at a

@@ -70,9 +70,6 @@
 //!     fn observe(&mut self, won: bool) {
 //!         if won { self.won = Some(Name::new(self.next)) } else { self.next += 1 }
 //!     }
-//!     fn name(&self) -> Option<Name> {
-//!         self.won
-//!     }
 //! }
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -53,30 +53,24 @@ pub enum Action {
     Stuck,
 }
 
-/// Per-machine diagnostic counters, reported after an execution.
+/// Per-machine diagnostics, reported after an execution.
 ///
 /// Algorithms fill in what applies to them; the defaults are neutral.
-/// These feed experiments E3 (per-batch survivor counts), E4 (backup-phase
-/// rate) and E5/E6 (objects visited by the adaptive algorithms).
+/// Steps are not among them: the runner counts every executed probe once,
+/// in [`ProcessOutcome::steps`](crate::ProcessOutcome::steps). These two
+/// fields are read through
+/// [`ExecutionReport::survivors_at_batch`](crate::ExecutionReport::survivors_at_batch)
+/// and [`ExecutionReport::backup_entries`](crate::ExecutionReport::backup_entries)
+/// by experiments E1, E3, E4, E11, E13, A1 and A2.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachineStats {
-    /// Shared-memory probes performed.
-    pub probes: u64,
-    /// Number of batch-probe calls (`TryGetName` in the paper's
-    /// pseudocode) that completed without acquiring a name.
-    pub failed_calls: u64,
     /// Deepest batch index probed inside a single ReBatching object.
     /// For the ReBatching algorithm, a value of `i` means the process
     /// survived into batch `B_i` (Lemma 4.2's `n_i` counts processes with
     /// `deepest_batch >= i`).
     pub deepest_batch: Option<usize>,
-    /// Number of distinct ReBatching objects visited (adaptive algorithms).
-    pub objects_visited: u64,
     /// Whether the sequential backup phase was entered (§4, lines 5–7).
     pub entered_backup: bool,
-    /// Total names the process *acquired* (the adaptive algorithms may win
-    /// several TAS objects and return only the last).
-    pub names_acquired: u64,
 }
 
 /// A renaming algorithm expressed as a step machine.
@@ -134,9 +128,6 @@ pub trait Renamer {
     /// (`won == true` iff the TAS was won).
     fn observe(&mut self, won: bool);
 
-    /// The name the machine has decided on, if it has terminated.
-    fn name(&self) -> Option<Name>;
-
     /// Diagnostic counters; see [`MachineStats`].
     fn stats(&self) -> MachineStats {
         MachineStats::default()
@@ -152,7 +143,6 @@ impl fmt::Debug for dyn Renamer + '_ {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Renamer")
             .field("algorithm", &self.algorithm())
-            .field("name", &self.name())
             .finish()
     }
 }
@@ -167,10 +157,6 @@ impl<T: Renamer + ?Sized> Renamer for Box<T> {
 
     fn observe(&mut self, won: bool) {
         (**self).observe(won)
-    }
-
-    fn name(&self) -> Option<Name> {
-        (**self).name()
     }
 
     fn stats(&self) -> MachineStats {
@@ -205,7 +191,6 @@ mod tests {
     #[test]
     fn default_stats_are_neutral() {
         let s = MachineStats::default();
-        assert_eq!(s.probes, 0);
         assert_eq!(s.deepest_batch, None);
         assert!(!s.entered_backup);
     }

@@ -66,12 +66,8 @@ pub struct ExecutionReport {
     pub total_steps: u64,
     /// Layers completed, when the adversary counts them.
     pub layers: Option<u64>,
-    /// Size of the shared memory.
-    pub memory_len: usize,
     /// Locations won at the end of the execution.
     pub set_count: usize,
-    /// Peak per-location probe count (contention hotspot).
-    pub max_location_accesses: u32,
     /// Full probe-level trace, when tracing was enabled on the execution.
     pub trace: Option<crate::ExecutionTrace>,
 }
@@ -207,16 +203,13 @@ mod tests {
                 MachineStats {
                     deepest_batch: Some(3),
                     entered_backup: true,
-                    ..MachineStats::default()
                 },
             ],
             algorithm: "test".into(),
             adversary: "round-robin".into(),
             total_steps: 16,
             layers: Some(2),
-            memory_len: 8,
             set_count: 2,
-            max_location_accesses: 5,
             trace: None,
         }
     }
@@ -274,9 +267,7 @@ mod tests {
             adversary: "y".into(),
             total_steps: 1,
             layers: None,
-            memory_len: 1,
             set_count: 0,
-            max_location_accesses: 1,
             trace: None,
         };
         assert_eq!(r.max_steps(), 0);

@@ -432,7 +432,7 @@ where
         // `location` panics if the adversary scheduled a non-pending
         // process — that is a bug in the adversary, not the algorithm.
         let location = pending.location(pid);
-        let won = memory.test_and_set(location, pid);
+        let won = memory.test_and_set(location);
         if let Some(trace) = trace.as_mut() {
             trace.push(crate::TraceEvent {
                 step: global_step,
@@ -499,9 +499,7 @@ where
         adversary: adversary.label().to_owned(),
         total_steps: global_step,
         layers: adversary.layers(),
-        memory_len: memory.len(),
         set_count: memory.set_count(),
-        max_location_accesses: memory.max_accesses(),
         trace,
     };
     Ok(report)
@@ -593,9 +591,6 @@ mod tests {
                 self.next += 1;
             }
         }
-        fn name(&self) -> Option<Name> {
-            self.done
-        }
         fn algorithm(&self) -> &'static str {
             "scan"
         }
@@ -608,9 +603,6 @@ mod tests {
             Action::Probe(0)
         }
         fn observe(&mut self, _won: bool) {}
-        fn name(&self) -> Option<Name> {
-            None
-        }
     }
 
     /// Broken machine: everyone returns name 0 without probing.
@@ -620,9 +612,6 @@ mod tests {
             Action::Done(Name::new(0))
         }
         fn observe(&mut self, _won: bool) {}
-        fn name(&self) -> Option<Name> {
-            Some(Name::new(0))
-        }
     }
 
     /// Broken machine returning a name far outside the memory.
@@ -632,9 +621,6 @@ mod tests {
             Action::Done(Name::new(1_000_000))
         }
         fn observe(&mut self, _won: bool) {}
-        fn name(&self) -> Option<Name> {
-            Some(Name::new(1_000_000))
-        }
     }
 
     /// Probes a random in-range location until winning one.
@@ -657,9 +643,6 @@ mod tests {
             if won {
                 self.done = Some(Name::new(self.last));
             }
-        }
-        fn name(&self) -> Option<Name> {
-            self.done
         }
         fn algorithm(&self) -> &'static str {
             "random-probe"
@@ -883,9 +866,6 @@ mod trace_tests {
             } else {
                 self.next += 1;
             }
-        }
-        fn name(&self) -> Option<Name> {
-            self.won
         }
     }
 

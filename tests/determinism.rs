@@ -5,6 +5,8 @@
 //! the *same* state machines as the simulator, so a solo threaded run and
 //! a solo simulated run with the same coin stream make identical probes.
 
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use loose_renaming::core::driver;
@@ -13,10 +15,11 @@ use loose_renaming::core::{
     RebatchingMachine,
 };
 use loose_renaming::sim::adversary::UniformRandom;
-use loose_renaming::sim::{Execution, Renamer};
+use loose_renaming::sim::{Action, Execution, Renamer};
 use loose_renaming::tas::{AtomicTas, TasArray};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
+use renaming_bench::MachineKind;
 
 fn schedule() -> ProbeSchedule {
     ProbeSchedule::paper(Epsilon::one(), 3).expect("valid")
@@ -177,22 +180,100 @@ fn parallel_sweeps_are_byte_identical_across_thread_counts() {
     }
 }
 
+/// Counts the probe outcomes the runner reports back to the machine it
+/// wraps: one `observe` per executed probe.
+struct CountObserves {
+    inner: Box<dyn Renamer>,
+    observed: Rc<Cell<u64>>,
+}
+
+impl Renamer for CountObserves {
+    fn propose(&mut self, rng: &mut dyn RngCore) -> Action {
+        self.inner.propose(rng)
+    }
+
+    fn observe(&mut self, won: bool) {
+        self.observed.set(self.observed.get() + 1);
+        self.inner.observe(won);
+    }
+
+    fn algorithm(&self) -> &'static str {
+        self.inner.algorithm()
+    }
+}
+
 #[test]
 fn step_counts_equal_probe_counts() {
-    // The simulator's step accounting and the machines' own probe counters
-    // are independent implementations of the same measure; they must agree
-    // for every process in every execution.
-    let layout = BatchLayout::shared(128, schedule()).expect("layout");
-    let machines: Vec<Box<dyn Renamer>> = (0..128)
-        .map(|_| Box::new(RebatchingMachine::new(Arc::clone(&layout), 0)) as Box<dyn Renamer>)
-        .collect();
-    let report = Execution::new(layout.namespace_size())
-        .seed(77)
-        .run(machines)
-        .expect("run");
-    for (outcome, stats) in report.outcomes.iter().zip(&report.stats) {
-        assert_eq!(outcome.steps(), stats.probes);
+    // The runner's per-process step count and a count taken on the
+    // machine's side of every probe are independent tallies of the same
+    // measure; they must agree for every process of every algorithm.
+    let n = 64;
+    let m = 2 * n;
+    let layout = BatchLayout::shared(n, schedule()).expect("layout");
+    let adaptive = Arc::new(AdaptiveLayout::for_capacity(n, schedule()).expect("layout"));
+    let kinds = [
+        (
+            MachineKind::Rebatching {
+                layout: Arc::clone(&layout),
+                base: 0,
+            },
+            layout.namespace_size(),
+        ),
+        (
+            MachineKind::Adaptive {
+                layout: Arc::clone(&adaptive),
+            },
+            adaptive.total_size(),
+        ),
+        (
+            MachineKind::FastAdaptive {
+                layout: Arc::clone(&adaptive),
+            },
+            adaptive.total_size(),
+        ),
+        (MachineKind::Uniform { namespace: m }, m),
+        (MachineKind::LinearScan, m),
+        (
+            MachineKind::SingleBatch {
+                namespace: m,
+                budget: 8,
+            },
+            m,
+        ),
+        (
+            MachineKind::DoublingUniform {
+                namespace: m,
+                probes_per_level: 2,
+            },
+            m,
+        ),
+    ];
+    for (kind, memory) in kinds {
+        let counters: Vec<Rc<Cell<u64>>> = (0..n).map(|_| Rc::default()).collect();
+        let machines: Vec<Box<dyn Renamer>> = counters
+            .iter()
+            .map(|observed| {
+                Box::new(CountObserves {
+                    inner: kind.boxed(),
+                    observed: Rc::clone(observed),
+                }) as Box<dyn Renamer>
+            })
+            .collect();
+        let report = Execution::new(memory)
+            .adversary(Box::new(UniformRandom::new()))
+            .seed(77)
+            .run(machines)
+            .expect("run");
+        let algorithm = &report.algorithm;
+        assert_eq!(report.named_count(), n, "{algorithm}");
+        for (pid, (outcome, observed)) in report.outcomes.iter().zip(&counters).enumerate() {
+            assert_eq!(
+                outcome.steps(),
+                observed.get(),
+                "{algorithm}: process {pid}"
+            );
+        }
+        let total: u64 = report.outcomes.iter().map(|o| o.steps()).sum();
+        assert_eq!(total, report.total_steps, "{algorithm}");
     }
-    let total: u64 = report.outcomes.iter().map(|o| o.steps()).sum();
-    assert_eq!(total, report.total_steps);
 }
