@@ -103,7 +103,6 @@ impl<M, T: Tas> RenamingObject<M, T> {
             name.value() < namespace,
             "name {name} outside the namespace 0..{namespace}"
         );
-        // reset_slot keeps the array's O(1) win counter consistent.
         assert!(
             self.slots.reset_slot(name.value()),
             "releasing name {name} that is not held"

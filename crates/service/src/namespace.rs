@@ -103,8 +103,9 @@ pub trait Namespace: Send + Sync {
     /// provisioned for (the paper's `n`).
     fn capacity(&self) -> usize;
 
-    /// Names currently held (an O(1) relaxed counter; advisory under
-    /// concurrency).
+    /// Names currently held: a scan of the backend's slots, O(namespace
+    /// size), exact once the backend is quiescent and advisory while
+    /// acquires and releases are in flight.
     fn held(&self) -> usize;
 
     /// A short label of the backing algorithm (e.g. `"rebatching"`).

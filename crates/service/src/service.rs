@@ -338,9 +338,10 @@ impl NameService {
         self.backend.capacity()
     }
 
-    /// Names currently held. A relaxed-counter read: intentionally
-    /// approximate while acquires/releases are in flight (it sits on the
-    /// hot path), exact once the service is quiescent.
+    /// Names currently held: a scan of the backend's slots, O(namespace
+    /// size). Approximate while acquires and releases are in flight,
+    /// exact once the service is quiescent. No acquire or release reads
+    /// it.
     pub fn held(&self) -> usize {
         self.backend.held()
     }

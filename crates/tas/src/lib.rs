@@ -9,8 +9,9 @@
 //!   algorithms, resettable for long-lived release), and [`AtomicTas`],
 //!   the hardware implementation backed by
 //!   [`core::sync::atomic::AtomicBool`].
-//! * [`TasArray`] — a cache-padded array of TAS objects, the shared-memory
-//!   layout used by every renaming algorithm in the companion crates.
+//! * [`TasArray`] — a dense array of TAS objects, one per name: the
+//!   shared-memory layout used by every renaming algorithm in the
+//!   companion crates.
 //! * [`CountingTas`] — an instrumentation wrapper that counts TAS
 //!   operations, used by the experiment harness to measure step complexity
 //!   on real hardware.
