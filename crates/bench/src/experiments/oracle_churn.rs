@@ -17,11 +17,12 @@
 //!   capacity excess and a double issue straight into a recorder and
 //!   asserts the checker flags all three — a checker that cannot fail
 //!   is not a check;
-//! * an **overhead axis** measures checked-vs-unchecked ops/sec for
-//!   every backend on the direct path, pricing the recording layer.
-//!   The oracle-off rows use the exact code path CI's stability diff
-//!   watches, so "zero cost when off" stays an enforced property, not
-//!   a slogan.
+//! * an **overhead axis** times checked against unchecked ops/sec for
+//!   every backend on the direct path as a
+//!   [`paired`](super::service_throughput::paired) measurement, pricing
+//!   the recording layer. The oracle-off rows use the exact code path
+//!   CI's stability diff watches, so "zero cost when off" stays an
+//!   enforced property, not a slogan.
 //!
 //! Results land in `BENCH_oracle.json`, overhead table included.
 
@@ -33,7 +34,7 @@ use serde_json::{json, Value};
 use renaming_analysis::Table;
 use renaming_service::{Algorithm, AsyncNameService, NameService, Oracle, SeedPolicy, Violation};
 
-use crate::experiments::service_throughput::{async_cycle, best_of, direct_cycle};
+use crate::experiments::service_throughput::{async_cycle, direct_cycle, paired};
 use crate::experiments::{verdict, write_artifact};
 use crate::Harness;
 
@@ -45,9 +46,11 @@ pub const ARTIFACT_PATH: &str = "BENCH_oracle.json";
 /// comparisons against every participant) stays cheap on CI boxes.
 const CAPACITY: usize = 16;
 
-/// Timed repetitions per overhead point; best ops/sec reported, as in
-/// the service throughput experiment.
-const OVERHEAD_REPS: usize = 3;
+/// Alternating unchecked/checked repetition pairs per overhead point.
+/// Every checked repetition adds its threads' histories to the oracle,
+/// so the oracle's memory grows with pairs times `overhead_ops`; full
+/// mode keeps that product at 120,000 checked cycles per thread.
+const OVERHEAD_PAIRS: usize = 5;
 
 /// One oracle-checked churn cell: `threads` threads run
 /// `ops_per_thread` acquire/drop cycles through `cycle` (a caller of
@@ -128,7 +131,7 @@ fn injected_violations_detected() -> bool {
 pub fn oracle_churn(h: &mut Harness) -> String {
     let mut out = String::new();
     let ops_per_thread = if h.quick() { 400 } else { 4_000 };
-    let overhead_ops = if h.quick() { 5_000 } else { 40_000 };
+    let overhead_ops = if h.quick() { 3_000 } else { 24_000 };
     let threads = h.threads().clamp(2, CAPACITY);
     let overhead_threads = h.threads().clamp(1, CAPACITY);
     let mode_labels = ["direct", "async"];
@@ -187,9 +190,8 @@ pub fn oracle_churn(h: &mut Harness) -> String {
 
     // ---- Checked-vs-unchecked overhead, direct path, per backend. ----
     //
-    // Both cells are measured back-to-back so machine-wide drift
-    // cancels out of the ratio. The oracle-off cell is the stock
-    // service — the same configuration CI's stability diff tracks.
+    // The two services are timed as a pair. The oracle-off one is the
+    // stock service — the same configuration CI's stability diff tracks.
     let mut overhead_table = Table::new(["backend", "off Kops/s", "on Kops/s", "on/off"]);
     let mut overhead_rows: Vec<Value> = Vec::new();
     for algorithm in Algorithm::all() {
@@ -197,27 +199,33 @@ pub fn oracle_churn(h: &mut Harness) -> String {
             .seed_policy(SeedPolicy::Fixed(h.seed()))
             .build()
             .expect("service builds");
-        let off = best_of(|| direct_cycle(&plain), overhead_threads, overhead_ops, OVERHEAD_REPS);
         let checked = NameService::builder(algorithm, CAPACITY)
             .oracle(true)
             .seed_policy(SeedPolicy::Fixed(h.seed()))
             .build()
             .expect("service builds");
-        let on = best_of(|| direct_cycle(&checked), overhead_threads, overhead_ops, OVERHEAD_REPS);
-        let ratio = on.ops_per_sec() / off.ops_per_sec().max(f64::MIN_POSITIVE);
+        let cell = paired(
+            || direct_cycle(&plain),
+            || direct_cycle(&checked),
+            overhead_threads,
+            overhead_ops,
+            OVERHEAD_PAIRS,
+        );
+        let [q1, ratio, q3] = cell.ratio;
         overhead_table.row([
             plain.algorithm().to_string(),
-            format!("{:.0}", off.ops_per_sec() / 1e3),
-            format!("{:.0}", on.ops_per_sec() / 1e3),
+            format!("{:.0}", cell.first / 1e3),
+            format!("{:.0}", cell.second / 1e3),
             format!("{ratio:.2}"),
         ]);
         overhead_rows.push(json!({
             "backend": plain.algorithm(),
             "threads": overhead_threads,
-            "ops": off.ops,
-            "unchecked_ops_per_sec": off.ops_per_sec(),
-            "checked_ops_per_sec": on.ops_per_sec(),
-            "checked_over_unchecked": ratio
+            "ops": cell.ops,
+            "unchecked_ops_per_sec": cell.first,
+            "checked_ops_per_sec": cell.second,
+            "checked_over_unchecked": ratio,
+            "checked_over_unchecked_quartiles": [q1, q3]
         }));
         h.record(
             "oracle_churn",
@@ -228,8 +236,8 @@ pub fn oracle_churn(h: &mut Harness) -> String {
                 "capacity": CAPACITY
             }),
             json!({
-                "unchecked_ops_per_sec": off.ops_per_sec(),
-                "checked_ops_per_sec": on.ops_per_sec(),
+                "unchecked_ops_per_sec": cell.first,
+                "checked_ops_per_sec": cell.second,
                 "checked_over_unchecked": ratio
             }),
         );

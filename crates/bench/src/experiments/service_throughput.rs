@@ -9,12 +9,14 @@
 //! backend. The thread axis is driven by the harness's `--threads` flag
 //! (powers of two up to it) rather than a pinned 1/2/4.
 //!
-//! Each (backend, threads) cell runs the two **callers** of the one
-//! acquire path back-to-back — sync `NameService::acquire` (the `direct`
-//! rows) and the async facade (`AsyncNameService::acquire().await`, each
-//! hammer thread a one-task `block_on` executor) — recording both curves
-//! and the async/direct ratio in the artifact's `mode_comparison`
-//! section.
+//! Each (backend, threads) cell times the two **callers** of the one
+//! acquire path as a [`paired`] measurement — sync `NameService::acquire`
+//! (the `direct` rows) and the async facade
+//! (`AsyncNameService::acquire().await`, each hammer thread a one-task
+//! `block_on` executor), alternating one repetition at a time — and
+//! records both curves (median repetitions) and the async/direct ratio
+//! (median and quartiles of the per-pair ratios) in the artifact's
+//! `mode_comparison` section.
 //!
 //! Beyond raw ops/sec, the run is a correctness soak: every cycle must
 //! succeed within capacity, and every namespace must drain to zero held
@@ -29,7 +31,7 @@ use std::time::Instant;
 
 use serde_json::{json, Value};
 
-use renaming_analysis::Table;
+use renaming_analysis::{Summary, Table};
 use renaming_service::{exec, Algorithm, AsyncNameService, NameService, SeedPolicy};
 
 use crate::experiments::{verdict, write_artifact};
@@ -42,28 +44,9 @@ pub const ARTIFACT_PATH: &str = "BENCH_service.json";
 /// counts stay below it so each acquire must succeed.
 const CAPACITY: usize = 64;
 
-/// Timed repetitions per (backend, mode, threads) point; the best
-/// ops/sec is reported, as in the engine throughput experiment, so a
-/// descheduled rep does not masquerade as a slow path. The two modes
-/// are measured back-to-back within each (backend, threads) cell so
-/// slow machine-wide drift cancels out of their ratio.
-const REPS: usize = 9;
-
-/// One timed run of the hammer.
-pub(super) struct Measurement {
-    pub(super) ops: u64,
-    seconds: f64,
-}
-
-impl Measurement {
-    pub(super) fn ops_per_sec(&self) -> f64 {
-        if self.seconds <= 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / self.seconds
-        }
-    }
-}
+/// Alternating direct/async repetition pairs per (backend, threads)
+/// cell (see [`paired`]).
+const PAIRS: usize = 9;
 
 /// The thread axis: powers of two up to the harness's `--threads`
 /// setting, always ending exactly there (so `--threads 6` sweeps
@@ -98,10 +81,10 @@ pub(super) fn async_cycle(service: &AsyncNameService) {
 
 /// `threads` OS threads each run `ops_per_thread` acquire/drop cycles
 /// through `cycle` (a caller of one shared service: [`direct_cycle`]
-/// or [`async_cycle`]). The timed region includes thread spawn/join —
-/// a fixed cost identical for both callers, so it dilutes the
-/// async/direct ratio slightly toward 1.0.
-fn hammer(cycle: impl Fn() + Sync, threads: usize, ops_per_thread: usize) -> Measurement {
+/// or [`async_cycle`]); returns ops/sec. The timed region includes
+/// thread spawn/join — a fixed cost identical for both callers, so it
+/// dilutes the async/direct ratio slightly toward 1.0.
+fn hammer(cycle: impl Fn() + Sync, threads: usize, ops_per_thread: usize) -> f64 {
     let start = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -112,29 +95,61 @@ fn hammer(cycle: impl Fn() + Sync, threads: usize, ops_per_thread: usize) -> Mea
             });
         }
     });
-    Measurement {
-        ops: (threads * ops_per_thread) as u64,
-        seconds: start.elapsed().as_secs_f64(),
-    }
+    (threads * ops_per_thread) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// The best of `reps` [`hammer`] runs, after a short warm-up run that
-/// fills the worker pool (first acquires construct sessions).
-pub(super) fn best_of(
-    cycle: impl Fn() + Sync,
+/// Two variants timed against each other by [`paired`].
+pub(super) struct Measurement {
+    /// Cycles in one repetition of either variant.
+    pub(super) ops: u64,
+    /// Median ops/sec over the first variant's repetitions.
+    pub(super) first: f64,
+    /// Median ops/sec over the second variant's repetitions.
+    pub(super) second: f64,
+    /// Quartiles `[q1, median, q3]` of the per-pair ratio
+    /// `second / first`.
+    pub(super) ratio: [f64; 3],
+}
+
+/// Times `second` against `first` in `pairs` pairs of [`hammer`]
+/// repetitions, after a short warm-up of each that fills its worker
+/// pool (first acquires construct sessions). The two run back to back
+/// within a pair, and which one runs first swaps from pair to pair, so
+/// drift on the machine lands on both sides of a pair's ratio and
+/// neither variant always runs first. A descheduled repetition moves
+/// one pair's ratio, not the median.
+pub(super) fn paired(
+    first: impl Fn() + Sync,
+    second: impl Fn() + Sync,
     threads: usize,
     ops_per_thread: usize,
-    reps: usize,
+    pairs: usize,
 ) -> Measurement {
-    hammer(&cycle, threads, 50);
-    let mut best = hammer(&cycle, threads, ops_per_thread);
-    for _ in 1..reps {
-        let m = hammer(&cycle, threads, ops_per_thread);
-        if m.ops_per_sec() > best.ops_per_sec() {
-            best = m;
-        }
+    hammer(&first, threads, 50);
+    hammer(&second, threads, 50);
+    let (mut firsts, mut seconds) = (Vec::with_capacity(pairs), Vec::with_capacity(pairs));
+    for pair in 0..pairs {
+        let (a, b) = if pair % 2 == 0 {
+            let a = hammer(&first, threads, ops_per_thread);
+            (a, hammer(&second, threads, ops_per_thread))
+        } else {
+            let b = hammer(&second, threads, ops_per_thread);
+            (hammer(&first, threads, ops_per_thread), b)
+        };
+        firsts.push(a);
+        seconds.push(b);
     }
-    best
+    let ratios = Summary::from_values(firsts.iter().zip(&seconds).map(|(a, b)| b / a));
+    Measurement {
+        ops: (threads * ops_per_thread) as u64,
+        first: Summary::from_values(firsts).median(),
+        second: Summary::from_values(seconds).median(),
+        ratio: [
+            ratios.quantile(0.25),
+            ratios.median(),
+            ratios.quantile(0.75),
+        ],
+    }
 }
 
 /// The `service_throughput` experiment: acquire/release ops/sec through
@@ -145,54 +160,62 @@ pub fn service_throughput(h: &mut Harness) -> String {
     let mut out = String::new();
     let ops_per_thread = if h.quick() { 10_000 } else { 60_000 };
     let thread_counts = thread_sweep(h.threads().min(CAPACITY));
-    let max_threads = *thread_counts.last().expect("non-empty");
     let mut all_drained = true;
 
     // ---- Caller axis: sync (`direct`) vs the async facade. ----
     //
-    // Both callers measured back-to-back within each (backend, threads)
-    // cell so machine-wide drift cancels out of the ratio. The second
-    // cell drives the same kind of service through the async facade:
-    // each hammer thread is a one-task executor running
-    // `exec::block_on(service.acquire())` per cycle (`async_cycle`).
+    // Each (backend, threads) cell builds one service per caller and
+    // times them as a pair: the async side is the same kind of service
+    // driven through the facade, each hammer thread a one-task executor
+    // running `exec::block_on(service.acquire())` per cycle
+    // (`async_cycle`).
     let mut mode_table = Table::new(["backend", "mode", "threads", "ops", "Kops/s", "drained"]);
     let mut mode_rows: Vec<Value> = Vec::new();
     let mut mode_comparison: Vec<Value> = Vec::new();
-    let mode_labels = ["direct", "async"];
     for algorithm in Algorithm::all() {
-        let mut curve = vec![vec![0.0f64; thread_counts.len()]; mode_labels.len()];
+        let mut curves = [Vec::new(), Vec::new()];
+        let mut ratios = Vec::new();
         let mut backend_label = "";
-        for (thread_idx, &threads) in thread_counts.iter().enumerate() {
-            for (mode_idx, &mode_label) in mode_labels.iter().enumerate() {
-                let service = NameService::builder(algorithm, CAPACITY)
+        for &threads in &thread_counts {
+            let build = || {
+                NameService::builder(algorithm, CAPACITY)
                     .seed_policy(SeedPolicy::Fixed(h.seed()))
                     .build()
-                    .expect("every backend builds");
-                backend_label = service.algorithm();
-                let (best, drained) = if mode_label == "async" {
-                    let service = AsyncNameService::new(service);
-                    let best = best_of(|| async_cycle(&service), threads, ops_per_thread, REPS);
-                    (best, service.held() == 0)
-                } else {
-                    let best = best_of(|| direct_cycle(&service), threads, ops_per_thread, REPS);
-                    (best, service.held() == 0)
-                };
+                    .expect("every backend builds")
+            };
+            let direct = build();
+            let facade = AsyncNameService::new(build());
+            backend_label = direct.algorithm();
+            let cell = paired(
+                || direct_cycle(&direct),
+                || async_cycle(&facade),
+                threads,
+                ops_per_thread,
+                PAIRS,
+            );
+            let [q1, ratio, q3] = cell.ratio;
+            ratios.push(json!({"threads": threads, "median": ratio, "quartiles": [q1, q3]}));
+            let modes = [
+                ("direct", cell.first, direct.held() == 0),
+                ("async", cell.second, facade.held() == 0),
+            ];
+            for (curve, (mode_label, ops_per_sec, drained)) in curves.iter_mut().zip(modes) {
                 all_drained &= drained;
-                curve[mode_idx][thread_idx] = best.ops_per_sec();
+                curve.push(ops_per_sec);
                 mode_table.row([
                     backend_label.to_string(),
                     mode_label.to_string(),
                     threads.to_string(),
-                    best.ops.to_string(),
-                    format!("{:.0}", best.ops_per_sec() / 1e3),
+                    cell.ops.to_string(),
+                    format!("{:.0}", ops_per_sec / 1e3),
                     if drained { "yes".into() } else { "NO".to_string() },
                 ]);
                 mode_rows.push(json!({
                     "backend": backend_label,
                     "mode": mode_label,
                     "threads": threads,
-                    "ops": best.ops,
-                    "ops_per_sec": best.ops_per_sec(),
+                    "ops": cell.ops,
+                    "ops_per_sec": ops_per_sec,
                     "drained": drained
                 }));
                 h.record(
@@ -203,26 +226,22 @@ pub fn service_throughput(h: &mut Harness) -> String {
                         "threads": threads,
                         "capacity": CAPACITY
                     }),
-                    json!({"ops": best.ops, "ops_per_sec": best.ops_per_sec(), "drained": drained}),
+                    json!({"ops": cell.ops, "ops_per_sec": ops_per_sec, "drained": drained}),
                 );
             }
+            let _ = writeln!(
+                out,
+                "{algorithm:?}: async/direct = {ratio:.2}x (quartiles {q1:.2}-{q3:.2}) at {threads} thread(s)",
+            );
         }
-        let (direct, r#async) = (&curve[0], &curve[1]);
-        let last = thread_counts.len() - 1;
-        let async_at_1 = r#async[0] / direct[0].max(f64::MIN_POSITIVE);
-        let async_at_max = r#async[last] / direct[last].max(f64::MIN_POSITIVE);
+        let [direct, r#async] = curves;
         mode_comparison.push(json!({
             "backend": backend_label,
             "threads": thread_counts.clone(),
             "direct_ops_per_sec": direct,
             "async_ops_per_sec": r#async,
-            "async_over_direct_at_1_thread": async_at_1,
-            "async_over_direct_at_max_threads": async_at_max
+            "async_over_direct": ratios
         }));
-        let _ = writeln!(
-            out,
-            "{algorithm:?}: async/direct = {async_at_1:.2}x at 1 thread, {async_at_max:.2}x at {max_threads} threads",
-        );
     }
 
     write_artifact(
@@ -231,7 +250,7 @@ pub fn service_throughput(h: &mut Harness) -> String {
         ARTIFACT_PATH,
         json!({
             "capacity": CAPACITY,
-            "reps": REPS,
+            "pairs": PAIRS,
             "threads_sweep": thread_counts,
             "mode_rows": mode_rows,
             "mode_comparison": mode_comparison

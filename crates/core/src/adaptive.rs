@@ -302,7 +302,7 @@ impl<T: Tas> AdaptiveRebatching<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::NamespaceExhausted`] if `slots` is not
+    /// Returns [`RenamingError::SlotArrayMismatch`] if `slots` is not
     /// exactly the layout's total size.
     pub fn from_parts(
         layout: Arc<AdaptiveLayout>,

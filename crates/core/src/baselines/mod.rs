@@ -27,7 +27,8 @@
 //! The randomly probing objects ([`UniformRenaming`],
 //! [`DoublingRenaming`]) cap their machines at `16·m + 64` probes
 //! (`m` = namespace size) so a full namespace surfaces as
-//! [`RenamingError::NamespaceExhausted`] instead of an unbounded spin.
+//! [`NamespaceExhausted`](crate::NamespaceExhausted) instead of an
+//! unbounded spin.
 //! With at least one free slot the cap misfires with probability at most
 //! `(1 - 1/m)^(16m) ≈ e^-16` per operation — negligible next to the
 //! uniform baselines' own `Θ(log n)` tail the paper measures.
@@ -81,13 +82,13 @@ impl<T: Tas> UniformRenaming<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::NamespaceExhausted`] if `slots` is not
+    /// Returns [`RenamingError::SlotArrayMismatch`] if `slots` is not
     /// strictly larger than `capacity` (uniform probing needs slack to
     /// terminate).
     pub fn from_parts(capacity: usize, slots: Arc<TasArray<T>>) -> Result<Self, RenamingError> {
         let namespace = slots.len();
         if namespace <= capacity {
-            return Err(RenamingError::NamespaceExhausted { namespace });
+            return Err(RenamingError::SlotArrayMismatch { slots: namespace });
         }
         let machine = UniformMachine::with_give_up(namespace, give_up_cap(namespace));
         Self::from_machine(machine, capacity, namespace, slots)
@@ -117,12 +118,12 @@ impl<T: Tas> LinearScanRenaming<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::NamespaceExhausted`] if `slots` is
+    /// Returns [`RenamingError::SlotArrayMismatch`] if `slots` is
     /// smaller than `capacity`.
     pub fn from_parts(capacity: usize, slots: Arc<TasArray<T>>) -> Result<Self, RenamingError> {
         let namespace = slots.len();
         if namespace < capacity {
-            return Err(RenamingError::NamespaceExhausted { namespace });
+            return Err(RenamingError::SlotArrayMismatch { slots: namespace });
         }
         let machine = LinearScanMachine::bounded(namespace);
         Self::from_machine(machine, capacity, namespace, slots)
@@ -155,7 +156,7 @@ impl<T: Tas> SingleBatchRenaming<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::NamespaceExhausted`] if `slots` is
+    /// Returns [`RenamingError::SlotArrayMismatch`] if `slots` is
     /// smaller than `capacity`.
     ///
     /// # Panics
@@ -168,7 +169,7 @@ impl<T: Tas> SingleBatchRenaming<T> {
     ) -> Result<Self, RenamingError> {
         let namespace = slots.len();
         if namespace < capacity {
-            return Err(RenamingError::NamespaceExhausted { namespace });
+            return Err(RenamingError::SlotArrayMismatch { slots: namespace });
         }
         let machine = SingleBatchMachine::new(namespace, budget);
         Self::from_machine(machine, capacity, namespace, slots)
@@ -199,7 +200,7 @@ impl<T: Tas> DoublingRenaming<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::NamespaceExhausted`] if `slots` is not
+    /// Returns [`RenamingError::SlotArrayMismatch`] if `slots` is not
     /// strictly larger than `capacity` (random probing needs slack to
     /// terminate).
     ///
@@ -214,7 +215,7 @@ impl<T: Tas> DoublingRenaming<T> {
     ) -> Result<Self, RenamingError> {
         let namespace = slots.len();
         if namespace <= capacity {
-            return Err(RenamingError::NamespaceExhausted { namespace });
+            return Err(RenamingError::SlotArrayMismatch { slots: namespace });
         }
         let machine = DoublingUniformMachine::with_give_up(
             namespace,
@@ -270,7 +271,7 @@ mod tests {
         assert_eq!(names, vec![0, 1, 2, 3]);
         let mut rng = StdRng::seed_from_u64(0);
         let err = object.get_name(&mut rng).unwrap_err();
-        assert_eq!(err, RenamingError::NamespaceExhausted { namespace: 4 });
+        assert_eq!(err, crate::NamespaceExhausted { namespace: 4 });
         object.release_name(Name::new(2));
         // The scan finds the reopened slot.
         assert_eq!(object.get_name(&mut rng).expect("name").value(), 2);
@@ -325,7 +326,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let held: Vec<Name> = (0..4).map(|_| uniform.get_name(&mut rng).expect("free")).collect();
         let err = uniform.get_name(&mut rng).unwrap_err();
-        assert_eq!(err, RenamingError::NamespaceExhausted { namespace: 4 });
+        assert_eq!(err, crate::NamespaceExhausted { namespace: 4 });
         uniform.release_name(held[0]);
         assert!(uniform.get_name(&mut rng).is_ok(), "recovers after release");
 
@@ -335,7 +336,7 @@ mod tests {
             doubling.get_name(&mut rng).expect("free");
         }
         let err = doubling.get_name(&mut rng).unwrap_err();
-        assert_eq!(err, RenamingError::NamespaceExhausted { namespace: 4 });
+        assert_eq!(err, crate::NamespaceExhausted { namespace: 4 });
     }
 
     #[test]

@@ -20,7 +20,7 @@ use rand::Rng;
 use renaming_sim::{Action, Name, Renamer};
 use renaming_tas::{Tas, TasArray};
 
-use crate::RenamingError;
+use crate::NamespaceExhausted;
 
 /// A step machine that can rewind to its initial state in place,
 /// reusing its allocations, so one machine instance serves many
@@ -100,7 +100,7 @@ impl<M: ResetMachine, T: Tas> NameSession<M, T> {
     /// # Errors
     ///
     /// As for the owning object's `get_name`.
-    pub fn get_name_recycling<R: Rng>(&mut self, rng: &mut R) -> Result<Name, RenamingError> {
+    pub fn get_name_recycling<R: Rng>(&mut self, rng: &mut R) -> Result<Name, NamespaceExhausted> {
         self.machine.reset();
         drive_recycling(&mut self.machine, &self.slots, rng)
     }
@@ -119,16 +119,15 @@ impl<M: ResetMachine, T: Tas> NameSession<M, T> {
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::NamespaceExhausted`] if the namespace
-    /// cannot satisfy the whole batch; names already won stay acquired
-    /// and are left in `out` (the caller distributes them or releases
-    /// them).
+    /// Returns [`NamespaceExhausted`] if the namespace cannot satisfy
+    /// the whole batch; names already won stay acquired and are left in
+    /// `out` (the caller distributes them or releases them).
     pub fn acquire_batch_recycling<R: Rng>(
         &mut self,
         count: usize,
         rng: &mut R,
         out: &mut Vec<Name>,
-    ) -> Result<(), RenamingError> {
+    ) -> Result<(), NamespaceExhausted> {
         self.machine.reset();
         for served in 0..count {
             if served > 0 {
@@ -145,8 +144,8 @@ impl<M: ResetMachine, T: Tas> NameSession<M, T> {
 ///
 /// # Errors
 ///
-/// Returns [`RenamingError::NamespaceExhausted`] if the machine gives up
-/// (more callers than the namespace can hold).
+/// Returns [`NamespaceExhausted`] if the machine gives up (more callers
+/// than the namespace can hold).
 ///
 /// # Panics
 ///
@@ -155,7 +154,11 @@ impl<M: ResetMachine, T: Tas> NameSession<M, T> {
 /// inside the per-probe loop, so release builds elide it and rely on
 /// `TasArray`'s own bounds check to catch the (machine-bug) case.
 #[inline]
-pub fn drive<M, T, R>(machine: &mut M, slots: &TasArray<T>, rng: &mut R) -> Result<Name, RenamingError>
+pub fn drive<M, T, R>(
+    machine: &mut M,
+    slots: &TasArray<T>,
+    rng: &mut R,
+) -> Result<Name, NamespaceExhausted>
 where
     M: Renamer + ?Sized,
     T: Tas,
@@ -174,7 +177,7 @@ where
             }
             Action::Done(name) => return Ok(name),
             Action::Stuck => {
-                return Err(RenamingError::NamespaceExhausted {
+                return Err(NamespaceExhausted {
                     namespace: slots.len(),
                 })
             }
@@ -195,7 +198,7 @@ pub fn drive_recycling<M, T, R>(
     machine: &mut M,
     slots: &TasArray<T>,
     rng: &mut R,
-) -> Result<Name, RenamingError>
+) -> Result<Name, NamespaceExhausted>
 where
     M: ResetMachine + ?Sized,
     T: Tas,
@@ -269,7 +272,7 @@ mod tests {
             give_up_at: 2,
         };
         let err = drive(&mut machine, &slots, &mut rng).unwrap_err();
-        assert_eq!(err, RenamingError::NamespaceExhausted { namespace: 2 });
+        assert_eq!(err, NamespaceExhausted { namespace: 2 });
     }
 
     #[test]

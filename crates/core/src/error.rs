@@ -1,9 +1,11 @@
-//! Error type for the renaming algorithms.
+//! Error types for the renaming algorithms: one for building an object,
+//! one for acquiring a name.
 
 use std::error::Error;
 use std::fmt;
 
-/// Failures surfaced by the renaming algorithms' public API.
+/// Why an object could not be built: a parameter or slot array it was
+/// given does not fit the algorithm.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RenamingError {
     /// The namespace slack parameter was not a positive finite number.
@@ -17,45 +19,13 @@ pub enum RenamingError {
         /// The smallest supported value.
         min: usize,
     },
-    /// A `get_name` call found every location taken: the object was used by
-    /// more processes than the capacity it was constructed for.
-    NamespaceExhausted {
-        /// The namespace size of the object.
-        namespace: usize,
+    /// The caller-provided slot array does not fit the object: its
+    /// length differs from the layout's namespace, or leaves a baseline
+    /// too little room for its capacity.
+    SlotArrayMismatch {
+        /// The slot array's length.
+        slots: usize,
     },
-}
-
-impl RenamingError {
-    /// The variant's **stable numeric code**, the identity wire
-    /// protocols and logs key on.
-    ///
-    /// The contract: codes are assigned once and never renumbered or
-    /// reused; `0` is reserved for "no error" (wire-level `Ok`), and new
-    /// variants take the next free code. Code 5 is retired: it belonged
-    /// to a variant for one-shot substrates that no backend returned.
-    /// `renaming-net` maps its response status bytes through this
-    /// method, so the wire protocol cannot drift from the library enum —
-    /// a test asserts the mapping is total (the `match` below has no
-    /// wildcard arm, so adding a variant without a code is a compile
-    /// error).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use renaming_core::RenamingError;
-    ///
-    /// let err = RenamingError::NamespaceExhausted { namespace: 8 };
-    /// assert_eq!(err.code(), 4);
-    /// ```
-    pub const fn code(&self) -> u8 {
-        // Stable by fiat: NEVER renumber these. 0 is reserved for Ok.
-        match self {
-            RenamingError::InvalidEpsilon(_) => 1,
-            RenamingError::InvalidBeta(_) => 2,
-            RenamingError::TooFewProcesses { .. } => 3,
-            RenamingError::NamespaceExhausted { .. } => 4,
-        }
-    }
 }
 
 impl fmt::Display for RenamingError {
@@ -68,15 +38,36 @@ impl fmt::Display for RenamingError {
             RenamingError::TooFewProcesses { n, min } => {
                 write!(f, "at least {min} processes are required, got {n}")
             }
-            RenamingError::NamespaceExhausted { namespace } => write!(
+            RenamingError::SlotArrayMismatch { slots } => write!(
                 f,
-                "all {namespace} names taken: more processes than the object's capacity"
+                "a slot array of {slots} slots does not fit the object's namespace and capacity"
             ),
         }
     }
 }
 
 impl Error for RenamingError {}
+
+/// The one way an acquire fails: the machine gave up because it found
+/// the namespace full — only possible when more names are held than the
+/// object's capacity. The paper's `GetName` fails only this way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NamespaceExhausted {
+    /// The namespace size of the object.
+    pub namespace: usize,
+}
+
+impl fmt::Display for NamespaceExhausted {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "all {} names taken: more processes than the object's capacity",
+            self.namespace
+        )
+    }
+}
+
+impl Error for NamespaceExhausted {}
 
 #[cfg(test)]
 mod tests {
@@ -91,37 +82,18 @@ mod tests {
         assert!(RenamingError::TooFewProcesses { n: 1, min: 2 }
             .to_string()
             .contains('2'));
-        assert!(RenamingError::NamespaceExhausted { namespace: 8 }
+        assert!(RenamingError::SlotArrayMismatch { slots: 5 }
+            .to_string()
+            .contains('5'));
+        assert!(NamespaceExhausted { namespace: 8 }
             .to_string()
             .contains('8'));
-    }
-
-    #[test]
-    fn codes_are_total_stable_and_distinct() {
-        // One constructed witness per variant. A new variant must be
-        // added here AND given a code in `code()` (whose `match` has no
-        // wildcard arm, so forgetting the code is a compile error; this
-        // list makes forgetting the test a test failure: the count below
-        // is the number of variants).
-        let witnesses = [
-            (RenamingError::InvalidEpsilon(-1.0), 1),
-            (RenamingError::InvalidBeta(0), 2),
-            (RenamingError::TooFewProcesses { n: 1, min: 2 }, 3),
-            (RenamingError::NamespaceExhausted { namespace: 8 }, 4),
-        ];
-        let mut seen = Vec::new();
-        for (err, expected) in witnesses {
-            assert_eq!(err.code(), expected, "{err}");
-            assert_ne!(err.code(), 0, "0 is reserved for Ok");
-            assert!(!seen.contains(&err.code()), "duplicate code for {err}");
-            seen.push(err.code());
-        }
-        assert_eq!(seen.len(), 4, "one witness per RenamingError variant");
     }
 
     #[test]
     fn implements_error() {
         fn assert_error<E: Error>(_: E) {}
         assert_error(RenamingError::InvalidBeta(0));
+        assert_error(NamespaceExhausted { namespace: 8 });
     }
 }

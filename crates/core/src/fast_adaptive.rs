@@ -494,7 +494,7 @@ impl<T: Tas> FastAdaptiveRebatching<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::NamespaceExhausted`] if `slots` is not
+    /// Returns [`RenamingError::SlotArrayMismatch`] if `slots` is not
     /// exactly the layout's total size.
     pub fn from_parts(
         layout: Arc<AdaptiveLayout>,

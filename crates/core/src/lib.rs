@@ -59,7 +59,7 @@ pub mod rng;
 pub use adaptive::{AdaptiveMachine, AdaptiveRebatching};
 pub use driver::{NameSession, ResetMachine};
 pub use adaptive_layout::AdaptiveLayout;
-pub use error::RenamingError;
+pub use error::{NamespaceExhausted, RenamingError};
 pub use fast_adaptive::{FastAdaptiveMachine, FastAdaptiveRebatching};
 pub use layout::BatchLayout;
 pub use object::RenamingObject;

@@ -17,7 +17,7 @@ use renaming_sim::{Name, Renamer};
 use renaming_tas::{AtomicTas, Tas, TasArray};
 
 use crate::driver::{self, NameSession, ResetMachine};
-use crate::RenamingError;
+use crate::{NamespaceExhausted, RenamingError};
 
 /// A concurrent renaming object: a shared array of TAS slots (names are
 /// slot indices) and the step machine every acquisition runs against it.
@@ -56,7 +56,7 @@ impl<M, T: Tas> RenamingObject<M, T> {
         slots: Arc<TasArray<T>>,
     ) -> Result<Self, RenamingError> {
         if slots.len() != namespace {
-            return Err(RenamingError::NamespaceExhausted { namespace });
+            return Err(RenamingError::SlotArrayMismatch { slots: slots.len() });
         }
         Ok(Self {
             machine,
@@ -118,9 +118,9 @@ impl<M: Renamer + Clone, T: Tas> RenamingObject<M, T> {
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::NamespaceExhausted`] if the machine gives
-    /// up — only possible when more than `capacity` names are held.
-    pub fn get_name<R: Rng>(&self, rng: &mut R) -> Result<Name, RenamingError> {
+    /// Returns [`NamespaceExhausted`] if the machine gives up — only
+    /// possible when more than `capacity` names are held.
+    pub fn get_name<R: Rng>(&self, rng: &mut R) -> Result<Name, NamespaceExhausted> {
         let mut machine = self.machine.clone();
         driver::drive(&mut machine, &self.slots, rng)
     }

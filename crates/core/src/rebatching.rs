@@ -177,7 +177,7 @@ impl<T: Tas> Rebatching<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::NamespaceExhausted`] if `slots` is not
+    /// Returns [`RenamingError::SlotArrayMismatch`] if `slots` is not
     /// exactly the layout's namespace.
     pub fn from_parts(layout: Arc<BatchLayout>, slots: Arc<TasArray<T>>) -> Result<Self, RenamingError> {
         let (capacity, namespace) = (layout.capacity(), layout.namespace_size());
@@ -339,7 +339,7 @@ mod tests {
             object.get_name(&mut rng).expect("within capacity");
         }
         let err = object.get_name(&mut rng).unwrap_err();
-        assert_eq!(err, RenamingError::NamespaceExhausted { namespace: m });
+        assert_eq!(err, crate::NamespaceExhausted { namespace: m });
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! carries acquire/release across a socket:
 //!
 //! * [`protocol`] — the frame codec: length-prefixed binary frames, a
-//!   versioned payload header, and a [`Status`] byte catalog pinned to
-//!   [`RenamingError::code`](renaming_core::RenamingError::code) so the
-//!   wire and the library enum cannot drift;
+//!   versioned payload header, and a [`Status`] byte catalog of exactly
+//!   the four failures the server sends: a full namespace (the one
+//!   acquire error,
+//!   [`NamespaceExhausted`](renaming_service::NamespaceExhausted)), a
+//!   malformed request, a release of a name the connection does not
+//!   hold, and shutdown;
 //! * [`server`] — [`NameServer`]: a `std::net::TcpListener` front-end
 //!   with a bounded connection-handler pool, per-connection sessions
 //!   (a dropped connection releases every name it held — RAII over the

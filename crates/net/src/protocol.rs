@@ -33,12 +33,13 @@
 //!
 //! # Status codes
 //!
-//! [`Status`] is pinned to [`RenamingError::code`]: `0` is `Ok`, codes
-//! `1..=4` are the library error variants *by their stable
-//! discriminant* (a conversion with no wildcard arm and a totality
-//! test keep the two from drifting; code 5 is retired), and
-//! protocol-level failures live at `64+` where the library can never
-//! collide with them.
+//! [`Status`] lists exactly the four statuses the server sends: `4` for
+//! the one way an acquire fails
+//! ([`NamespaceExhausted`](renaming_service::NamespaceExhausted)), and the
+//! protocol-level failures at `64+`. A release cannot fail in the
+//! library, so no status carries a release error. Bytes `0..=3`, `5`
+//! and `66` are retired: they decode as
+//! [`ProtocolError::UnknownStatus`] and are never reused.
 //!
 //! Decoders return structured [`ProtocolError`]s on any malformed
 //! input — never a panic, never an unbounded allocation, never a hang.
@@ -46,7 +47,6 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use renaming_core::RenamingError;
 use serde_json::Value;
 
 /// Protocol version carried in every payload header.
@@ -68,24 +68,21 @@ const RESPONSE_OK_BIT: u8 = 0x80;
 /// The error-response kind.
 const RESPONSE_ERR: u8 = 0x40;
 
-/// Wire status byte: `0` = success, `1..=4` = [`RenamingError::code`]
-/// values verbatim, `64+` = protocol-level failures the library enum
-/// does not know about. Code 5 is retired with its library variant, and
-/// code 66 with the load-shedding answer this server never sent; both
-/// decode as [`ProtocolError::UnknownStatus`] and are never reused.
+/// Wire status byte of an error response: one per way the server can
+/// fail a request, and nothing else. `4` answers the one acquire error;
+/// `64+` are protocol-level failures. A success is its own response
+/// kind, not a status. Bytes `0..=3` (a success and three construction
+/// errors no request can cause), `5` (a release error no backend
+/// returned) and `66` (a load-shedding answer) were never sent and are
+/// retired: they decode as [`ProtocolError::UnknownStatus`] and are
+/// never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Status {
-    /// The request succeeded.
-    Ok = 0,
-    /// [`RenamingError::InvalidEpsilon`].
-    InvalidEpsilon = 1,
-    /// [`RenamingError::InvalidBeta`].
-    InvalidBeta = 2,
-    /// [`RenamingError::TooFewProcesses`].
-    TooFewProcesses = 3,
-    /// [`RenamingError::NamespaceExhausted`] — the graceful "namespace
-    /// full" answer: the connection stays open, retry after a release.
+    /// An acquire found the namespace full
+    /// ([`NamespaceExhausted`](renaming_service::NamespaceExhausted)) — the
+    /// graceful "namespace full" answer: the connection stays open,
+    /// retry after a release.
     Exhausted = 4,
     /// The request frame decoded but made no sense (unknown opcode,
     /// wrong body length, bad version).
@@ -104,10 +101,6 @@ impl Status {
     /// [`ProtocolError::UnknownStatus`] for a byte outside the catalog.
     pub fn from_wire(byte: u8) -> Result<Self, ProtocolError> {
         Ok(match byte {
-            0 => Status::Ok,
-            1 => Status::InvalidEpsilon,
-            2 => Status::InvalidBeta,
-            3 => Status::TooFewProcesses,
             4 => Status::Exhausted,
             64 => Status::Malformed,
             65 => Status::NotHeld,
@@ -117,29 +110,9 @@ impl Status {
     }
 }
 
-impl From<&RenamingError> for Status {
-    /// The wire status of a library error — keyed on
-    /// [`RenamingError::code`], with the variant-by-variant match kept
-    /// here (no wildcard arm) so a new library variant is a compile
-    /// error in the wire crate until it gets a status. A test asserts
-    /// `Status::from(&e) as u8 == e.code()` for every variant.
-    fn from(error: &RenamingError) -> Self {
-        match error {
-            RenamingError::InvalidEpsilon(_) => Status::InvalidEpsilon,
-            RenamingError::InvalidBeta(_) => Status::InvalidBeta,
-            RenamingError::TooFewProcesses { .. } => Status::TooFewProcesses,
-            RenamingError::NamespaceExhausted { .. } => Status::Exhausted,
-        }
-    }
-}
-
 impl fmt::Display for Status {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let label = match self {
-            Status::Ok => "ok",
-            Status::InvalidEpsilon => "invalid-epsilon",
-            Status::InvalidBeta => "invalid-beta",
-            Status::TooFewProcesses => "too-few-processes",
             Status::Exhausted => "namespace-exhausted",
             Status::Malformed => "malformed-request",
             Status::NotHeld => "name-not-held",
@@ -328,15 +301,6 @@ impl Response {
                 })
             }
             other => Err(ProtocolError::UnknownOpcode(other)),
-        }
-    }
-
-    /// A wire error response for a library failure: status from the
-    /// stable code mapping, detail from the error's display.
-    pub fn from_error(error: &RenamingError) -> Self {
-        Response::Error {
-            status: Status::from(error),
-            detail: error.to_string(),
         }
     }
 }
@@ -588,29 +552,26 @@ mod tests {
 
     #[test]
     fn status_bytes_match_library_codes() {
-        // The ISSUE's drift guard: the wire status of every library
-        // error is its stable `code()`, checked variant-by-variant with
-        // no wildcard anywhere in the chain.
-        let witnesses = [
-            RenamingError::InvalidEpsilon(-1.0),
-            RenamingError::InvalidBeta(0),
-            RenamingError::TooFewProcesses { n: 1, min: 2 },
-            RenamingError::NamespaceExhausted { namespace: 8 },
-        ];
-        for error in witnesses {
-            let status = Status::from(&error);
-            assert_eq!(status as u8, error.code(), "{error}");
-            // And the byte decodes back to the same status.
-            assert_eq!(Status::from_wire(status as u8), Ok(status));
+        // The four statuses the server sends keep their bytes, and each
+        // byte decodes back to its status.
+        for (status, byte) in STATUSES.into_iter().zip([4, 64, 65, 67]) {
+            assert_eq!(status as u8, byte, "{status}");
+            assert_eq!(Status::from_wire(byte), Ok(status));
         }
-        assert_eq!(Status::Ok as u8, 0, "0 stays reserved for success");
-        for retired in [5, 66] {
+        // Every byte no server sends is retired, never reused — 0
+        // included, so an error frame cannot claim success.
+        for retired in [0, 1, 2, 3, 5, 66] {
             assert_eq!(
                 Status::from_wire(retired),
                 Err(ProtocolError::UnknownStatus(retired)),
                 "code {retired} is retired, never reused"
             );
         }
+        assert_eq!(
+            Response::decode(&[PROTOCOL_VERSION, RESPONSE_ERR, 0]),
+            Err(ProtocolError::UnknownStatus(0)),
+            "an error frame with status 0 is malformed"
+        );
     }
 
     #[test]
@@ -721,11 +682,7 @@ mod tests {
         assert_eq!(out, b"kept");
     }
 
-    const STATUSES: [Status; 8] = [
-        Status::Ok,
-        Status::InvalidEpsilon,
-        Status::InvalidBeta,
-        Status::TooFewProcesses,
+    const STATUSES: [Status; 4] = [
         Status::Exhausted,
         Status::Malformed,
         Status::NotHeld,

@@ -313,7 +313,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     // RAII over the wire: however the connection ended, its names come
     // back.
     for name in session.drain(..) {
-        let _ = shared.service.release_name(name);
+        let Ok(()) = shared.service.release_name(name);
     }
     if matches!(outcome, Err(WireError::Protocol(_))) {
         shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -412,16 +412,16 @@ fn answer(
                 session.push(name);
                 Response::Name(name.value() as u64)
             }
-            Err(error) => Response::from_error(&error),
+            Err(exhausted) => Response::Error {
+                status: Status::Exhausted,
+                detail: exhausted.to_string(),
+            },
         },
         Ok(Request::Release { name }) => {
             match session.iter().position(|held| held.value() as u64 == *name) {
                 Some(pos) => {
-                    let held = session.swap_remove(pos);
-                    match shared.service.release_name(held) {
-                        Ok(()) => Response::Released,
-                        Err(error) => Response::from_error(&error),
-                    }
+                    let Ok(()) = shared.service.release_name(session.swap_remove(pos));
+                    Response::Released
                 }
                 None => Response::Error {
                     status: Status::NotHeld,

@@ -24,11 +24,8 @@ fn arb_request() -> impl Strategy<Value = Request> {
 /// A strategy over well-formed responses: every kind, status bytes from
 /// the full catalog, details from arbitrary (possibly non-ASCII) bytes.
 fn arb_response() -> impl Strategy<Value = Response> {
-    let status = (0usize..7).prop_map(|i| {
+    let status = (0usize..4).prop_map(|i| {
         [
-            Status::InvalidEpsilon,
-            Status::InvalidBeta,
-            Status::TooFewProcesses,
             Status::Exhausted,
             Status::Malformed,
             Status::NotHeld,

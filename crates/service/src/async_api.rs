@@ -30,7 +30,7 @@ use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll};
 
-use renaming_core::{Name, RenamingError};
+use renaming_core::{Name, NamespaceExhausted};
 
 use crate::metrics::ReleaseKind;
 use crate::service::NameService;
@@ -84,8 +84,8 @@ impl AsyncNameService {
     ///
     /// # Errors
     ///
-    /// Resolves to [`RenamingError::NamespaceExhausted`] when the
-    /// namespace cannot hold another name.
+    /// Resolves to [`NamespaceExhausted`] when the namespace cannot hold
+    /// another name; an acquire fails in no other way.
     pub fn acquire(&self) -> AcquireFuture<'_> {
         AcquireFuture { service: self }
     }
@@ -118,7 +118,7 @@ pub struct AcquireFuture<'s> {
 }
 
 impl Future for AcquireFuture<'_> {
-    type Output = Result<AsyncNameGuard, RenamingError>;
+    type Output = Result<AsyncNameGuard, NamespaceExhausted>;
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let handle = self.service;
@@ -137,11 +137,13 @@ impl fmt::Debug for AcquireFuture<'_> {
 /// Owned access to one asynchronously acquired name; the name is
 /// released back to the service when the guard drops.
 ///
-/// The async counterpart of [`crate::NameGuard`], with the same release
-/// path ([`NameService::release_name`]) but `'static` ownership: the
-/// guard holds an [`Arc`] to the service, so it can be
-/// moved into tasks, sent across threads, and outlive the
-/// [`AsyncNameService`] handle that produced it.
+/// The async counterpart of [`crate::NameGuard`]: dropping it is the
+/// release, which cannot fail and takes the same path as the sync
+/// guard's drop. Ownership is `'static`: the guard holds an [`Arc`] to
+/// the service, so it can be moved into tasks, sent across threads, and
+/// outlive the [`AsyncNameService`] handle that produced it. To keep the
+/// name past the guard, detach it with
+/// [`into_name`](Self::into_name).
 ///
 /// # Example
 ///
@@ -180,17 +182,6 @@ impl AsyncNameGuard {
         &self.service
     }
 
-    /// Releases the name now, surfacing the backend's answer (drop
-    /// swallows it).
-    ///
-    /// # Errors
-    ///
-    /// Every built-in backend accepts the release and returns `Ok`.
-    pub fn release(mut self) -> Result<(), RenamingError> {
-        self.armed = false;
-        self.service.release_name(self.name)
-    }
-
     /// Detaches the name from the guard **without** releasing it. The
     /// caller takes over ownership and is responsible for an eventual
     /// [`NameService::release_name`].
@@ -211,7 +202,7 @@ impl Deref for AsyncNameGuard {
 impl Drop for AsyncNameGuard {
     fn drop(&mut self) {
         if self.armed {
-            let _ = self.service.release_as(self.name, ReleaseKind::GuardDrop);
+            self.service.release_as(self.name, ReleaseKind::GuardDrop);
         }
     }
 }
@@ -237,11 +228,9 @@ mod tests {
     use super::*;
     use crate::{Algorithm, SeedPolicy};
 
-    /// Polls `future` exactly once against a throwaway waker.
+    /// Polls `future` exactly once against a no-op waker.
     fn poll_once<F: Future>(future: Pin<&mut F>) -> Poll<F::Output> {
-        let waker = crate::exec::test_waker();
-        let mut cx = Context::from_waker(&waker);
-        future.poll(&mut cx)
+        future.poll(&mut Context::from_waker(std::task::Waker::noop()))
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
@@ -167,19 +167,6 @@ pub fn drive_all<F: Future>(futures: impl IntoIterator<Item = F>) -> Vec<F::Outp
         .into_iter()
         .map(|(_, output)| output.expect("every future resolved"))
         .collect()
-}
-
-/// A no-op waker that only counts wakes — for tests that poll a future
-/// by hand.
-#[doc(hidden)]
-pub fn test_waker() -> Waker {
-    struct CountingWaker(AtomicUsize);
-    impl Wake for CountingWaker {
-        fn wake(self: Arc<Self>) {
-            self.0.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    Waker::from(Arc::new(CountingWaker(AtomicUsize::new(0))))
 }
 
 #[cfg(test)]

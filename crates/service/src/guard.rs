@@ -3,7 +3,7 @@
 use std::fmt;
 use std::ops::Deref;
 
-use renaming_core::{Name, RenamingError};
+use renaming_core::Name;
 
 use crate::metrics::ReleaseKind;
 use crate::NameService;
@@ -16,11 +16,10 @@ use crate::NameService;
 /// guarantee — so the value can be used as a dense slot index into
 /// shared arrays (announcement tables, striped counters, ...).
 ///
-/// Every built-in backend recycles on drop: atomic slots reset their
-/// flag, tournament slots bump their epoch (both O(1)). Only a custom
-/// [`Namespace`](crate::Namespace) implementation without release
-/// support leaks the name on drop; call [`release`](Self::release)
-/// instead of dropping to observe the backend's answer explicitly.
+/// Dropping the guard is the release, and a release cannot fail: every
+/// backend recycles the name on drop (atomic slots reset their flag,
+/// tournament slots bump their epoch, both O(1)). To keep the name past
+/// the guard, detach it with [`into_name`](Self::into_name).
 ///
 /// # Example
 ///
@@ -69,31 +68,6 @@ impl<'s> NameGuard<'s> {
         self.service
     }
 
-    /// Releases the name now, surfacing the backend's answer (drop
-    /// swallows it).
-    ///
-    /// # Errors
-    ///
-    /// Every built-in backend accepts the release and returns `Ok`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use renaming_service::{Algorithm, NameService};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let service = NameService::builder(Algorithm::Rebatching, 4).build()?;
-    /// let guard = service.acquire()?;
-    /// guard.release()?;
-    /// assert_eq!(service.held(), 0, "the slot reopened");
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn release(mut self) -> Result<(), RenamingError> {
-        self.armed = false;
-        self.service.release_name(self.name)
-    }
-
     /// Detaches the name from the guard **without** releasing it. The
     /// caller takes over ownership and is responsible for an eventual
     /// [`NameService::release_name`].
@@ -107,7 +81,7 @@ impl<'s> NameGuard<'s> {
     /// let service = NameService::builder(Algorithm::Rebatching, 4).build()?;
     /// let name = service.acquire()?.into_name();
     /// assert_eq!(service.held(), 1, "detached names stay held");
-    /// service.release_name(name)?;
+    /// let Ok(()) = service.release_name(name);
     /// assert_eq!(service.held(), 0);
     /// # Ok(())
     /// # }
@@ -129,7 +103,7 @@ impl Deref for NameGuard<'_> {
 impl Drop for NameGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            let _ = self.service.release_as(self.name, ReleaseKind::GuardDrop);
+            self.service.release_as(self.name, ReleaseKind::GuardDrop);
         }
     }
 }

@@ -17,6 +17,8 @@
 //!   atomics, [`CountingSlot`], or the register-based tournament;
 //! * [`NameGuard`] — RAII ownership of an acquired name: drop it and
 //!   the name is recycled;
+//! * [`NamespaceExhausted`] — the one way an acquire fails, on every
+//!   path below; a release cannot fail;
 //! * [`NameService`] — the thread-safe front-end, built over atomics
 //!   via [`NameServiceBuilder`] or over any other substrate via
 //!   [`NameService::with_backend`]: internal per-worker session
@@ -91,7 +93,7 @@ pub use service::{NameService, SeedPolicy};
 
 // Re-export the vocabulary types a service caller needs, so depending on
 // `renaming-core` directly is optional.
-pub use renaming_core::{Epsilon, Name, RenamingError};
+pub use renaming_core::{Epsilon, Name, NamespaceExhausted, RenamingError};
 
 // Re-export the oracle's own vocabulary so callers consuming a verdict
 // (tests, the wire server's `Stats`) need not depend on

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use renaming_core::{Name, RenamingError};
+use renaming_core::{Name, NamespaceExhausted};
 use renaming_oracle::Oracle;
 
 /// Number of log₂ buckets: `u64` nanosecond latencies have at most 64
@@ -262,13 +262,14 @@ impl Instruments {
         self.metrics.as_ref().map(|_| Instant::now())
     }
 
-    /// The acquire begun at `started` has its outcome. Call on the
-    /// requester's thread before a won name reaches the caller: the
-    /// oracle attributes the hold to the recording thread.
+    /// The acquire begun at `started` has its outcome: a name, or the
+    /// one acquire error. Call on the requester's thread before a won
+    /// name reaches the caller: the oracle attributes the hold to the
+    /// recording thread.
     pub(crate) fn acquire_end(
         &self,
         started: Option<Instant>,
-        result: &Result<Name, RenamingError>,
+        result: &Result<Name, NamespaceExhausted>,
     ) {
         if let (Some(metrics), Some(started)) = (&self.metrics, started) {
             metrics.acquire.record(started.elapsed());
@@ -284,12 +285,7 @@ impl Instruments {
     /// Releases `name` through `backend_release`. The oracle records
     /// *before* the backend frees the slot: the published clock has to
     /// be visible to the name's next winner (see `renaming_oracle`).
-    pub(crate) fn release(
-        &self,
-        name: Name,
-        kind: ReleaseKind,
-        backend_release: impl FnOnce() -> Result<(), RenamingError>,
-    ) -> Result<(), RenamingError> {
+    pub(crate) fn release(&self, name: Name, kind: ReleaseKind, backend_release: impl FnOnce()) {
         if let Some(oracle) = &self.oracle {
             match kind {
                 ReleaseKind::Explicit => oracle.release(name.value()),
@@ -300,9 +296,8 @@ impl Instruments {
             return backend_release();
         };
         let started = Instant::now();
-        let result = backend_release();
+        backend_release();
         metrics.release.record(started.elapsed());
-        result
     }
 }
 

@@ -1,10 +1,12 @@
 //! The [`Namespace`] abstraction: one acquire/release surface over every
 //! renaming backend in the workspace, on any TAS substrate.
 
+use std::convert::Infallible;
+
 use rand::RngCore;
 
 use renaming_core::driver::NameSession;
-use renaming_core::{Name, RenamingError, RenamingObject, ResetMachine};
+use renaming_core::{Name, NamespaceExhausted, RenamingObject, ResetMachine};
 use renaming_tas::{AtomicTas, CountingTas, Tas};
 
 /// An instrumented atomic slot: hardware TAS behind an operation counter,
@@ -58,8 +60,10 @@ pub type CountingSlot = CountingTas<AtomicTas>;
 ///   ([`ServiceBackend::open_session`]). A session's `acquire` returns a
 ///   name no other thread currently holds; at most
 ///   [`capacity`](Self::capacity) names may be held simultaneously.
-/// * `release` makes the name available to future acquires. Releasing
-///   a name that is not held is a caller bug and may panic.
+/// * A session's `acquire` fails only with [`NamespaceExhausted`].
+/// * `release` makes the name available to future acquires and cannot
+///   fail. Releasing a name that is not held is a caller bug and may
+///   panic.
 /// * `namespace_size` bounds every returned name: `name < m`.
 ///
 /// # Example
@@ -78,23 +82,21 @@ pub type CountingSlot = CountingTas<AtomicTas>;
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let name = ns.open_session().acquire(&mut rng)?;
 /// assert!(name.value() < ns.namespace_size());
-/// ns.release(name)?;
+/// let Ok(()) = ns.release(name);
 /// assert_eq!(ns.held(), 0);
 /// # Ok(())
 /// # }
 /// ```
 pub trait Namespace: Send + Sync {
-    /// Releases a held name, reopening its slot.
-    ///
-    /// # Errors
-    ///
-    /// Every built-in backend accepts the release and returns `Ok`.
+    /// Releases a held name, reopening its slot. A release cannot fail;
+    /// the [`Infallible`] result is kept only because the benchmark
+    /// (`perfbench/`) calls `.expect` on it.
     ///
     /// # Panics
     ///
     /// May panic if `name` is outside the namespace or not currently
     /// held — both are caller bugs.
-    fn release(&self, name: Name) -> Result<(), RenamingError>;
+    fn release(&self, name: Name) -> Result<(), Infallible>;
 
     /// The namespace size `m`: every acquired name is in `0..m`.
     fn namespace_size(&self) -> usize;
@@ -146,9 +148,9 @@ pub trait PooledSession: Send {
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::NamespaceExhausted`] when the namespace
-    /// cannot hold another name.
-    fn acquire(&mut self, rng: &mut dyn RngCore) -> Result<Name, RenamingError>;
+    /// Returns [`NamespaceExhausted`] when the namespace cannot hold
+    /// another name; an acquire fails in no other way.
+    fn acquire(&mut self, rng: &mut dyn RngCore) -> Result<Name, NamespaceExhausted>;
 
     /// Acquires `count` unique names in one batched sweep, appending
     /// them to `out` (see [`ResetMachine::rearm_after_win`]). The machine
@@ -160,15 +162,15 @@ pub trait PooledSession: Send {
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::NamespaceExhausted`] if the namespace
-    /// cannot satisfy the whole batch; names already won stay acquired
-    /// and are left in `out`.
+    /// Returns [`NamespaceExhausted`] if the namespace cannot satisfy
+    /// the whole batch; names already won stay acquired and are left in
+    /// `out`.
     fn acquire_batch(
         &mut self,
         count: usize,
         rng: &mut dyn RngCore,
         out: &mut Vec<Name>,
-    ) -> Result<(), RenamingError>;
+    ) -> Result<(), NamespaceExhausted>;
 }
 
 impl<M, T> PooledSession for NameSession<M, T>
@@ -176,7 +178,7 @@ where
     M: ResetMachine + Send,
     T: Tas,
 {
-    fn acquire(&mut self, mut rng: &mut dyn RngCore) -> Result<Name, RenamingError> {
+    fn acquire(&mut self, mut rng: &mut dyn RngCore) -> Result<Name, NamespaceExhausted> {
         self.get_name_recycling(&mut rng)
     }
 
@@ -185,7 +187,7 @@ where
         count: usize,
         mut rng: &mut dyn RngCore,
         out: &mut Vec<Name>,
-    ) -> Result<(), RenamingError> {
+    ) -> Result<(), NamespaceExhausted> {
         self.acquire_batch_recycling(count, &mut rng, out)
     }
 }
@@ -228,7 +230,7 @@ where
     M: ResetMachine + Clone + Send + Sync,
     T: Tas,
 {
-    fn release(&self, name: Name) -> Result<(), RenamingError> {
+    fn release(&self, name: Name) -> Result<(), Infallible> {
         self.release_name(name);
         Ok(())
     }
@@ -280,7 +282,7 @@ mod tests {
         let name = ns.open_session().acquire(&mut rng).expect("name");
         assert!(name.value() < ns.namespace_size());
         assert_eq!(ns.held(), 1);
-        ns.release(name).expect("release");
+        let Ok(()) = ns.release(name);
         assert_eq!(ns.held(), 0);
         assert_eq!(ns.algorithm(), "rebatching");
         assert_eq!(ns.capacity(), 16);
@@ -326,8 +328,8 @@ mod tests {
             assert!(a.value() < ns.namespace_size(), "{label}");
             assert!(b.value() < ns.namespace_size(), "{label}");
             assert_eq!(ns.held(), 2, "{label}");
-            ns.release(a).expect(label);
-            ns.release(b).expect(label);
+            let Ok(()) = ns.release(a);
+            let Ok(()) = ns.release(b);
             assert_eq!(ns.held(), 0, "{label}");
         }
     }

@@ -1,13 +1,14 @@
 //! The [`NameService`] front-end: pooled sessions, per-stream RNGs, RAII
 //! guards.
 
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::SeedableRng;
 
-use renaming_core::{FastRng, Name, RenamingError};
+use renaming_core::{FastRng, Name, NamespaceExhausted};
 
 use renaming_oracle::Oracle;
 
@@ -250,8 +251,8 @@ impl NameService {
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError::NamespaceExhausted`] when the namespace
-    /// cannot hold another name.
+    /// Returns [`NamespaceExhausted`] when the namespace cannot hold
+    /// another name; an acquire fails in no other way.
     ///
     /// # Example
     ///
@@ -266,7 +267,7 @@ impl NameService {
     /// # Ok(())
     /// # }
     /// ```
-    pub fn acquire(&self) -> Result<NameGuard<'_>, RenamingError> {
+    pub fn acquire(&self) -> Result<NameGuard<'_>, NamespaceExhausted> {
         self.acquire_name().map(|name| NameGuard::new(self, name))
     }
 
@@ -281,7 +282,7 @@ impl NameService {
     /// # Errors
     ///
     /// As for [`acquire`](Self::acquire).
-    pub fn acquire_name(&self) -> Result<Name, RenamingError> {
+    pub fn acquire_name(&self) -> Result<Name, NamespaceExhausted> {
         let started = self.instruments.acquire_start();
         let mut worker = self.checkout();
         let result = worker.session.acquire(&mut worker.rng);
@@ -292,11 +293,9 @@ impl NameService {
 
     /// Releases a raw name previously obtained from
     /// [`acquire_name`](Self::acquire_name) (or detached via
-    /// [`NameGuard::into_name`]).
-    ///
-    /// # Errors
-    ///
-    /// Every built-in backend accepts the release and returns `Ok`.
+    /// [`NameGuard::into_name`]). A release cannot fail; the
+    /// [`Infallible`] result is kept only because the benchmark
+    /// (`perfbench/`) calls `.expect` and `.is_err()` on it.
     ///
     /// # Panics
     ///
@@ -311,21 +310,23 @@ impl NameService {
     /// let service = NameService::builder(Algorithm::Rebatching, 4).build()?;
     /// let name = service.acquire_name()?;
     /// assert_eq!(service.held(), 1);
-    /// service.release_name(name)?;
+    /// let Ok(()) = service.release_name(name);
     /// assert_eq!(service.held(), 0);
     /// # Ok(())
     /// # }
     /// ```
-    pub fn release_name(&self, name: Name) -> Result<(), RenamingError> {
-        self.release_as(name, ReleaseKind::Explicit)
+    pub fn release_name(&self, name: Name) -> Result<(), Infallible> {
+        self.release_as(name, ReleaseKind::Explicit);
+        Ok(())
     }
 
     /// The one release path, shared by [`release_name`](Self::release_name)
     /// and both guards' drops; `kind` lets the oracle's history tell
     /// explicit releases from guard drops.
-    pub(crate) fn release_as(&self, name: Name, kind: ReleaseKind) -> Result<(), RenamingError> {
-        self.instruments
-            .release(name, kind, || self.backend.release(name))
+    pub(crate) fn release_as(&self, name: Name, kind: ReleaseKind) {
+        self.instruments.release(name, kind, || {
+            let Ok(()) = self.backend.release(name);
+        });
     }
 
     /// The namespace size `m`: every acquired name is in `0..m`.
@@ -494,7 +495,7 @@ mod tests {
         assert_eq!(format!("{guard}"), format!("{}", guard.name()));
         let name = guard.into_name();
         assert_eq!(service.held(), 1, "detached name stays held");
-        service.release_name(name).expect("manual release");
+        let Ok(()) = service.release_name(name);
         assert_eq!(service.held(), 0);
     }
 

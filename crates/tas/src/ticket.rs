@@ -42,9 +42,10 @@ const TICKET_MASK: u64 = (1 << EPOCH_SHIFT) - 1;
 /// long-lived churn the pid space is replenished on every release
 /// instead of draining away (the exhaustion bound applies per epoch,
 /// not per object lifetime). If an epoch's tickets do drain before its
-/// winner releases, later calls keep losing cleanly and the renaming
-/// layer surfaces `NamespaceExhausted` — never a panic, never a wrapped
-/// pid.
+/// winner releases, later calls keep losing cleanly, and an acquire
+/// that finds no slot to win fails with the renaming layer's one
+/// acquire error, `NamespaceExhausted` — never a panic, never a wrapped
+/// pid. A release cannot fail: it is a `reset`, which returns nothing.
 ///
 /// # Example
 ///
@@ -148,6 +149,9 @@ impl<T: IdTas> Tas for TicketTas<T> {
     /// If the epoch cannot advance (the wrapped object saturated its
     /// stamp space), the ticket window stays closed too: the slot
     /// degrades to one-shot, it never reissues wins for a live epoch.
+    /// The reset still returns normally; the slot just stays taken, and
+    /// an acquire that finds no other slot fails with
+    /// `NamespaceExhausted`.
     fn reset(&self) {
         let before = self.inner.epoch();
         self.inner.advance_epoch();

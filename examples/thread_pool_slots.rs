@@ -105,7 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Deregister everyone: hand the detached names back.
     for (_, slot) in mapping {
-        table.service.release_name(Name::new(slot))?;
+        let Ok(()) = table.service.release_name(Name::new(slot));
     }
     assert_eq!(table.service.held(), 0);
     println!("all slots handed back; table empty");

@@ -81,7 +81,7 @@ pub use renaming_tas as tas;
 /// The service-level vocabulary in one import: `use
 /// loose_renaming::prelude::*;`.
 pub mod prelude {
-    pub use renaming_core::{Epsilon, Name, RenamingError};
+    pub use renaming_core::{Epsilon, Name, NamespaceExhausted, RenamingError};
     pub use renaming_service::{
         AcquireFuture, Algorithm, AsyncNameGuard, AsyncNameService, HistoryReport, NameGuard,
         NameService, NameServiceBuilder, Namespace, Oracle, OracleVerdict, SeedPolicy, Violation,

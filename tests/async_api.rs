@@ -293,7 +293,7 @@ fn async_exhaustion_is_an_error_not_a_panic() {
     let err = exec::block_on(service.acquire()).unwrap_err();
     assert_eq!(
         err,
-        RenamingError::NamespaceExhausted {
+        NamespaceExhausted {
             namespace: service.namespace_size()
         }
     );

@@ -8,10 +8,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use std::convert::Infallible;
+
 use loose_renaming::prelude::*;
 use loose_renaming::service::{PooledSession, ServiceBackend, SeedPolicy};
 use rand::RngCore;
-use renaming_core::RenamingError as CoreError;
 
 /// A deliberately broken backend: every acquire returns name 0, so any
 /// two concurrent (or even back-to-back unreleased) holders collide.
@@ -26,7 +27,7 @@ struct FixedSession {
 }
 
 impl PooledSession for FixedSession {
-    fn acquire(&mut self, _rng: &mut dyn RngCore) -> Result<Name, CoreError> {
+    fn acquire(&mut self, _rng: &mut dyn RngCore) -> Result<Name, NamespaceExhausted> {
         self.held.fetch_add(1, Ordering::SeqCst);
         Ok(Name::new(0))
     }
@@ -36,7 +37,7 @@ impl PooledSession for FixedSession {
         count: usize,
         rng: &mut dyn RngCore,
         out: &mut Vec<Name>,
-    ) -> Result<(), CoreError> {
+    ) -> Result<(), NamespaceExhausted> {
         for _ in 0..count {
             out.push(self.acquire(rng)?);
         }
@@ -45,7 +46,7 @@ impl PooledSession for FixedSession {
 }
 
 impl Namespace for DoubleIssuing {
-    fn release(&self, _name: Name) -> Result<(), CoreError> {
+    fn release(&self, _name: Name) -> Result<(), Infallible> {
         self.held.fetch_sub(1, Ordering::SeqCst);
         Ok(())
     }
@@ -128,7 +129,7 @@ fn release_bypassing_the_oracle_is_detected() {
     let name = service.acquire().expect("acquire").into_name();
     // The seeded bug: release lands on the backend without the oracle
     // hook ever firing.
-    service.backend().release(name).expect("release");
+    let Ok(()) = service.backend().release(name);
     assert_eq!(service.held(), 0, "backend believes it drained");
 
     let verdict = service.oracle_verdict().expect("oracle enabled");

@@ -275,27 +275,46 @@ fn sharded_pool_torture_threads_far_exceed_shards() {
     stress(Algorithm::FastAdaptive, 12, 150);
 }
 
+/// Every backend fails an acquire one way: once at least `capacity`
+/// names are held, filling the namespace ends in `NamespaceExhausted`
+/// for the whole namespace — never a panic — and releasing heals it.
 #[test]
 fn namespace_exhaustion_is_an_error_not_a_panic() {
-    let service = NameService::builder(Algorithm::Rebatching, 2)
-        .seed_policy(SeedPolicy::Fixed(5))
-        .build()
-        .expect("build");
-    let mut guards = Vec::new();
-    // Fill the whole (1+ε)n namespace, then one more must error.
-    for _ in 0..service.namespace_size() {
-        guards.push(service.acquire().expect("namespace not yet full"));
+    for algorithm in Algorithm::all() {
+        let service = NameService::builder(algorithm, 2)
+            .seed_policy(SeedPolicy::Fixed(5))
+            .build()
+            .expect("build");
+        // After `namespace_size` wins every slot is set, so the next
+        // attempt must fail if none did before.
+        let attempts = service.namespace_size() + 1;
+        let mut guards = Vec::new();
+        let err = (0..attempts)
+            .find_map(|_| match service.acquire() {
+                Ok(guard) => {
+                    guards.push(guard);
+                    None
+                }
+                Err(err) => Some(err),
+            })
+            .unwrap_or_else(|| panic!("{algorithm:?}: {attempts} acquires and no error"));
+        assert!(
+            guards.len() >= service.capacity(),
+            "{algorithm:?}: failed after {} wins, below capacity {}",
+            guards.len(),
+            service.capacity()
+        );
+        assert_eq!(
+            err,
+            NamespaceExhausted {
+                namespace: service.namespace_size()
+            },
+            "{algorithm:?}"
+        );
+        drop(guards);
+        // After draining, acquisition works again.
+        assert!(service.acquire().is_ok(), "{algorithm:?}");
     }
-    let err = service.acquire().unwrap_err();
-    assert_eq!(
-        err,
-        RenamingError::NamespaceExhausted {
-            namespace: service.namespace_size()
-        }
-    );
-    drop(guards);
-    // After draining, acquisition works again.
-    assert!(service.acquire().is_ok());
 }
 
 /// Serves `algorithm` over `slot()`-made TAS slots: each object is
@@ -394,10 +413,9 @@ fn tournament_ticket_exhaustion_is_an_error_and_heals_on_release() {
         .collect();
     for _ in 0..40 {
         match service.acquire() {
-            Err(RenamingError::NamespaceExhausted { namespace }) => {
+            Err(NamespaceExhausted { namespace }) => {
                 assert_eq!(namespace, service.namespace_size());
             }
-            Err(other) => panic!("expected NamespaceExhausted, got {other}"),
             Ok(guard) => panic!("duplicate name {} while namespace full", guard.value()),
         }
     }
