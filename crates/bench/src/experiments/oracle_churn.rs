@@ -20,9 +20,10 @@
 //! * an **overhead axis** times checked against unchecked ops/sec for
 //!   every backend on the direct path as a
 //!   [`paired`](super::service_throughput::paired) measurement, pricing
-//!   the recording layer. The oracle-off rows use the exact code path
-//!   CI's stability diff watches, so "zero cost when off" stays an
-//!   enforced property, not a slogan.
+//!   the recording layer. Each checked repetition gets a fresh service,
+//!   so the oracle holds one repetition's history. The oracle-off rows
+//!   use the exact code path CI's stability diff watches, so "zero cost
+//!   when off" stays an enforced property, not a slogan.
 //!
 //! Results land in `BENCH_oracle.json`, overhead table included.
 
@@ -47,9 +48,6 @@ pub const ARTIFACT_PATH: &str = "BENCH_oracle.json";
 const CAPACITY: usize = 16;
 
 /// Alternating unchecked/checked repetition pairs per overhead point.
-/// Every checked repetition adds its threads' histories to the oracle,
-/// so the oracle's memory grows with pairs times `overhead_ops`; full
-/// mode keeps that product at 120,000 checked cycles per thread.
 const OVERHEAD_PAIRS: usize = 5;
 
 /// One oracle-checked churn cell: `threads` threads run
@@ -191,22 +189,27 @@ pub fn oracle_churn(h: &mut Harness) -> String {
     // ---- Checked-vs-unchecked overhead, direct path, per backend. ----
     //
     // The two services are timed as a pair. The oracle-off one is the
-    // stock service — the same configuration CI's stability diff tracks.
+    // stock service, the configuration CI's stability diff tracks, and
+    // every repetition shares it. Each checked repetition builds a fresh
+    // service, so the oracle's history and participant clocks hold one
+    // repetition, not all of them.
     let mut overhead_table = Table::new(["backend", "off Kops/s", "on Kops/s", "on/off"]);
     let mut overhead_rows: Vec<Value> = Vec::new();
     for algorithm in Algorithm::all() {
-        let plain = NameService::builder(algorithm, CAPACITY)
-            .seed_policy(SeedPolicy::Fixed(h.seed()))
-            .build()
-            .expect("service builds");
-        let checked = NameService::builder(algorithm, CAPACITY)
-            .oracle(true)
-            .seed_policy(SeedPolicy::Fixed(h.seed()))
-            .build()
-            .expect("service builds");
+        let build = |oracle: bool| {
+            NameService::builder(algorithm, CAPACITY)
+                .oracle(oracle)
+                .seed_policy(SeedPolicy::Fixed(h.seed()))
+                .build()
+                .expect("service builds")
+        };
+        let plain = &build(false);
         let cell = paired(
-            || direct_cycle(&plain),
-            || direct_cycle(&checked),
+            || move || direct_cycle(plain),
+            || {
+                let checked = build(true);
+                move || direct_cycle(&checked)
+            },
             overhead_threads,
             overhead_ops,
             OVERHEAD_PAIRS,
@@ -293,8 +296,6 @@ mod tests {
             "fast-adaptive-rebatching",
             "uniform",
             "linear-scan",
-            "single-batch",
-            "doubling-uniform",
             " direct ",
             " async ",
             "detected: true",

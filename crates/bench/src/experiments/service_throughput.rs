@@ -27,6 +27,7 @@
 //! including the sync and async curves side by side.
 
 use std::fmt::Write as _;
+use std::sync::Barrier;
 use std::time::Instant;
 
 use serde_json::{json, Value};
@@ -47,6 +48,11 @@ const CAPACITY: usize = 64;
 /// Alternating direct/async repetition pairs per (backend, threads)
 /// cell (see [`paired`]).
 const PAIRS: usize = 9;
+
+/// Untimed cycles each [`hammer`] thread runs before the clock starts:
+/// enough to fill a fresh service's worker pool (first acquires
+/// construct sessions).
+const WARM_UP: usize = 50;
 
 /// The thread axis: powers of two up to the harness's `--threads`
 /// setting, always ending exactly there (so `--threads 6` sweeps
@@ -81,21 +87,40 @@ pub(super) fn async_cycle(service: &AsyncNameService) {
 
 /// `threads` OS threads each run `ops_per_thread` acquire/drop cycles
 /// through `cycle` (a caller of one shared service: [`direct_cycle`]
-/// or [`async_cycle`]); returns ops/sec. The timed region includes
-/// thread spawn/join — a fixed cost identical for both callers, so it
-/// dilutes the async/direct ratio slightly toward 1.0.
+/// or [`async_cycle`]); returns ops/sec. Each thread first runs
+/// [`WARM_UP`] untimed cycles, then waits on a barrier that releases
+/// them all at once. The clock runs from the first timed cycle to the
+/// last, so thread spawn, warm-up and join stay outside it.
 fn hammer(cycle: impl Fn() + Sync, threads: usize, ops_per_thread: usize) -> f64 {
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                for _ in 0..ops_per_thread {
-                    cycle();
-                }
-            });
-        }
+    let start_line = Barrier::new(threads);
+    let spans: Vec<(Instant, Instant)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    for _ in 0..WARM_UP {
+                        cycle();
+                    }
+                    start_line.wait();
+                    let start = Instant::now();
+                    for _ in 0..ops_per_thread {
+                        cycle();
+                    }
+                    (start, Instant::now())
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| worker.join().expect("hammer thread"))
+            .collect()
     });
-    (threads * ops_per_thread) as f64 / start.elapsed().as_secs_f64()
+    let start = spans
+        .iter()
+        .map(|&(start, _)| start)
+        .min()
+        .expect("a thread");
+    let end = spans.iter().map(|&(_, end)| end).max().expect("a thread");
+    (threads * ops_per_thread) as f64 / (end - start).as_secs_f64()
 }
 
 /// Two variants timed against each other by [`paired`].
@@ -112,29 +137,28 @@ pub(super) struct Measurement {
 }
 
 /// Times `second` against `first` in `pairs` pairs of [`hammer`]
-/// repetitions, after a short warm-up of each that fills its worker
-/// pool (first acquires construct sessions). The two run back to back
-/// within a pair, and which one runs first swaps from pair to pair, so
-/// drift on the machine lands on both sides of a pair's ratio and
-/// neither variant always runs first. A descheduled repetition moves
-/// one pair's ratio, not the median.
-pub(super) fn paired(
-    first: impl Fn() + Sync,
-    second: impl Fn() + Sync,
+/// repetitions. Each variant makes the cycle that one repetition runs,
+/// before its clock starts: a cycle may borrow a service shared by
+/// every repetition, or own one built for its repetition alone. The
+/// two run back to back within a pair, and which one runs first swaps
+/// from pair to pair, so drift on the machine lands on both sides of a
+/// pair's ratio and neither variant always runs first. A descheduled
+/// repetition moves one pair's ratio, not the median.
+pub(super) fn paired<A: Fn() + Sync, B: Fn() + Sync>(
+    first: impl Fn() -> A,
+    second: impl Fn() -> B,
     threads: usize,
     ops_per_thread: usize,
     pairs: usize,
 ) -> Measurement {
-    hammer(&first, threads, 50);
-    hammer(&second, threads, 50);
     let (mut firsts, mut seconds) = (Vec::with_capacity(pairs), Vec::with_capacity(pairs));
     for pair in 0..pairs {
         let (a, b) = if pair % 2 == 0 {
-            let a = hammer(&first, threads, ops_per_thread);
-            (a, hammer(&second, threads, ops_per_thread))
+            let a = hammer(first(), threads, ops_per_thread);
+            (a, hammer(second(), threads, ops_per_thread))
         } else {
-            let b = hammer(&second, threads, ops_per_thread);
-            (hammer(&first, threads, ops_per_thread), b)
+            let b = hammer(second(), threads, ops_per_thread);
+            (hammer(first(), threads, ops_per_thread), b)
         };
         firsts.push(a);
         seconds.push(b);
@@ -183,12 +207,12 @@ pub fn service_throughput(h: &mut Harness) -> String {
                     .build()
                     .expect("every backend builds")
             };
-            let direct = build();
-            let facade = AsyncNameService::new(build());
+            let direct = &build();
+            let facade = &AsyncNameService::new(build());
             backend_label = direct.algorithm();
             let cell = paired(
-                || direct_cycle(&direct),
-                || async_cycle(&facade),
+                || move || direct_cycle(direct),
+                || move || async_cycle(facade),
                 threads,
                 ops_per_thread,
                 PAIRS,
@@ -291,8 +315,6 @@ mod tests {
             "fast-adaptive-rebatching",
             "uniform",
             "linear-scan",
-            "single-batch",
-            "doubling-uniform",
             " direct ",
             " async ",
             "async/direct",

@@ -15,9 +15,7 @@ use std::sync::Arc;
 
 use rand::RngCore;
 
-use renaming_core::baselines::{
-    DoublingUniformMachine, LinearScanMachine, SingleBatchMachine, UniformMachine,
-};
+use renaming_core::baselines::{LinearScanMachine, SingleBatchMachine, UniformMachine};
 use renaming_core::{
     AdaptiveLayout, AdaptiveMachine, BatchLayout, FastAdaptiveMachine, RebatchingMachine,
 };
@@ -60,13 +58,6 @@ pub enum MachineKind {
         /// Random probes before the backup scan.
         budget: usize,
     },
-    /// Doubling-window uniform probing (adaptive baseline).
-    DoublingUniform {
-        /// Namespace size `m`.
-        namespace: usize,
-        /// Probes spent per window size before doubling.
-        probes_per_level: usize,
-    },
 }
 
 impl MachineKind {
@@ -89,13 +80,6 @@ impl MachineKind {
             MachineKind::SingleBatch { namespace, budget } => {
                 AnyMachine::SingleBatch(SingleBatchMachine::new(*namespace, *budget))
             }
-            MachineKind::DoublingUniform {
-                namespace,
-                probes_per_level,
-            } => AnyMachine::DoublingUniform(DoublingUniformMachine::new(
-                *namespace,
-                *probes_per_level,
-            )),
         }
     }
 
@@ -108,7 +92,6 @@ impl MachineKind {
             AnyMachine::Uniform(m) => Box::new(m),
             AnyMachine::LinearScan(m) => Box::new(m),
             AnyMachine::SingleBatch(m) => Box::new(m),
-            AnyMachine::DoublingUniform(m) => Box::new(m),
         }
     }
 
@@ -146,8 +129,6 @@ pub enum AnyMachine {
     LinearScan(LinearScanMachine),
     /// Flat-batch ablation baseline.
     SingleBatch(SingleBatchMachine),
-    /// Doubling-window baseline.
-    DoublingUniform(DoublingUniformMachine),
 }
 
 macro_rules! dispatch {
@@ -159,7 +140,6 @@ macro_rules! dispatch {
             AnyMachine::Uniform($m) => $body,
             AnyMachine::LinearScan($m) => $body,
             AnyMachine::SingleBatch($m) => $body,
-            AnyMachine::DoublingUniform($m) => $body,
         }
     };
 }
@@ -235,13 +215,6 @@ mod tests {
                 MachineKind::SingleBatch {
                     namespace: 64,
                     budget: 8,
-                },
-                64,
-            ),
-            (
-                MachineKind::DoublingUniform {
-                    namespace: 64,
-                    probes_per_level: 2,
                 },
                 64,
             ),

@@ -10,22 +10,20 @@
 //! * [`SingleBatchMachine`] — ablation A1: ReBatching's total probe budget
 //!   spent uniformly over the whole namespace (no batch geometry), backup
 //!   afterwards. Isolates what the geometric batches buy.
-//! * [`DoublingUniformMachine`] — the natural adaptive strawman: uniform
-//!   probes over a window that doubles after every few failures; names are
-//!   `O(k)`-ish but probes grow like `log k`.
 //!
 //! All baselines implement [`renaming_sim::Renamer`], so they run under
 //! the same adversaries, crash plans and reports as the paper's
-//! algorithms. The machines also implement [`crate::ResetMachine`], and
-//! each has a concurrent object — [`UniformRenaming`],
-//! [`LinearScanRenaming`], [`SingleBatchRenaming`], [`DoublingRenaming`],
-//! all [`RenamingObject`]s like the paper's objects — so the baselines
-//! offer the same `get_name` / `release_name` / `session` surface and
-//! plug into the `renaming-service` front-end next to the paper's
-//! algorithms.
+//! algorithms. Uniform probing and the linear scan also implement
+//! [`crate::ResetMachine`] and have a concurrent object —
+//! [`UniformRenaming`], [`LinearScanRenaming`], both
+//! [`RenamingObject`]s like the paper's objects — so they offer the same
+//! `get_name` / `release_name` / `session` surface and plug into the
+//! `renaming-service` front-end next to the paper's algorithms. The
+//! single-batch machine stays a simulator machine: over the same
+//! namespace its random probes are uniform probing's, so as a service
+//! it would hand out uniform's names.
 //!
-//! The randomly probing objects ([`UniformRenaming`],
-//! [`DoublingRenaming`]) cap their machines at `16·m + 64` probes
+//! [`UniformRenaming`] caps its machine at `16·m + 64` probes
 //! (`m` = namespace size) so a full namespace surfaces as
 //! [`NamespaceExhausted`](crate::NamespaceExhausted) instead of an
 //! unbounded spin.
@@ -39,17 +37,15 @@ use renaming_tas::{AtomicTas, Tas, TasArray};
 
 use crate::{RenamingError, RenamingObject};
 
-mod doubling;
 mod linear;
 mod single_batch;
 mod uniform;
 
-pub use doubling::DoublingUniformMachine;
 pub use linear::LinearScanMachine;
 pub use single_batch::SingleBatchMachine;
 pub use uniform::UniformMachine;
 
-/// Probe cap for the randomly probing machines: misfires with
+/// Probe cap for uniform probing: misfires with
 /// probability at most `e^-16` per operation while a slot is free (see
 /// the module docs).
 fn give_up_cap(namespace: usize) -> u64 {
@@ -130,102 +126,6 @@ impl<T: Tas> LinearScanRenaming<T> {
     }
 }
 
-/// Ablation A1 as a concurrent object: a fixed budget of uniform probes
-/// over the whole namespace, then the sequential backup scan.
-pub type SingleBatchRenaming<T = AtomicTas> = RenamingObject<SingleBatchMachine, T>;
-
-impl SingleBatchRenaming<AtomicTas> {
-    /// Creates an object for up to `capacity` concurrent holders over a
-    /// `2 * capacity` namespace, with a `log2`-scale probe budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        let namespace = 2 * capacity;
-        let budget = (usize::BITS - namespace.leading_zeros()) as usize + 3;
-        Self::from_parts(capacity, budget, Arc::new(TasArray::new(namespace)))
-            .expect("2n slots hold n names")
-    }
-}
-
-impl<T: Tas> SingleBatchRenaming<T> {
-    /// Builds the object over caller-provided slots with an explicit
-    /// random-probe budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RenamingError::SlotArrayMismatch`] if `slots` is
-    /// smaller than `capacity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget == 0` (forwarded from the machine).
-    pub fn from_parts(
-        capacity: usize,
-        budget: usize,
-        slots: Arc<TasArray<T>>,
-    ) -> Result<Self, RenamingError> {
-        let namespace = slots.len();
-        if namespace < capacity {
-            return Err(RenamingError::SlotArrayMismatch { slots: namespace });
-        }
-        let machine = SingleBatchMachine::new(namespace, budget);
-        Self::from_machine(machine, capacity, namespace, slots)
-    }
-}
-
-/// The doubling-window strawman as a concurrent object: adaptive-ish
-/// names, `Θ(log k)` window doublings per acquisition.
-pub type DoublingRenaming<T = AtomicTas> = RenamingObject<DoublingUniformMachine, T>;
-
-impl DoublingRenaming<AtomicTas> {
-    /// Creates an object for up to `capacity` concurrent holders over a
-    /// `4 * capacity` namespace (the window needs headroom to stop
-    /// doubling), probing twice per window level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        Self::from_parts(capacity, 2, Arc::new(TasArray::new(4 * capacity)))
-            .expect("4n slots leave slack")
-    }
-}
-
-impl<T: Tas> DoublingRenaming<T> {
-    /// Builds the object over caller-provided slots.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RenamingError::SlotArrayMismatch`] if `slots` is not
-    /// strictly larger than `capacity` (random probing needs slack to
-    /// terminate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probes_per_level == 0` or the namespace has fewer than
-    /// 2 slots (forwarded from the machine).
-    pub fn from_parts(
-        capacity: usize,
-        probes_per_level: usize,
-        slots: Arc<TasArray<T>>,
-    ) -> Result<Self, RenamingError> {
-        let namespace = slots.len();
-        if namespace <= capacity {
-            return Err(RenamingError::SlotArrayMismatch { slots: namespace });
-        }
-        let machine = DoublingUniformMachine::with_give_up(
-            namespace,
-            probes_per_level,
-            give_up_cap(namespace),
-        );
-        Self::from_machine(machine, capacity, namespace, slots)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,27 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn single_batch_object_recycles() {
-        let object = SingleBatchRenaming::new(8);
-        let names = drain_unique(8, |rng| object.get_name(rng).expect("name"));
-        for &v in &names {
-            object.release_name(Name::new(v));
-        }
-        assert_eq!(object.slots().set_count(), 0);
-    }
-
-    #[test]
-    fn doubling_object_keeps_low_contention_names_small() {
-        let object = DoublingRenaming::new(16);
-        let mut rng = StdRng::seed_from_u64(5);
-        let name = object.get_name(&mut rng).expect("name");
-        // Solo acquisition stays in the initial tiny window.
-        assert!(name.value() < 8, "solo name {name} should be near 0");
-        object.release_name(name);
-        assert_eq!(object.slots().set_count(), 0);
-    }
-
-    #[test]
     fn concurrent_threads_get_unique_names() {
         let object = UniformRenaming::new(32);
         let handles: Vec<_> = (0..32)
@@ -329,21 +208,12 @@ mod tests {
         assert_eq!(err, crate::NamespaceExhausted { namespace: 4 });
         uniform.release_name(held[0]);
         assert!(uniform.get_name(&mut rng).is_ok(), "recovers after release");
-
-        let slots: Arc<TasArray<AtomicTas>> = Arc::new(TasArray::new(4));
-        let doubling = DoublingRenaming::from_parts(2, 2, slots).unwrap();
-        for _ in 0..4 {
-            doubling.get_name(&mut rng).expect("free");
-        }
-        let err = doubling.get_name(&mut rng).unwrap_err();
-        assert_eq!(err, crate::NamespaceExhausted { namespace: 4 });
     }
 
     #[test]
     fn from_parts_validates_slack() {
         let tight: Arc<TasArray<AtomicTas>> = Arc::new(TasArray::new(4));
         assert!(UniformRenaming::from_parts(4, Arc::clone(&tight)).is_err());
-        assert!(LinearScanRenaming::from_parts(4, Arc::clone(&tight)).is_ok());
-        assert!(DoublingRenaming::from_parts(4, 2, tight).is_err());
+        assert!(LinearScanRenaming::from_parts(4, tight).is_ok());
     }
 }

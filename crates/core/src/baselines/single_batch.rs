@@ -45,15 +45,6 @@ impl SingleBatchMachine {
     }
 }
 
-/// Baselines hold at most one win at a time, so nothing is superseded,
-/// and have no batch structure to resume: each batch request reruns the
-/// baseline from scratch (the default rearm = reset).
-impl crate::ResetMachine for SingleBatchMachine {
-    fn reset(&mut self) {
-        *self = Self::new(self.namespace, self.budget);
-    }
-}
-
 impl SingleBatchMachine {
     #[inline]
     fn propose_impl<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> Action {
@@ -112,6 +103,9 @@ impl Renamer for SingleBatchMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::UniformMachine;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use renaming_sim::Execution;
 
     fn machines(n: usize, m: usize, budget: usize) -> Vec<Box<dyn Renamer>> {
@@ -153,6 +147,37 @@ mod tests {
             .expect("run");
         assert_eq!(report.named_count(), m);
         assert_eq!(report.stuck_count(), m);
+    }
+
+    #[test]
+    fn random_probes_are_uniform_probing_then_a_scan_from_zero() {
+        // Over the same namespace and coins, the budgeted probes are
+        // exactly uniform probing's: only the budget and the backup
+        // scan set this machine apart.
+        let (namespace, budget) = (64, 8);
+        let mut single = SingleBatchMachine::new(namespace, budget);
+        let mut uniform = UniformMachine::new(namespace);
+        let mut single_rng = StdRng::seed_from_u64(21);
+        let mut uniform_rng = StdRng::seed_from_u64(21);
+        for probe in 0..budget {
+            let expected = uniform.propose_typed(&mut uniform_rng);
+            assert!(matches!(expected, Action::Probe(_)));
+            assert_eq!(
+                single.propose_typed(&mut single_rng),
+                expected,
+                "probe {probe}"
+            );
+            uniform.observe(false);
+            single.observe(false);
+        }
+        for location in 0..namespace {
+            assert_eq!(
+                single.propose_typed(&mut single_rng),
+                Action::Probe(location)
+            );
+            single.observe(false);
+        }
+        assert_eq!(single.propose_typed(&mut single_rng), Action::Stuck);
     }
 
     #[test]

@@ -294,9 +294,7 @@ mod session_tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    use crate::baselines::{
-        DoublingRenaming, LinearScanRenaming, SingleBatchRenaming, UniformRenaming,
-    };
+    use crate::baselines::{LinearScanRenaming, UniformRenaming};
     use crate::{
         AdaptiveRebatching, Epsilon, FastAdaptiveRebatching, Rebatching, RenamingObject,
         ResetMachine,
@@ -354,12 +352,6 @@ mod session_tests {
             LinearScanRenaming::new(32),
             LinearScanRenaming::new(32),
         );
-        assert_session_matches_per_call(
-            32,
-            SingleBatchRenaming::new(32),
-            SingleBatchRenaming::new(32),
-        );
-        assert_session_matches_per_call(32, DoublingRenaming::new(32), DoublingRenaming::new(32));
     }
 
     #[test]

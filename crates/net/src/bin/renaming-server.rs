@@ -23,7 +23,7 @@ use renaming_service::{Algorithm, NameService, SeedPolicy};
 const USAGE: &str = "usage: renaming-server [--addr HOST:PORT] [--addr-file PATH] \
 [--algorithm NAME] [--capacity N] [--handlers N] \
 [--pipeline N] [--no-metrics] [--oracle] [--seed N]
-algorithms: rebatching | adaptive | fast-adaptive | uniform | linear-scan | single-batch | doubling";
+algorithms: rebatching | adaptive | fast-adaptive | uniform | linear-scan";
 
 fn parse_algorithm(name: &str) -> Option<Algorithm> {
     Some(match name {
@@ -32,8 +32,6 @@ fn parse_algorithm(name: &str) -> Option<Algorithm> {
         "fast-adaptive" | "fast-adaptive-rebatching" => Algorithm::FastAdaptive,
         "uniform" => Algorithm::Uniform,
         "linear-scan" => Algorithm::LinearScan,
-        "single-batch" => Algorithm::SingleBatch,
-        "doubling" | "doubling-uniform" => Algorithm::Doubling,
         _ => return None,
     })
 }

@@ -8,14 +8,16 @@
 //!                                            │ one connection at a time
 //!                                            ▼
 //!                      ┌─ read and decode a batch of ≤ max_pipeline
-//!                      │  frames (first blocks with a timeout so
-//!                      │  shutdown is noticed; the rest only if
-//!                      │  already buffered); count it
+//!                      │  frames (first blocks with a timeout so an
+//!                      │  idle connection notices shutdown; the rest
+//!                      │  only if already buffered); count it
 //!                      ├─ answer each request in order, one sync
 //!                      │  NameService call apiece, appending each
 //!                      │  framed response to the output buffer
 //!                      ├─ one write_all of the whole batch's responses
-//!                      └─ repeat until EOF / Shutdown / framing error
+//!                      └─ repeat until EOF / framing error / the
+//!                         shutdown flag (read after every batch, so
+//!                         a busy connection notices it too)
 //!                               │
 //!                               ▼
 //!                 session drop: every held name released,
@@ -84,8 +86,9 @@ pub struct ServerConfig {
     /// reads before answering them; their responses go out in one
     /// write.
     pub max_pipeline: usize,
-    /// How long a handler blocks waiting for a connection's next frame
-    /// before re-checking the shutdown flag. Also bounds how long a
+    /// How long a handler blocks waiting for an idle connection's next
+    /// frame before re-checking the shutdown flag; a busy connection
+    /// re-checks it after every batch instead. Also bounds how long a
     /// mid-frame stall (a peer that sent a length prefix and nothing
     /// else) can hold a handler. [`NameServer::bind`] serves anything
     /// below 1 ms as 1 ms.
@@ -251,7 +254,8 @@ impl ServerHandle {
     }
 
     /// Signals shutdown and waits for every handler to finish (and thus
-    /// every session to be released).
+    /// every session to be released). A connection in use is closed
+    /// after the batch it is serving, an idle one within `read_timeout`.
     ///
     /// # Errors
     ///
@@ -395,6 +399,11 @@ fn serve(shared: &Shared, stream: TcpStream, session: &mut Vec<Name>) -> Result<
         (&stream).write_all(&out)?;
         if shutdown_now {
             shared.begin_shutdown();
+        }
+        // A connection that never idles for `read_timeout` would never
+        // reach the idle check above, so the flag is also read once per
+        // batch.
+        if shared.shutting_down() {
             return Ok(());
         }
     }

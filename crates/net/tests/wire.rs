@@ -690,3 +690,46 @@ fn stop_returns_with_every_handler_idle() {
         .expect("stop returns within 10 s")
         .expect("handlers joined");
 }
+
+/// `stop` closes a busy connection too: a client that never pauses for
+/// `read_timeout` keeps its handler out of the idle wait, so the handler
+/// reads the shutdown flag after each batch. `stop` returns promptly,
+/// and the client sees its connection end.
+#[test]
+fn stop_closes_a_busy_connection() {
+    let handle = spawn_server(Algorithm::Rebatching, 8);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let (served, first_round_trips) = std::sync::mpsc::channel();
+    let busy = std::thread::spawn(move || {
+        // A safety deadline, so a server that never closes the
+        // connection fails the test instead of hanging it.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut round_trips = 0u64;
+        while Instant::now() < deadline {
+            if let Err(error) = client.acquire().and_then(|name| client.release(name)) {
+                return (round_trips, Some(error));
+            }
+            round_trips += 1;
+            if round_trips == 100 {
+                let _ = served.send(());
+            }
+        }
+        (round_trips, None)
+    });
+    first_round_trips
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the client is served");
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(handle.stop());
+    });
+    stopped
+        .recv_timeout(Duration::from_secs(5))
+        .expect("stop returns within 5 s")
+        .expect("handlers joined");
+    let (round_trips, error) = busy.join().expect("client thread");
+    assert!(
+        matches!(error, Some(ClientError::Closed | ClientError::Wire(_))),
+        "the connection must end, not the deadline: {error:?} after {round_trips} round trips"
+    );
+}

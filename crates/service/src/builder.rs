@@ -3,9 +3,7 @@
 
 use std::sync::Arc;
 
-use renaming_core::baselines::{
-    DoublingRenaming, LinearScanRenaming, SingleBatchRenaming, UniformRenaming,
-};
+use renaming_core::baselines::{LinearScanRenaming, UniformRenaming};
 use renaming_core::{
     AdaptiveRebatching, Epsilon, FastAdaptiveRebatching, Rebatching, RenamingError, DEFAULT_BETA,
 };
@@ -15,10 +13,11 @@ use crate::{NameService, SeedPolicy};
 
 /// The renaming algorithm backing a [`NameService`].
 ///
-/// The paper's three algorithms plus the measured baselines; every
-/// variant hands out unique names, they differ in namespace size, step
-/// complexity and adaptivity (see the crate docs of `renaming-core` and
-/// its `baselines` module).
+/// The paper's three algorithms plus two baselines: uniform probing,
+/// the strategy the paper's §4 argues against, and the linear scan,
+/// the optimal namespace. Every variant hands out unique names; they
+/// differ in namespace size, step complexity and adaptivity (see the
+/// crate docs of `renaming-core` and its `baselines` module).
 ///
 /// # Example
 ///
@@ -50,23 +49,17 @@ pub enum Algorithm {
     Uniform,
     /// Baseline: deterministic scan; optimal namespace, `Θ(n)` steps.
     LinearScan,
-    /// Ablation A1: ReBatching's budget without the batch geometry.
-    SingleBatch,
-    /// Baseline: uniform probing over a doubling window.
-    Doubling,
 }
 
 impl Algorithm {
     /// All selectable algorithms, paper order then baselines.
-    pub fn all() -> [Algorithm; 7] {
+    pub fn all() -> [Algorithm; 5] {
         [
             Algorithm::Rebatching,
             Algorithm::Adaptive,
             Algorithm::FastAdaptive,
             Algorithm::Uniform,
             Algorithm::LinearScan,
-            Algorithm::SingleBatch,
-            Algorithm::Doubling,
         ]
     }
 }
@@ -121,7 +114,8 @@ impl NameServiceBuilder {
 
     /// Namespace slack `ε` (namespace `(1+ε)n`). Ignored by
     /// [`Algorithm::FastAdaptive`] (the paper fixes its `ε = 1`) and by
-    /// the baselines (fixed slack ratios).
+    /// both baselines: [`Algorithm::Uniform`] always probes `2n` slots
+    /// and [`Algorithm::LinearScan`] scans exactly `n`.
     #[must_use]
     pub fn epsilon(mut self, epsilon: Epsilon) -> Self {
         self.epsilon = epsilon;
@@ -193,8 +187,6 @@ impl NameServiceBuilder {
             }
             Algorithm::Uniform => Arc::new(UniformRenaming::new(self.capacity)),
             Algorithm::LinearScan => Arc::new(LinearScanRenaming::new(self.capacity)),
-            Algorithm::SingleBatch => Arc::new(SingleBatchRenaming::new(self.capacity)),
-            Algorithm::Doubling => Arc::new(DoublingRenaming::new(self.capacity)),
         })
     }
 }

@@ -47,7 +47,7 @@ pub type CountingSlot = CountingTas<AtomicTas>;
 /// which threads acquire unique names and release them again.
 ///
 /// This is the interchangeable-backend trait of the `renaming-service`
-/// crate: the paper's three algorithms and all four baselines implement
+/// crate: the paper's three algorithms and both service baselines implement
 /// it over any [`Tas`] substrate — hardware atomics,
 /// [`CountingSlot`], or the register-based tournament
 /// (`TicketTas<TournamentTas>`, long-lived through its epoch-stamped
@@ -269,9 +269,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use renaming_core::baselines::{
-        DoublingRenaming, LinearScanRenaming, SingleBatchRenaming, UniformRenaming,
-    };
+    use renaming_core::baselines::{LinearScanRenaming, UniformRenaming};
     use renaming_core::{AdaptiveRebatching, Epsilon, FastAdaptiveRebatching, Rebatching};
 
     #[test]
@@ -296,8 +294,6 @@ mod tests {
             Box::new(FastAdaptiveRebatching::with_defaults(8).expect("fast-adaptive")),
             Box::new(UniformRenaming::new(8)),
             Box::new(LinearScanRenaming::new(8)),
-            Box::new(SingleBatchRenaming::new(8)),
-            Box::new(DoublingRenaming::new(8)),
         ];
         // The labels key the wire's stats and the BENCH_* report rows,
         // in `Algorithm::all()` order.
@@ -310,8 +306,6 @@ mod tests {
                 "fast-adaptive-rebatching",
                 "uniform",
                 "linear-scan",
-                "single-batch",
-                "doubling-uniform",
             ]
         );
         let mut rng = StdRng::seed_from_u64(7);

@@ -10,7 +10,7 @@
 //! 2. **Executor churn** — OS threads each driving `block_on` acquires
 //!    hold unique names at every instant — proved by the concurrency
 //!    oracle's vector-clock history checker, with consistent snapshot
-//!    cuts taken mid-churn — and recycle them all, on all seven
+//!    cuts taken mid-churn — and recycle them all, on all five
 //!    backends and on the register-based tournament substrate.
 //! 3. **Single-thread interleaving** — `drive_all` multiplexing a batch
 //!    of acquires on one thread resolves them all to distinct names

@@ -240,13 +240,6 @@ fn step_counts_equal_probe_counts() {
             },
             m,
         ),
-        (
-            MachineKind::DoublingUniform {
-                namespace: m,
-                probes_per_level: 2,
-            },
-            m,
-        ),
     ];
     for (kind, memory) in kinds {
         let counters: Vec<Rc<Cell<u64>>> = (0..n).map(|_| Rc::default()).collect();

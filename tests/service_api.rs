@@ -30,9 +30,7 @@
 
 use std::sync::Arc;
 
-use loose_renaming::baselines::{
-    DoublingRenaming, LinearScanRenaming, SingleBatchRenaming, UniformRenaming,
-};
+use loose_renaming::baselines::{LinearScanRenaming, UniformRenaming};
 use loose_renaming::core::{
     AdaptiveLayout, AdaptiveRebatching, BatchLayout, FastAdaptiveRebatching, ProbeSchedule,
     Rebatching, DEFAULT_BETA,
@@ -136,9 +134,7 @@ fn fast_adaptive_churn_is_unique_and_recycles() {
 
 #[test]
 fn baseline_backends_churn_too() {
-    for algorithm in [Algorithm::Uniform, Algorithm::SingleBatch, Algorithm::Doubling] {
-        stress(algorithm, 4, 100);
-    }
+    stress(Algorithm::Uniform, 4, 100);
     // Linear scan: optimal namespace => heavier contention; fewer spins.
     stress(Algorithm::LinearScan, 4, 50);
 }
@@ -334,9 +330,8 @@ fn service_over<T: Tas + 'static>(
     let len = match algorithm {
         Algorithm::Rebatching => batch.namespace_size(),
         Algorithm::Adaptive | Algorithm::FastAdaptive => adaptive.total_size(),
-        Algorithm::Uniform | Algorithm::SingleBatch => 2 * capacity,
+        Algorithm::Uniform => 2 * capacity,
         Algorithm::LinearScan => capacity,
-        Algorithm::Doubling => 4 * capacity,
     };
     let slots = Arc::new(TasArray::from_slots((0..len).map(|_| slot()).collect()));
     let parts = Arc::clone(&slots);
@@ -346,11 +341,6 @@ fn service_over<T: Tas + 'static>(
         Algorithm::FastAdaptive => Arc::new(FastAdaptiveRebatching::from_parts(adaptive, parts)?),
         Algorithm::Uniform => Arc::new(UniformRenaming::from_parts(capacity, parts)?),
         Algorithm::LinearScan => Arc::new(LinearScanRenaming::from_parts(capacity, parts)?),
-        Algorithm::SingleBatch => {
-            let budget = (usize::BITS - len.leading_zeros()) as usize + 3;
-            Arc::new(SingleBatchRenaming::from_parts(capacity, budget, parts)?)
-        }
-        Algorithm::Doubling => Arc::new(DoublingRenaming::from_parts(capacity, 2, parts)?),
     };
     let mut service = NameService::with_backend(backend, SeedPolicy::Fixed(seed));
     service.enable_oracle();
