@@ -11,8 +11,8 @@
 //! Interleavings are explored by depth-first replay of
 //! scheduling decisions under a **preemption bound** (exhaustive for
 //! small bounds — the CHESS result is that almost all concurrency bugs
-//! need very few preemptions), with a seeded-random fallback beyond
-//! the exhaustive horizon. Three violation classes are detected:
+//! need very few preemptions), up to an interleaving cap that marks the
+//! report incomplete. Three violation classes are detected:
 //!
 //! * **panics** — any assertion failing in any explored interleaving,
 //!   reported with the decision schedule that reproduces it;
@@ -86,15 +86,12 @@ use std::sync::Arc;
 
 /// Configures and runs an exploration. The defaults are tuned for
 /// small models (2–4 threads, a few dozen operations): preemption
-/// bound 2, a generous interleaving cap, and a short seeded-random
-/// tail when the cap cuts the DFS short.
+/// bound 2 and a generous interleaving cap.
 #[derive(Debug, Clone)]
 pub struct Checker {
     preemption_bound: usize,
     max_interleavings: usize,
     max_steps: usize,
-    random_iterations: usize,
-    random_seed: u64,
 }
 
 impl Default for Checker {
@@ -103,8 +100,6 @@ impl Default for Checker {
             preemption_bound: 2,
             max_interleavings: 200_000,
             max_steps: 10_000,
-            random_iterations: 256,
-            random_seed: 0x5EED_CA11,
         }
     }
 }
@@ -123,7 +118,7 @@ impl Checker {
     }
 
     /// Cap on executed interleavings; hitting it makes the report
-    /// incomplete and triggers the random fallback.
+    /// incomplete.
     pub fn max_interleavings(mut self, cap: usize) -> Self {
         self.max_interleavings = cap;
         self
@@ -132,19 +127,6 @@ impl Checker {
     /// Per-interleaving step budget; exceeding it reports a livelock.
     pub fn max_steps(mut self, budget: usize) -> Self {
         self.max_steps = budget;
-        self
-    }
-
-    /// How many seeded-random schedules to run when the exhaustive DFS
-    /// was cut short by the interleaving cap (0 disables the fallback).
-    pub fn random_iterations(mut self, iterations: usize) -> Self {
-        self.random_iterations = iterations;
-        self
-    }
-
-    /// Seed for the random fallback (reproducible by construction).
-    pub fn random_seed(mut self, seed: u64) -> Self {
-        self.random_seed = seed;
         self
     }
 
@@ -160,8 +142,6 @@ impl Checker {
             self.preemption_bound,
             self.max_interleavings,
             self.max_steps,
-            self.random_iterations,
-            self.random_seed,
         )
     }
 }

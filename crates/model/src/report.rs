@@ -110,8 +110,7 @@ impl std::fmt::Display for Violation {
 /// The outcome of a [`Checker::check`](crate::Checker::check) run.
 #[derive(Debug)]
 pub struct Report {
-    /// How many interleavings were executed (exhaustive DFS plus any
-    /// random-fallback runs).
+    /// How many interleavings the DFS executed.
     pub interleavings: usize,
     /// Whether the DFS exhausted every schedule within the preemption
     /// bound (`false` when the interleaving cap was hit first, or when

@@ -699,14 +699,6 @@ pub(crate) struct Branch {
     pub(crate) candidates: usize,
 }
 
-/// How the controller picks the next branch beyond the replayed prefix.
-pub(crate) enum Mode<'a> {
-    /// Depth-first: always the first unexplored candidate.
-    Dfs,
-    /// Seeded-random fallback beyond the exhaustive horizon.
-    Random(&'a mut SplitMix64),
-}
-
 /// What one execution produced.
 pub(crate) struct ExecOutcome {
     pub(crate) trace: Vec<Branch>,
@@ -720,13 +712,13 @@ pub(crate) struct ExecOutcome {
     pub(crate) preemptions: usize,
 }
 
-/// Runs the model closure once under `prefix` + `mode`, scheduling with
-/// `preemption_bound` and aborting past `max_steps`.
+/// Runs the model closure once, replaying `prefix` and then taking the
+/// first candidate at every later decision (the depth-first descent),
+/// scheduling with `preemption_bound` and aborting past `max_steps`.
 pub(crate) fn run_one(
     root: impl FnOnce() + Send + 'static,
     pool: &Arc<WorkerPool>,
     prefix: &[usize],
-    mode: &mut Mode<'_>,
     preemption_bound: usize,
     max_steps: usize,
 ) -> ExecOutcome {
@@ -865,10 +857,7 @@ pub(crate) fn run_one(
             );
             prefix[depth]
         } else {
-            match mode {
-                Mode::Dfs => 0,
-                Mode::Random(rng) => (rng.next() % candidates.len() as u64) as usize,
-            }
+            0
         };
         let chosen = candidates[choice];
         trace.push(Branch { choice, candidates: candidates.len() });
@@ -906,40 +895,17 @@ pub(crate) fn prepare_process() {
 }
 
 // ---------------------------------------------------------------------
-// Seeded RNG for the random fallback (dependency-free)
-// ---------------------------------------------------------------------
-
-/// SplitMix64 — tiny, seedable, and good enough to scatter schedules.
-pub(crate) struct SplitMix64(u64);
-
-impl SplitMix64 {
-    pub(crate) fn new(seed: u64) -> Self {
-        Self(seed)
-    }
-
-    pub(crate) fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
-// ---------------------------------------------------------------------
 // Checker driver (used by crate::Checker)
 // ---------------------------------------------------------------------
 
 /// Exploration loop: DFS over decision prefixes within the preemption
-/// bound, then an optional seeded-random tail. Stops at the first
-/// schedule-level violation.
+/// bound, until the tree is exhausted, `max_interleavings` runs were
+/// executed, or a schedule-level violation is found.
 pub(crate) fn explore<F>(
     f: Arc<F>,
     preemption_bound: usize,
     max_interleavings: usize,
     max_steps: usize,
-    random_iterations: usize,
-    random_seed: u64,
 ) -> Report
 where
     F: Fn() + Send + Sync + 'static,
@@ -961,7 +927,6 @@ where
             move || (root)(),
             &pool,
             &prefix,
-            &mut Mode::Dfs,
             preemption_bound,
             max_steps,
         );
@@ -995,33 +960,6 @@ where
         prefix = trace.iter().map(|b| b.choice).collect();
         if interleavings >= max_interleavings {
             break;
-        }
-    }
-
-    if !complete && violation.is_none() && random_iterations > 0 {
-        let mut rng = SplitMix64::new(random_seed);
-        for _ in 0..random_iterations {
-            let root = Arc::clone(&f);
-            let outcome = run_one(
-                move || (root)(),
-                &pool,
-                &[],
-                &mut Mode::Random(&mut rng),
-                preemption_bound,
-                max_steps,
-            );
-            interleavings += 1;
-            max_preemptions = max_preemptions.max(outcome.preemptions);
-            longest = longest.max(outcome.trace.len());
-            for race in outcome.races {
-                if seen_races.insert(race.clone()) {
-                    races.push(race);
-                }
-            }
-            if let Some(found) = outcome.violation {
-                violation = Some(found);
-                break;
-            }
         }
     }
 
@@ -1059,11 +997,11 @@ mod tests {
     fn replaying_a_decision_prefix_is_deterministic() {
         prepare_process();
         let pool = WorkerPool::new();
-        let first = run_one(two_writers, &pool, &[], &mut Mode::Dfs, 2, 10_000);
+        let first = run_one(two_writers, &pool, &[], 2, 10_000);
         assert!(first.violation.is_none(), "scenario is correct");
         let prefix: Vec<usize> = first.trace.iter().map(|b| b.choice).collect();
-        let replay_a = run_one(two_writers, &pool, &prefix, &mut Mode::Dfs, 2, 10_000);
-        let replay_b = run_one(two_writers, &pool, &prefix, &mut Mode::Dfs, 2, 10_000);
+        let replay_a = run_one(two_writers, &pool, &prefix, 2, 10_000);
+        let replay_b = run_one(two_writers, &pool, &prefix, 2, 10_000);
         assert_eq!(
             replay_a.schedule, first.schedule,
             "replaying the full decision trace reproduces the schedule"

@@ -86,13 +86,6 @@ pub struct ServerConfig {
     /// reads before answering them; their responses go out in one
     /// write.
     pub max_pipeline: usize,
-    /// How long a handler blocks waiting for an idle connection's next
-    /// frame before re-checking the shutdown flag; a busy connection
-    /// re-checks it after every batch instead. Also bounds how long a
-    /// mid-frame stall (a peer that sent a length prefix and nothing
-    /// else) can hold a handler. [`NameServer::bind`] serves anything
-    /// below 1 ms as 1 ms.
-    pub read_timeout: Duration,
 }
 
 impl Default for ServerConfig {
@@ -100,10 +93,16 @@ impl Default for ServerConfig {
         Self {
             handlers: 8,
             max_pipeline: 32,
-            read_timeout: Duration::from_millis(200),
         }
     }
 }
+
+/// How long a handler blocks waiting for an idle connection's next
+/// frame before re-checking the shutdown flag; a busy connection
+/// re-checks it after every batch instead. Also bounds how long a
+/// mid-frame stall (a peer that sent a length prefix and nothing else)
+/// can hold a handler.
+const READ_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// State shared by every handler and the handle.
 #[derive(Debug)]
@@ -150,8 +149,7 @@ pub struct NameServer {
 impl NameServer {
     /// Binds a listener and wraps `service` for serving. The service is
     /// consumed: the server owns it for its lifetime. A `handlers` or
-    /// `max_pipeline` of 0 is served as 1, and a `read_timeout` below
-    /// 1 ms as 1 ms.
+    /// `max_pipeline` of 0 is served as 1.
     ///
     /// # Errors
     ///
@@ -166,8 +164,6 @@ impl NameServer {
         let config = ServerConfig {
             handlers: config.handlers.max(1),
             max_pipeline: config.max_pipeline.max(1),
-            // The socket rejects a zero read timeout.
-            read_timeout: config.read_timeout.max(Duration::from_millis(1)),
         };
         Ok(NameServer {
             shared: Arc::new(Shared {
@@ -255,7 +251,8 @@ impl ServerHandle {
 
     /// Signals shutdown and waits for every handler to finish (and thus
     /// every session to be released). A connection in use is closed
-    /// after the batch it is serving, an idle one within `read_timeout`.
+    /// after the batch it is serving, an idle one within 200 ms (the
+    /// read timeout).
     ///
     /// # Errors
     ///
@@ -349,7 +346,7 @@ fn wait_for_data(reader: &mut BufReader<&TcpStream>) -> Wait {
 
 fn serve(shared: &Shared, stream: TcpStream, session: &mut Vec<Name>) -> Result<(), WireError> {
     let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(shared.config.read_timeout))?;
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
     let mut reader = BufReader::new(&stream);
     let mut payload = Vec::new();
     let mut batch: Vec<Result<Request, ProtocolError>> = Vec::new();
@@ -400,7 +397,7 @@ fn serve(shared: &Shared, stream: TcpStream, session: &mut Vec<Name>) -> Result<
         if shutdown_now {
             shared.begin_shutdown();
         }
-        // A connection that never idles for `read_timeout` would never
+        // A connection that never idles for `READ_TIMEOUT` would never
         // reach the idle check above, so the flag is also read once per
         // batch.
         if shared.shutting_down() {

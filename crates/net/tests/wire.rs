@@ -229,16 +229,14 @@ fn pipeline_longer_than_the_cap_answers_in_request_order() {
     handle.stop().expect("stop");
 }
 
-/// `bind` serves a `handlers` or `max_pipeline` of 0 as 1, and a zero
-/// `read_timeout` as 1 ms: `Stats` reports both counts as 1, a
-/// three-deep pipeline (one frame per batch) is answered in request
-/// order, and every frame is counted.
+/// `bind` serves a `handlers` or `max_pipeline` of 0 as 1: `Stats`
+/// reports both counts as 1, a three-deep pipeline (one frame per batch)
+/// is answered in request order, and every frame is counted.
 #[test]
 fn zero_handlers_and_pipeline_are_served_as_one() {
     let config = ServerConfig {
         handlers: 0,
         max_pipeline: 0,
-        read_timeout: Duration::ZERO,
     };
     let handle = spawn_server_with(Algorithm::LinearScan, 8, config);
     let addr = handle.addr();
@@ -325,15 +323,14 @@ fn a_frame_split_across_two_writes_is_answered() {
     handle.stop().expect("stop");
 }
 
-/// `read_timeout` bounds a mid-frame stall: a connection that holds two
-/// names, then sends a length prefix and only part of the payload, is
-/// disconnected and its names come back. The server's only handler then
-/// serves the next client.
+/// The server's 200 ms read timeout bounds a mid-frame stall: a
+/// connection that holds two names, then sends a length prefix and only
+/// part of the payload, is disconnected and its names come back. The
+/// server's only handler then serves the next client.
 #[test]
 fn a_mid_frame_stall_is_disconnected_and_its_names_released() {
     let config = ServerConfig {
         handlers: 1,
-        read_timeout: Duration::from_millis(100),
         ..ServerConfig::default()
     };
     let handle = spawn_server_with(Algorithm::Rebatching, 16, config);
@@ -692,7 +689,7 @@ fn stop_returns_with_every_handler_idle() {
 }
 
 /// `stop` closes a busy connection too: a client that never pauses for
-/// `read_timeout` keeps its handler out of the idle wait, so the handler
+/// the read timeout keeps its handler out of the idle wait, so the handler
 /// reads the shutdown flag after each batch. `stop` returns promptly,
 /// and the client sees its connection end.
 #[test]

@@ -553,6 +553,44 @@ mod tests {
             .any(|v| matches!(v, Violation::InconsistentCut { epoch: 1, .. })));
     }
 
+    /// Two concurrent participants each win a different name in epoch
+    /// 0 and release it in epoch 1. The Kahn replay can run one hold to
+    /// its release before the other starts, so it never sees more than
+    /// one live name; only the snapshot cut, where both wins are in and
+    /// both releases out, exceeds the capacity of 1.
+    #[test]
+    fn capacity_excess_at_a_cut_is_flagged() {
+        let history = History {
+            namespace_size: 4,
+            capacity: 1,
+            snapshots: 1,
+            events: vec![
+                vec![
+                    event(0, EventKind::AcquireWin { name: 0 }, 0, &[1]),
+                    event(0, EventKind::Release { name: 0 }, 1, &[2]),
+                ],
+                vec![
+                    event(1, EventKind::AcquireWin { name: 1 }, 0, &[0, 1]),
+                    event(1, EventKind::Release { name: 1 }, 1, &[0, 2]),
+                ],
+            ],
+            recorded: Vec::new(),
+        };
+        let report = history.check();
+        assert!(report.complete);
+        assert_eq!(report.max_live, 1, "the replay stays within capacity");
+        assert_eq!(report.snapshots.len(), 1);
+        assert!(report.snapshots[0].consistent);
+        assert_eq!(report.snapshots[0].live_at_cut, 2);
+        assert_eq!(
+            report.violations,
+            [Violation::CapacityExceeded {
+                live: 2,
+                capacity: 1
+            }]
+        );
+    }
+
     #[test]
     fn violation_display_is_human_readable() {
         let text = Violation::DoubleIssue {

@@ -7,6 +7,7 @@ use renaming_core::baselines::{LinearScanRenaming, UniformRenaming};
 use renaming_core::{
     AdaptiveRebatching, Epsilon, FastAdaptiveRebatching, Rebatching, RenamingError, DEFAULT_BETA,
 };
+use renaming_tas::{AtomicTas, TasArray};
 
 use crate::namespace::ServiceBackend;
 use crate::{NameService, SeedPolicy};
@@ -112,10 +113,10 @@ impl NameServiceBuilder {
         }
     }
 
-    /// Namespace slack `ε` (namespace `(1+ε)n`). Ignored by
-    /// [`Algorithm::FastAdaptive`] (the paper fixes its `ε = 1`) and by
-    /// both baselines: [`Algorithm::Uniform`] always probes `2n` slots
-    /// and [`Algorithm::LinearScan`] scans exactly `n`.
+    /// Namespace slack `ε` (namespace `(1+ε)n`; [`Algorithm::Uniform`]
+    /// probes `⌈(1+ε)n⌉` slots). Ignored by [`Algorithm::FastAdaptive`]
+    /// (the paper fixes its `ε = 1`) and by [`Algorithm::LinearScan`]
+    /// (namespace exactly `n` by design).
     #[must_use]
     pub fn epsilon(mut self, epsilon: Epsilon) -> Self {
         self.epsilon = epsilon;
@@ -185,7 +186,11 @@ impl NameServiceBuilder {
             Algorithm::FastAdaptive => {
                 Arc::new(FastAdaptiveRebatching::new(self.capacity, DEFAULT_BETA)?)
             }
-            Algorithm::Uniform => Arc::new(UniformRenaming::new(self.capacity)),
+            Algorithm::Uniform => {
+                let namespace = ((1.0 + self.epsilon.value()) * self.capacity as f64).ceil();
+                let slots = Arc::new(TasArray::<AtomicTas>::new(namespace as usize));
+                Arc::new(UniformRenaming::from_parts(self.capacity, slots)?)
+            }
             Algorithm::LinearScan => Arc::new(LinearScanRenaming::new(self.capacity)),
         })
     }
@@ -231,5 +236,22 @@ mod tests {
             .expect("build");
         assert!(tight.namespace_size() < loose.namespace_size());
         assert_eq!(tight.namespace_size(), 80); // (1 + 0.25) * 64
+    }
+
+    #[test]
+    fn epsilon_shapes_the_uniform_namespace() {
+        let tight = NameService::builder(Algorithm::Uniform, 64)
+            .epsilon(Epsilon::new(0.25).expect("valid"))
+            .build()
+            .expect("build");
+        assert_eq!(tight.namespace_size(), 80); // ⌈(1 + 0.25) · 64⌉
+        let default = NameService::builder(Algorithm::Uniform, 64)
+            .build()
+            .expect("build");
+        assert_eq!(
+            default.namespace_size(),
+            128,
+            "the default ε = 1 keeps 2n slots"
+        );
     }
 }

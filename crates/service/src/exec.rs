@@ -1,8 +1,9 @@
 //! Minimal executors for driving the async facade without a runtime.
 //!
 //! The workspace vendors no async runtime (and the facade needs none:
-//! [`AcquireFuture`](crate::AcquireFuture) is hand-rolled over std's
-//! `Waker`/`Poll` machinery), so anything that holds an
+//! [`AsyncNameService::acquire`](crate::AsyncNameService::acquire) is a
+//! [`std::future::poll_fn`] over std's `Waker`/`Poll` machinery), so
+//! anything that holds an
 //! [`AsyncNameService`](crate::AsyncNameService) — examples, tests, the
 //! `service_throughput` and `oracle_churn` experiments, and the
 //! benchmark's async probe — needs a way to drive futures to completion.

@@ -1,4 +1,4 @@
-//! RAII ownership of an acquired name.
+//! RAII ownership of an acquired name, for sync and async callers alike.
 
 use std::fmt;
 use std::ops::Deref;
@@ -11,10 +11,20 @@ use crate::NameService;
 /// Owned access to one acquired name; the name is released back to the
 /// service when the guard drops.
 ///
-/// Obtained from [`NameService::acquire`]. While the guard lives, no
-/// other thread can hold the same name — that is the renaming
-/// guarantee — so the value can be used as a dense slot index into
-/// shared arrays (announcement tables, striped counters, ...).
+/// Generic over how the guard holds its service, which is the only
+/// difference between the two facades:
+///
+/// * [`NameService::acquire`] returns a `NameGuard<&NameService>`, which
+///   borrows the service;
+/// * [`AsyncNameService::acquire`](crate::AsyncNameService::acquire)
+///   resolves to an [`AsyncNameGuard`](crate::AsyncNameGuard), a
+///   `NameGuard<Arc<NameService>>`, which is `'static` and `Send`: it
+///   can move between tasks and threads and outlive the handle that
+///   acquired it.
+///
+/// While the guard lives, no other thread can hold the same name — that
+/// is the renaming guarantee — so the value can be used as a dense slot
+/// index into shared arrays (announcement tables, striped counters, ...).
 ///
 /// Dropping the guard is the release, and a release cannot fail: every
 /// backend recycles the name on drop (atomic slots reset their flag,
@@ -38,14 +48,14 @@ use crate::NameService;
 /// # }
 /// ```
 #[must_use = "dropping the guard immediately releases the name"]
-pub struct NameGuard<'s> {
-    service: &'s NameService,
+pub struct NameGuard<S: Deref<Target = NameService>> {
+    service: S,
     name: Name,
     armed: bool,
 }
 
-impl<'s> NameGuard<'s> {
-    pub(crate) fn new(service: &'s NameService, name: Name) -> Self {
+impl<S: Deref<Target = NameService>> NameGuard<S> {
+    pub(crate) fn new(service: S, name: Name) -> Self {
         Self {
             service,
             name,
@@ -64,8 +74,8 @@ impl<'s> NameGuard<'s> {
     }
 
     /// The service this guard belongs to.
-    pub fn service(&self) -> &'s NameService {
-        self.service
+    pub fn service(&self) -> &NameService {
+        &self.service
     }
 
     /// Detaches the name from the guard **without** releasing it. The
@@ -92,7 +102,7 @@ impl<'s> NameGuard<'s> {
     }
 }
 
-impl Deref for NameGuard<'_> {
+impl<S: Deref<Target = NameService>> Deref for NameGuard<S> {
     type Target = Name;
 
     fn deref(&self) -> &Name {
@@ -100,7 +110,7 @@ impl Deref for NameGuard<'_> {
     }
 }
 
-impl Drop for NameGuard<'_> {
+impl<S: Deref<Target = NameService>> Drop for NameGuard<S> {
     fn drop(&mut self) {
         if self.armed {
             self.service.release_as(self.name, ReleaseKind::GuardDrop);
@@ -108,7 +118,7 @@ impl Drop for NameGuard<'_> {
     }
 }
 
-impl fmt::Debug for NameGuard<'_> {
+impl<S: Deref<Target = NameService>> fmt::Debug for NameGuard<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NameGuard")
             .field("name", &self.name)
@@ -117,7 +127,7 @@ impl fmt::Debug for NameGuard<'_> {
     }
 }
 
-impl fmt::Display for NameGuard<'_> {
+impl<S: Deref<Target = NameService>> fmt::Display for NameGuard<S> {
     /// Forwards to the name, so guards drop into format strings.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Display::fmt(&self.name, f)

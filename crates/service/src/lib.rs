@@ -16,7 +16,9 @@
 //!   baselines serve over any resettable TAS substrate — hardware
 //!   atomics, [`CountingSlot`], or the register-based tournament;
 //! * [`NameGuard`] — RAII ownership of an acquired name: drop it and
-//!   the name is recycled;
+//!   the name is recycled. One type for both facades, generic over how
+//!   it holds the service (a borrow for sync callers, an `Arc` for
+//!   async ones);
 //! * [`NamespaceExhausted`] — the one way an acquire fails, on every
 //!   path below; a release cannot fail;
 //! * [`NameService`] — the thread-safe front-end, built over atomics
@@ -25,10 +27,9 @@
 //!   pooling and [`renaming_core::FastRng`] streams, so callers just
 //!   write `let guard = service.acquire()?` from any thread;
 //! * [`AsyncNameService`] — the same service behind `acquire().await`:
-//!   a hand-rolled [`Future`](std::future::Future) (std
-//!   `Waker`/`Poll` only, no external runtime) that runs the one acquire
-//!   path on its first poll, with [`AsyncNameGuard`] for `'static` RAII
-//!   release;
+//!   a [`std::future::poll_fn`] (std `Waker`/`Poll` only, no external
+//!   runtime) that runs the one acquire path on its first poll and
+//!   resolves to an [`AsyncNameGuard`], the `'static` guard;
 //! * [`exec`] — minimal, documented executors ([`exec::block_on`],
 //!   [`exec::drive_all`]) for driving the async facade without any
 //!   runtime — what the examples, tests and experiments use;
@@ -81,7 +82,7 @@ mod sync_shim;
 #[cfg(all(test, renaming_model))]
 mod model_tests;
 
-pub use async_api::{AcquireFuture, AsyncNameGuard, AsyncNameService};
+pub use async_api::{AsyncNameGuard, AsyncNameService};
 pub use builder::{Algorithm, NameServiceBuilder};
 pub use guard::NameGuard;
 pub use metrics::{

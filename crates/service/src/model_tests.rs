@@ -78,7 +78,6 @@ fn real_service_two_acquirers_stay_conservative() {
     let report = Checker::new()
         .max_interleavings(400)
         .max_steps(20_000)
-        .random_iterations(0)
         .check(|| {
             let service = Arc::new(
                 crate::NameService::builder(crate::Algorithm::Rebatching, 8)

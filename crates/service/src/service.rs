@@ -267,7 +267,7 @@ impl NameService {
     /// # Ok(())
     /// # }
     /// ```
-    pub fn acquire(&self) -> Result<NameGuard<'_>, NamespaceExhausted> {
+    pub fn acquire(&self) -> Result<NameGuard<&NameService>, NamespaceExhausted> {
         self.acquire_name().map(|name| NameGuard::new(self, name))
     }
 
@@ -321,7 +321,7 @@ impl NameService {
     }
 
     /// The one release path, shared by [`release_name`](Self::release_name)
-    /// and both guards' drops; `kind` lets the oracle's history tell
+    /// and the guard's drop; `kind` lets the oracle's history tell
     /// explicit releases from guard drops.
     pub(crate) fn release_as(&self, name: Name, kind: ReleaseKind) {
         self.instruments.release(name, kind, || {

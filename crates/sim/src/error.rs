@@ -30,11 +30,12 @@ pub enum SimError {
         /// The memory size.
         memory: usize,
     },
-    /// The execution exceeded the configured step budget — in this
-    /// workspace's algorithms that indicates a livelock bug, because every
-    /// algorithm has a deterministic termination guarantee.
+    /// The execution exceeded its step budget, which grows with the
+    /// process count and the memory size — in this workspace's algorithms
+    /// that indicates a livelock bug, because every algorithm has a
+    /// deterministic termination guarantee.
     StepLimitExceeded {
-        /// The configured budget.
+        /// The budget.
         limit: u64,
     },
     /// The execution was configured with no processes.

@@ -26,11 +26,12 @@ use crate::{
     SimError, TasMemory,
 };
 
-/// Default step budget multiplier: an execution of `n` processes over `m`
-/// locations may take at most `STEP_BUDGET_FACTOR * (n + m) * n.ilog2()`
-/// steps before the runner declares a livelock. Every algorithm in this
-/// workspace terminates in `O(n + m)` worst-case steps per process, so this
-/// bound is never hit by correct code.
+/// Step budget multiplier: an execution of `n` processes over `m`
+/// locations may take at most
+/// `STEP_BUDGET_FACTOR · (n + m) · (max(⌊log₂ n⌋, 1) + 1)` steps before the
+/// runner declares a livelock. Every algorithm in this workspace
+/// terminates in `O(n + m)` worst-case steps per process, so this bound is
+/// never hit by correct code.
 const STEP_BUDGET_FACTOR: u64 = 64;
 
 enum ProcessState {
@@ -115,7 +116,6 @@ pub struct Execution {
     adversary: Box<dyn Adversary>,
     crash_plan: CrashPlan,
     seed: u64,
-    step_limit: Option<u64>,
     tracing: bool,
 }
 
@@ -139,7 +139,6 @@ impl Execution {
             adversary: Box::new(RoundRobin::new()),
             crash_plan: CrashPlan::none(),
             seed: 0,
-            step_limit: None,
             tracing: false,
         }
     }
@@ -174,12 +173,6 @@ impl Execution {
         self
     }
 
-    /// Overrides the livelock step budget (see [`SimError::StepLimitExceeded`]).
-    pub fn step_limit(mut self, limit: u64) -> Self {
-        self.step_limit = Some(limit);
-        self
-    }
-
     /// Runs boxed `machines` to completion under the configured adversary.
     ///
     /// # Errors
@@ -196,7 +189,6 @@ impl Execution {
             adversary,
             crash_plan,
             seed,
-            step_limit,
             tracing,
         } = self;
         run_engine::<_, _, StdRng, _>(
@@ -204,7 +196,6 @@ impl Execution {
                 memory_size,
                 crash_plan,
                 seed,
-                step_limit,
                 tracing,
             },
             &mut EngineScratch::new(),
@@ -269,7 +260,6 @@ impl Execution {
             memory_size,
             crash_plan,
             seed,
-            step_limit,
             tracing,
             ..
         } = self;
@@ -278,7 +268,6 @@ impl Execution {
                 memory_size,
                 crash_plan,
                 seed,
-                step_limit,
                 tracing,
             },
             scratch,
@@ -330,7 +319,6 @@ struct EngineConfig {
     memory_size: usize,
     crash_plan: CrashPlan,
     seed: u64,
-    step_limit: Option<u64>,
     tracing: bool,
 }
 
@@ -387,11 +375,9 @@ where
     if n == 0 {
         return Err(SimError::NoProcesses);
     }
-    let step_limit = cfg.step_limit.unwrap_or_else(|| {
-        STEP_BUDGET_FACTOR
-            * (n as u64 + cfg.memory_size as u64)
-            * u64::from((n as u64).ilog2().max(1) + 1)
-    });
+    let step_limit = STEP_BUDGET_FACTOR
+        * (n as u64 + cfg.memory_size as u64)
+        * u64::from((n as u64).ilog2().max(1) + 1);
 
     let memory = &mut scratch.memory;
     memory.reset_to(cfg.memory_size);
@@ -697,14 +683,13 @@ mod tests {
         assert!(matches!(err, SimError::ProbeOutOfBounds { location: 10, .. }));
     }
 
+    /// The default budget for 2 processes over 1 location:
+    /// `64 · (2 + 1) · (max(⌊log₂ 2⌋, 1) + 1) = 384` steps.
     #[test]
     fn livelock_hits_step_limit() {
         let machines: Vec<Box<dyn Renamer>> = vec![Box::new(Stubborn), Box::new(Stubborn)];
-        let err = Execution::new(1)
-            .step_limit(1000)
-            .run(machines)
-            .unwrap_err();
-        assert_eq!(err, SimError::StepLimitExceeded { limit: 1000 });
+        let err = Execution::new(1).run(machines).unwrap_err();
+        assert_eq!(err, SimError::StepLimitExceeded { limit: 384 });
     }
 
     #[test]

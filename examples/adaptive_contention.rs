@@ -22,7 +22,7 @@ fn largest_name_at_contention(
     let service = NameService::builder(algorithm, capacity)
         .seed_policy(SeedPolicy::Fixed(seed))
         .build()?;
-    let guards: Vec<NameGuard<'_>> = std::thread::scope(|scope| {
+    let guards: Vec<NameGuard<&NameService>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..k)
             .map(|_| {
                 let service = &service;

@@ -20,7 +20,7 @@ fn run_backend(algorithm: Algorithm, threads: usize) -> Result<(), Box<dyn std::
 
     // Each thread acquires and *returns its guard*, so all names are held
     // simultaneously — uniqueness among live guards is the guarantee.
-    let guards: Vec<NameGuard<'_>> = std::thread::scope(|scope| {
+    let guards: Vec<NameGuard<&NameService>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let service = &service;
@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .seed_policy(SeedPolicy::Fixed(7))
         .build()?;
     for wave in 0..3 {
-        let guards: Vec<NameGuard<'_>> = (0..threads)
+        let guards: Vec<NameGuard<&NameService>> = (0..threads)
             .map(|_| service.acquire().expect("within capacity"))
             .collect();
         println!("wave {wave}: holding {} names", guards.len());

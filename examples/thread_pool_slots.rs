@@ -38,14 +38,14 @@ impl HazardTable {
 
     /// Called once per thread activation: acquire a dense slot. The guard
     /// *is* the registration — dropping it deregisters the thread.
-    fn register(&self) -> NameGuard<'_> {
+    fn register(&self) -> NameGuard<&NameService> {
         self.service
             .acquire()
             .expect("more threads than the table's capacity")
     }
 
     /// Publish a "protected pointer" in the thread's slot.
-    fn announce(&self, slot: &NameGuard<'_>, ptr: usize) {
+    fn announce(&self, slot: &NameGuard<&NameService>, ptr: usize) {
         self.announcements[slot.value()].store(ptr, Ordering::Release);
     }
 

@@ -83,8 +83,7 @@ pub use renaming_tas as tas;
 pub mod prelude {
     pub use renaming_core::{Epsilon, Name, NamespaceExhausted, RenamingError};
     pub use renaming_service::{
-        AcquireFuture, Algorithm, AsyncNameGuard, AsyncNameService, HistoryReport, NameGuard,
-        NameService, NameServiceBuilder, Namespace, Oracle, OracleVerdict, SeedPolicy, Violation,
-        WorkerCounts,
+        Algorithm, AsyncNameGuard, AsyncNameService, HistoryReport, NameGuard, NameService,
+        NameServiceBuilder, Namespace, Oracle, OracleVerdict, SeedPolicy, Violation, WorkerCounts,
     };
 }

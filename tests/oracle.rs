@@ -205,7 +205,8 @@ fn snapshots_report_live_occupancy_at_the_cut() {
         .expect("build");
     let oracle = service.oracle().expect("enabled").clone();
 
-    let guards: Vec<NameGuard<'_>> = (0..3).map(|_| service.acquire().expect("acquire")).collect();
+    let guards: Vec<NameGuard<&NameService>> =
+        (0..3).map(|_| service.acquire().expect("acquire")).collect();
     let first = oracle.snapshot();
     drop(guards);
     // A recording event after the bump moves this participant into the

@@ -147,7 +147,7 @@ fn guards_held_together_are_distinct_across_threads() {
         .build()
         .expect("build");
     // Every thread acquires and returns its guard; all are held at once.
-    let guards: Vec<NameGuard<'_>> = std::thread::scope(|scope| {
+    let guards: Vec<NameGuard<&NameService>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let service = &service;
